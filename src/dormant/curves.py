@@ -27,8 +27,8 @@ from .field import (
     RatFunc,
     TruncSeries,
     UPoly,
+    _mul,
     _series_inv,
-    _series_mul,
     ratfunc_at_series,
 )
 
@@ -576,11 +576,8 @@ def _newton_series(field, ycoeffs, y0, prec):
     def ev(table, y, m):
         acc = []
         for k in range(max(table) if table else 0, -1, -1):
-            acc = _series_mul(acc, y, m, p) if acc else ([0] * m if y else [])
-            if not acc:
-                acc = [0] * m
-            acc = _list_add(acc, table.get(k, []), p)[:m]
-        return acc
+            acc = _list_add(_mul(acc, y, p, m), table.get(k, []), p)[:m]
+        return acc + [0] * (m - len(acc))
 
     dcoeffs = {
         k - 1: [c * k % p for c in cs] for k, cs in ycoeffs.items() if k >= 1
@@ -595,7 +592,7 @@ def _newton_series(field, ycoeffs, y0, prec):
         gp = ev(dcoeffs, ycur, m)
         if gp[0] == 0:
             raise SingularPoint(f"vanishing derivative solving at start {y0}")
-        corr = _series_mul(g, _series_inv(gp, m, p), m, p)
+        corr = _mul(g, _series_inv(gp, m, p), p, m)
         y = [(a - b) % p for a, b in zip(ycur, corr + [0] * m)]
         steps += 1
         if steps > prec.bit_length() + 8:
@@ -942,12 +939,10 @@ def _branch_weierstrass(curve: Weierstrass, point, prec: int) -> SeriesBranch:
         u = [0] * pr
         u[2] = 1
         for _ in range(pr // 2 + 2):
-            u2 = _series_mul(u, u, pr, p)
-            u3 = _series_mul(u2, u, pr, p)
-            nxt = [0] * pr
-            for i in range(pr):
-                nxt[i] = ((1 if i == 0 else 0) + a * u2[i] + b * u3[i]) % p
-            nxt = ([0, 0] + nxt)[:pr]
+            u2 = _mul(u, u, p, pr - 2)
+            u3 = _mul(u2, u, p, pr - 2)
+            nxt = _list_add([1], _list_add([a * c for c in u2], [b * c for c in u3], p), p)
+            nxt = [0, 0] + nxt + [0] * (pr - 2 - len(nxt))
             if nxt == u:
                 break
             u = nxt

@@ -4,10 +4,19 @@ Univariate polynomials, reduced rational functions and truncated Laurent
 series, together with p-th power detection and formal differentiation.
 Everything is an immutable value; field elements themselves are plain ints
 in [0, p).
+
+Every product of coefficient lists goes through one kernel, _mul, which cuts
+its operands to the wanted number of terms first.  A one-term operand scales
+the other; below a product of lengths of _KRONECKER_AT it runs the schoolbook
+loop; above, it packs each list into one int with slots wide enough for any
+product coefficient (Kronecker substitution) and does one big-int multiply.
+Series inverses are Newton iterations on the same kernel.
 """
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from enum import Enum
 from math import inf
 
@@ -136,42 +145,50 @@ class Degree(Enum):
 
 NEG_INF = Degree.NEG_INF
 
-_KARATSUBA_AT = 64
+_KRONECKER_AT = 64
+# slot width in bytes -> array typecode, for packing with one C-level pass
+_ARRAY = {array(c).itemsize: c for c in "QLIHB"} if sys.byteorder == "little" else {}
 
 
-def _mul_school(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % p for c in out]
-
-
-def _mul_kara(a, b, p):
-    n = max(len(a), len(b))
-    if min(len(a), len(b)) < _KARATSUBA_AT:
-        return _mul_school(a, b, p)
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_kara(a0, b0, p) if a0 and b0 else []
-    z2 = _mul_kara(a1, b1, p) if a1 and b1 else []
-    sa = [x + y for x, y in zip(a0, a1)] + list(a1[len(a0):] or a0[len(a1):])
-    sb = [x + y for x, y in zip(b0, b1)] + list(b1[len(b0):] or b0[len(b1):])
-    z1 = _mul_kara(sa, sb, p) if sa and sb else []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        out[i + h] += c
-    for i, c in enumerate(z0):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + 2 * h] += c
-    return [c % p for c in out]
+def _mul(a, b, p, n=None):
+    """a * b over F_p in [0, p), cut to n terms; a and b may be unreduced."""
+    if n is not None:
+        if n <= 0:
+            return []
+        a, b = a[:n], b[:n]
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    la, lb = len(a), len(b)
+    k = la + lb - 1 if n is None else min(n, la + lb - 1)
+    if la == 1:  # b is already cut to n terms
+        a0 = a[0]
+        return [a0 * c % p for c in b]
+    if la * lb < _KRONECKER_AT:
+        out = [0] * k
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b if i + lb <= k else b[: k - i], i):
+                    out[j] += ai * bj
+        return [c % p for c in out]
+    if min(a) < 0 or min(b) < 0:
+        a, b = [c % p for c in a], [c % p for c in b]
+    # a slot holds any coefficient of the product: at most la terms of
+    # max(a) * max(b); widths are whole powers of two bytes
+    bits = max(a).bit_length() + max(b).bit_length() + la.bit_length()
+    w = 1 << ((bits - 1) >> 3).bit_length()
+    code = _ARRAY.get(w)
+    if code:
+        pa, pb = array(code, a).tobytes(), array(code, b).tobytes()
+    else:
+        pa = b"".join(c.to_bytes(w, "little") for c in a)
+        pb = b"".join(c.to_bytes(w, "little") for c in b)
+    prod = int.from_bytes(pa, "little") * int.from_bytes(pb, "little")
+    buf = memoryview(prod.to_bytes((la + lb - 1) * w, "little"))[: k * w]
+    if code:
+        return [c % p for c in buf.cast(code).tolist()]
+    return [int.from_bytes(buf[i : i + w], "little") % p for i in range(0, k * w, w)]
 
 
 class UPoly:
@@ -273,13 +290,7 @@ class UPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return UPoly.zero(self.field)
-        if min(len(self.coeffs), len(o.coeffs)) >= _KARATSUBA_AT:
-            cs = _mul_kara(list(self.coeffs), list(o.coeffs), self.field.p)
-        else:
-            cs = _mul_school(self.coeffs, o.coeffs, self.field.p)
-        return UPoly(self.field, cs)
+        return UPoly(self.field, _mul(self.coeffs, o.coeffs, self.field.p))
 
     __rmul__ = __mul__
 
@@ -415,24 +426,18 @@ class UPoly:
 
 
 def _series_inv(u, count, p):
-    """Inverse of the unit power series u (u[0] != 0) mod t^count."""
-    inv0 = pow(u[0], p - 2, p)
-    out = [inv0] + [0] * (count - 1)
-    for k in range(1, count):
-        s = 0
-        for j in range(1, min(k, len(u) - 1) + 1):
-            s += u[j] * out[k - j]
-        out[k] = -inv0 * s % p
-    return out
+    """Inverse of the unit power series u (u[0] != 0) mod t^count.
 
-
-def _series_mul(a, b, count, p):
-    out = [0] * count
-    for i, ai in enumerate(a[:count]):
-        if ai:
-            for j, bj in enumerate(b[: count - i]):
-                out[i + j] += ai * bj
-    return [c % p for c in out]
+    Newton iteration y <- y * (2 - u * y): with h terms right, u * y is
+    1 + t^h * e mod t^2h, so the next h terms are those of -y * e.
+    """
+    y = [pow(u[0], p - 2, p)]
+    while len(y) < count:
+        h = len(y)
+        m = min(2 * h, count)
+        corr = _mul(y, _mul(u, y, p, m)[h:], p, m - h)
+        y += [-c % p for c in corr] + [0] * (m - h - len(corr))
+    return y
 
 
 class RatFunc:
@@ -606,7 +611,7 @@ class RatFunc:
         if count <= 0:
             return TruncSeries(self.field, center, prec, (), prec)
         inv = _series_inv(d[m:], count, p)
-        cs = _series_mul(n[k:], inv, count, p)
+        cs = _mul(n[k:], inv, p, count)
         return TruncSeries(self.field, center, ord_low, cs, prec)
 
     def series_at_infinity(self, prec, center=("inf",)) -> "TruncSeries":
@@ -621,7 +626,7 @@ class RatFunc:
         if count <= 0:
             return TruncSeries(self.field, center, prec, (), prec)
         inv = _series_inv(drev, count, p)
-        cs = _series_mul(nrev, inv, count, p)
+        cs = _mul(nrev, inv, p, count)
         return TruncSeries(self.field, center, ord_low, cs, prec)
 
     def residue_at(self, a: int) -> int:
@@ -780,16 +785,10 @@ class TruncSeries:
         prec = min(self.prec + o.ord_low, o.prec + self.ord_low)
         if not self.coeffs or not o.coeffs:
             return TruncSeries(self.field, self.center, prec, (), prec)
-        p = self.field.p
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        out = [c % p for c in out]
-        return TruncSeries(
-            self.field, self.center, self.ord_low + o.ord_low, out, prec
-        )
+        ord_low = self.ord_low + o.ord_low
+        n = None if prec == inf else prec - ord_low
+        out = _mul(self.coeffs, o.coeffs, self.field.p, n)
+        return TruncSeries(self.field, self.center, ord_low, out, prec)
 
     __rmul__ = __mul__
 
@@ -820,7 +819,7 @@ class TruncSeries:
         else:
             count = self.prec - v
         count = max(count, 1)
-        inv = _series_inv(list(self.coeffs) + [0] * count, count, self.field.p)
+        inv = _series_inv(self.coeffs, count, self.field.p)
         return TruncSeries(self.field, self.center, -v, inv, count - v)
 
     def derivative(self) -> "TruncSeries":

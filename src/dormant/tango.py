@@ -43,11 +43,15 @@ def default_places(curve, prec: Optional[int] = None) -> list:
 
     Rational points on the small models, plus the places over z = 0 and
     the point at infinity on the one-point models.  prec overrides the
-    starting series precision.
+    starting series precision.  The places are built once per curve and
+    precision; each call returns a fresh list of them.
     """
-    g = curve.genus()
     if prec is None:
-        prec = max(6 * g + 10, 24)
+        prec = max(6 * curve.genus() + 10, 24)
+    return list(curve._memo(("default_places", prec), lambda: _places(curve, prec)))
+
+
+def _places(curve, prec: int) -> list:
     if curve.model == "p1":
         pts: list = list(range(curve.field.p))
         pts.append(INF)

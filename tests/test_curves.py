@@ -89,6 +89,13 @@ class TestOrdinarity:
         for a in (0, 3, 5):
             assert Weierstrass(F7, a, 5).hasse() == 1
 
+    @pytest.mark.parametrize(
+        "p,a,b", [(5, 3, 0), (5, 3, 2), (5, 3, 3), (7, 0, 5), (7, 3, 5), (7, 5, 5)]
+    )
+    def test_criterion_1_curves_are_ordinary(self, p, a, b):
+        # is_ordinary returns a pair, so only its first entry is the verdict
+        assert is_ordinary(Weierstrass(PrimeField(p), a, b))[0]
+
     def test_p3_short_form_always_supersingular(self):
         for a in range(1, 3):
             for b in range(3):

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dormant.errors import InsufficientPrecision, ZeroDenominator, ZeroElement
 from dormant.field import (
@@ -12,6 +14,8 @@ from dormant.field import (
     RatFunc,
     TruncSeries,
     UPoly,
+    _mul,
+    _series_inv,
     poly_at_series,
     rat_normalize,
     ratfunc_at_series,
@@ -407,3 +411,90 @@ class TestDlog:
     def test_dlog_of_zero(self):
         with pytest.raises(ZeroElement):
             RatFunc.zero(F5).dlog()
+
+
+def naive_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+KERNEL_PRIMES = (3, 5, 7, 131, 2147483647)
+
+
+def coeff_list(rng, length, p, kind):
+    if kind == "reduced":
+        return [rng.randrange(p) for _ in range(length)]
+    if kind == "top":
+        return [p - 1] * length
+    if kind == "sparse":
+        return [rng.randrange(p) if rng.random() < 0.1 else 0 for _ in range(length)]
+    if kind == "unreduced":
+        return [rng.randrange(p << 20) for _ in range(length)]
+    return [rng.randrange(-5 * p, 5 * p) for _ in range(length)]
+
+
+KINDS = ("reduced", "top", "sparse", "unreduced", "negative")
+
+
+class TestMulKernel:
+    """_mul against the schoolbook oracle, on both sides of the crossover."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.sampled_from(KERNEL_PRIMES),
+        la=st.integers(0, 600),
+        lb=st.integers(0, 600),
+        kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+        cut=st.one_of(st.none(), st.integers(-3, 3), st.floats(0, 1.2)),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_oracle(self, p, la, lb, kinds, cut, rng):
+        a = coeff_list(rng, la, p, kinds[0])
+        b = coeff_list(rng, lb, p, kinds[1])
+        full = naive_mul(a, b, p)
+        if cut is None:
+            assert _mul(a, b, p) == full
+            return
+        # n below, at and above la + lb - 1
+        n = len(full) + cut if isinstance(cut, int) else int(cut * len(full))
+        assert _mul(a, b, p, n) == full[: max(n, 0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from(KERNEL_PRIMES),
+        lu=st.integers(1, 600),
+        m=st.integers(1, 700),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_series_inverse(self, p, lu, m, rng):
+        u = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(lu - 1)]
+        inv = _series_inv(u, m, p)
+        assert len(inv) == m
+        assert _mul(u, inv, p, m) == [1] + [0] * (m - 1)
+
+    def test_slot_width_at_boundaries(self):
+        # coefficients 2^k - 1 fill their bits, so the middle terms of the
+        # product need all of the slot width the kernel reserves
+        p = 2147483647
+        for la in (8, 9, 15, 16, 17, 255, 256, 257):
+            for ka in range(1, 36):
+                for kb in range(1, 36):
+                    va, vb = (1 << ka) - 1, (1 << kb) - 1
+                    want = [min(j + 1, la, 2 * la - 1 - j) * va * vb % p
+                            for j in range(2 * la - 1)]
+                    assert _mul([va] * la, [vb] * la, p) == want
+
+    def test_crossover_sizes_agree(self):
+        rng = random.Random(3)
+        for p in KERNEL_PRIMES:
+            for la in range(1, 20):
+                for lb in (la, 2 * la + 1, 100):
+                    a = coeff_list(rng, la, p, "reduced")
+                    b = coeff_list(rng, lb, p, "top")
+                    assert _mul(a, b, p) == naive_mul(a, b, p)
+                    assert _mul(b, a, p, la) == naive_mul(a, b, p)[:la]
