@@ -28,14 +28,13 @@ from .curves import (
     raynaud_p_inf,
 )
 from .connections import (
+    OMEGA_FRAMES,
     BundleLabel,
     LogConnection,
     omega_frame_differential,
     p_curvature,
     solve_dlog,
 )
-
-OMEGA_FRAMES = ("omega_log", "omega_ell", "ray_omega")
 
 
 def _split_ratfunc(r: RatFunc):
@@ -159,9 +158,21 @@ def _require_omega(label: BundleLabel) -> None:
         raise NotOmegaBundle(f"{label.name} does not frame the differentials")
 
 
+def _horizontal_cartier(conn: LogConnection) -> CartierOutput:
+    """Cartier data of the horizontal differential u * eta of a flat
+    connection on the omega bundle: eta is the frame differential and u the
+    rational horizontal generator.  Raises NoRationalGenerator without one.
+    """
+    if not p_curvature(conn).is_zero:
+        raise NotFlat("pre-Tango structures are flat")
+    eta = omega_frame_differential(conn.label)
+    u = solve_dlog(conn.curve, -conn.scalar())
+    return cartier_curve(eta.scale(u))
+
+
 def is_pre_tango(conn: LogConnection) -> bool:
     """Whether the horizontal differentials of a flat connection on the
-    omega bundle are locally exact.
+    omega bundle are locally exact; decided once per connection.
 
     With a rational horizontal generator u this is one global Cartier
     vanishing C(u eta) = 0.  Without one the same condition is certified
@@ -170,25 +181,20 @@ def is_pre_tango(conn: LogConnection) -> bool:
     if conn.rank != 1:
         raise ValueError("pre-Tango test is a rank-one notion")
     _require_omega(conn.label)
-    if not p_curvature(conn).is_zero:
-        raise NotFlat("pre-Tango structures are flat")
-    eta = omega_frame_differential(conn.label)
-    try:
-        u = solve_dlog(conn.curve, -conn.scalar())
-    except NoRationalGenerator:
-        return _formal_pre_tango(conn, eta)
-    return cartier_curve(eta.scale(u)).is_exact
+
+    def decide():
+        try:
+            return _horizontal_cartier(conn).is_exact
+        except NoRationalGenerator:
+            return _formal_pre_tango(conn, omega_frame_differential(conn.label))
+    return conn._memo("is_pre_tango", decide)
 
 
 def tango_from_pretango(conn: LogConnection) -> FFElem:
     """Rational f with df spanning the horizontal line of a pre-Tango
     structure; needs a rational horizontal generator."""
     _require_omega(conn.label)
-    if not p_curvature(conn).is_zero:
-        raise NotFlat("pre-Tango structures are flat")
-    eta = omega_frame_differential(conn.label)
-    u = solve_dlog(conn.curve, -conn.scalar())
-    out = cartier_curve(eta.scale(u))
+    out = _horizontal_cartier(conn)
     if not out.is_exact:
         raise NotPreTango("horizontal differential has a Cartier obstruction")
     return out.antiderivative()

@@ -17,14 +17,14 @@ from typing import Optional
 
 from .cartier import cartier_curve, cartier_p1, is_pre_tango, tango_from_pretango
 from .connections import (
+    OMEGA_FRAMES,
     LogConnection,
     canonical_connection,
     monodromy,
-    omega_ell_label,
     omega_frame_differential,
+    omega_label,
     omega_log_label,
     p_curvature,
-    raynaud_omega_label,
     trivial_label,
 )
 from .curves import (
@@ -76,7 +76,6 @@ COMMANDS = (
     "selftest",
 )
 
-_OMEGA_BUNDLES = ("omega_log", "omega_ell", "ray_omega")
 _OPTION_ORDER = ("action", "monodromy", "pretango", "height", "N", "mode", "threads")
 
 
@@ -289,7 +288,7 @@ def parse_job(text) -> JobSpec:
             if rank < 1:
                 raise SemanticError(f"line {lineno}: rank must be positive")
             bundle = kv.get("bundle", "triv")
-            if bundle not in ("triv",) + _OMEGA_BUNDLES + ("omega",):
+            if bundle not in ("triv", "omega") + OMEGA_FRAMES:
                 raise SemanticError(f"line {lineno}: unknown bundle {bundle!r}")
             block = ConnBlock(rank, bundle)
             blocks.append(block)
@@ -384,13 +383,7 @@ def _bool(v) -> str:
 def _label_for(curve, name: str):
     if name == "triv":
         return trivial_label(curve)
-    if name == "omega":
-        name = {"p1": "omega_log", "ell": "omega_ell", "raynaud": "ray_omega"}[curve.model]
-    if name == "omega_log":
-        return omega_log_label(curve)
-    if name == "omega_ell":
-        return omega_ell_label(curve)
-    return raynaud_omega_label(curve)
+    return omega_label(curve, None if name == "omega" else name)
 
 
 def _first_block(spec: JobSpec, cls, what: str):
@@ -508,7 +501,7 @@ def _run_tango_search(spec: JobSpec) -> str:
 
 def _serialize_oper(m: MiuraGL2Oper) -> str:
     src = m.cartan.components[-1].label.name
-    bundle = src[5:-1] if src.startswith("dual(") and src[5:-1] in _OMEGA_BUNDLES else "triv"
+    bundle = src[5:-1] if src.startswith("dual(") and src[5:-1] in OMEGA_FRAMES else "triv"
     lines = [f"conn rank=2 bundle={bundle}"]
     for i in range(2):
         for j in range(2):
@@ -526,13 +519,10 @@ def _oper_from_block(spec: JobSpec) -> MiuraGL2Oper:
     curve = spec.curve
     rebuilt = LogConnection(curve, block.matrix, trivial_label(curve), validate=False)
     oper, _ = specialize(rebuilt)
-    bundle = block.bundle
-    if bundle == "omega":
-        bundle = {"p1": "omega_log", "ell": "omega_ell", "raynaud": "ray_omega"}[curve.model]
-    if bundle in _OMEGA_BUNDLES:
+    if block.bundle == "omega" or block.bundle in OMEGA_FRAMES:
         # the serialized matrix is written in the coordinate frame; undo
         # the frame shift to recover the graded line on dual(omega)
-        label = _label_for(curve, bundle)
+        label = _label_for(curve, block.bundle)
         h = omega_frame_differential(label).h
         comp1 = LogConnection(
             curve, [[oper.a1 - h.dlog()]], label.dual(), validate=False
@@ -726,7 +716,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact computations with flat connections in characteristic p",
     )
     parser.add_argument("--machine", action="store_true", help="machine-stable output")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     sub = parser.add_subparsers(dest="command")
     run_p = sub.add_parser("run", help="run a self-contained job file")
     run_p.add_argument("job")

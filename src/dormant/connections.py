@@ -25,6 +25,7 @@ from .curves import (
     RaynaudPlane,
     SeriesBranch,
     Weierstrass,
+    _Memo,
     branch_at,
     raynaud_p_inf,
     z0_places,
@@ -106,6 +107,22 @@ def raynaud_omega_label(curve: RaynaudPlane) -> BundleLabel:
     return BundleLabel(curve, "ray_omega", {(0, 0): 2 * curve.genus() - 2})
 
 
+# names of the framed omega bundles, one per curve model
+OMEGA_FRAMES = ("omega_log", "omega_ell", "ray_omega")
+
+
+def omega_label(curve, name: str | None = None) -> BundleLabel:
+    """The omega bundle `name` (one of OMEGA_FRAMES) on the curve; by
+    default the one of the curve's model."""
+    if name is None:
+        name = {"p1": "omega_log", "ell": "omega_ell"}.get(curve.model, "ray_omega")
+    if name == "omega_log":
+        return omega_log_label(curve)
+    if name == "omega_ell":
+        return omega_ell_label(curve)
+    return raynaud_omega_label(curve)
+
+
 def omega_frame_differential(label: BundleLabel) -> Differential:
     """The differential that the omega-type frame names."""
     curve = label.curve
@@ -124,8 +141,12 @@ def omega_frame_differential(label: BundleLabel) -> Differential:
     raise NotOmegaBundle(f"{label.name} does not name a differential frame")
 
 
-class LogConnection:
-    """d + A dx in a fixed frame; rank is the matrix size."""
+class LogConnection(_Memo):
+    """d + A dx in a fixed frame; rank is the matrix size.
+
+    Immutable; facts proven about it (p-curvature, pre-Tango verdict) are
+    kept through _memo, so each is proven once per connection.
+    """
 
     __slots__ = ("curve", "rank", "matrix", "label")
 
@@ -142,6 +163,7 @@ class LogConnection:
                 cells.append(c)
             rows.append(tuple(cells))
         self.curve = curve
+        self._cache = {}
         self.rank = len(rows)
         if any(len(r) != self.rank for r in rows):
             raise ValueError("matrix must be square")
@@ -271,6 +293,11 @@ def _mat_mul(a, b, curve):
 
 
 def p_curvature(conn: LogConnection) -> PCurvatureTensor:
+    """The p-curvature, computed once per connection by _power_frame."""
+    return conn._memo("p_curvature", lambda: _power_frame(conn))
+
+
+def _power_frame(conn: LogConnection) -> PCurvatureTensor:
     """(d/dx + A)^p applied to the frame columns; x is separating so the
     p-th derivation power contributes nothing and the result is linear."""
     curve = conn.curve

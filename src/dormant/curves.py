@@ -134,14 +134,10 @@ def _matinv_ratfunc(m, field):
 # ---------------------------------------------------------------------------
 # curve models
 
-class _CurveBase:
-    __slots__ = ("field", "_cache")
+class _Memo:
+    """Values derived from an immutable object, built once on first use."""
 
-    model = "?"
-
-    @property
-    def p(self) -> int:
-        return self.field.p
+    __slots__ = ("_cache",)
 
     def _memo(self, name, build):
         try:
@@ -150,6 +146,16 @@ class _CurveBase:
             value = build()
             self._cache[name] = value
             return value
+
+
+class _CurveBase(_Memo):
+    __slots__ = ("field",)
+
+    model = "?"
+
+    @property
+    def p(self) -> int:
+        return self.field.p
 
     # constructors for function-field elements
     def ff(self, *comps) -> "FFElem":
@@ -691,14 +697,6 @@ class Z0Place:
     def point(self):
         return self.key
 
-    def _w(self) -> RatFunc:
-        # Z^(q-1) = w(X) := X^q - X in the second chart
-        q = self.curve.q
-        f = self.curve.field
-        return RatFunc.from_poly(
-            UPoly(f, [0, -1] + [0] * (q - 2) + [1])
-        )
-
     def _ord_phi(self, r: RatFunc) -> int:
         if r.is_zero:
             raise ZeroElement("valuation of 0")
@@ -737,7 +735,7 @@ class Z0Place:
         def build():
             q = self.curve.q
             f = self.curve.field
-            w = self._w()
+            w = _w(self.curve)
             c = (w - RatFunc.x(f)) / w
             comps = [RatFunc.zero(f)] * (q - 1)
             comps[q - 3] = c
@@ -752,11 +750,17 @@ class Z0Place:
         return f"Z0Place(phi={list(self.phi.coeffs)}, p={self.curve.p})"
 
 
+def _w(curve: RaynaudPlane) -> RatFunc:
+    """w(X) = X^q - X, with Z^(q-1) = w in the chart y = 1."""
+    return curve._memo("xq_minus_x", lambda: RatFunc.from_poly(
+        UPoly(curve.field, [0, -1] + [0] * (curve.q - 2) + [1])))
+
+
 def _zshift(comps, e, curve):
     """Multiply a Z-basis vector by Z^e in F_p(X)[Z]/(Z^(q-1) - w)."""
     q = curve.q
     f = curve.field
-    w = RatFunc.from_poly(UPoly(f, [0, -1] + [0] * (q - 2) + [1]))
+    w = _w(curve)
     out = [RatFunc.zero(f)] * (q - 1)
     for k, c in enumerate(comps):
         if c.is_zero:
@@ -793,10 +797,7 @@ def xz_components(curve: RaynaudPlane, f: FFElem):
         return vec, d
 
     minpoly = curve._memo(
-        "z_minpoly",
-        lambda: [-RatFunc.from_poly(UPoly(field, [0, -1] + [0] * (q - 2) + [1]))]
-        + [zero] * (q - 2)
-        + [RatFunc.one(field)],
+        "z_minpoly", lambda: [-_w(curve)] + [zero] * (q - 2) + [RatFunc.one(field)]
     )
     total = [zero] * (q - 1)
     for k, c in enumerate(f.comps):
@@ -894,9 +895,7 @@ def _equal_degree_split(poly: UPoly, d: int, rng) -> list:
 def z0_places(curve: RaynaudPlane):
     """All places of the curve on z = 0, one per irreducible factor of X^q - X."""
     def build():
-        q = curve.q
-        w = UPoly(curve.field, [0, -1] + [0] * (q - 2) + [1])
-        linear, rest = _factor_linear_and_rest(w)
+        linear, rest = _factor_linear_and_rest(_w(curve).num)
         places = [Z0Place(curve, UPoly(curve.field, (-a, 1))) for a, _ in linear]
         if rest.degree > 0:
             for f in _factor_squarefree(rest):
@@ -936,17 +935,8 @@ def _branch_weierstrass(curve: Weierstrass, point, prec: int) -> SeriesBranch:
         key = ("ell", curve.key(), INF)
         a, b = curve.a, curve.b
         pr = prec + 8
-        u = [0] * pr
-        u[2] = 1
-        for _ in range(pr // 2 + 2):
-            u2 = _mul(u, u, p, pr - 2)
-            u3 = _mul(u2, u, p, pr - 2)
-            nxt = _list_add([1], _list_add([a * c for c in u2], [b * c for c in u3], p), p)
-            nxt = [0, 0] + nxt + [0] * (pr - 2 - len(nxt))
-            if nxt == u:
-                break
-            u = nxt
-        unit = u[2:]
+        table = {0: [0, 0, -1], 1: [1], 2: [0, 0, -a], 3: [0, 0, -b]}
+        unit = _newton_series(field, table, 0, pr)[2:]
         xs = _series_inv(unit, pr - 2, p)
         x_series = TruncSeries(field, key, -2, xs, pr - 4)
         y_series = x_series * TruncSeries.t_power(field, key, -1)

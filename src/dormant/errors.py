@@ -64,10 +64,6 @@ class NotFlat(DormantError):
     pass
 
 
-class NonzeroShiftedMonodromy(DormantError):
-    pass
-
-
 class CurveMismatch(DormantError):
     pass
 
@@ -98,19 +94,11 @@ class NotDivisibleByP(DormantError):
         self.branch = branch
 
 
-class WrongDegree(DormantError):
-    pass
-
-
 class IncompleteDivisor(DormantError):
     pass
 
 
 class PNotDividing2gMinus2(DormantError):
-    pass
-
-
-class NotPrincipal(DormantError):
     pass
 
 

@@ -14,37 +14,12 @@ Series inverses are Newton iterations on the same kernel.
 """
 from __future__ import annotations
 
-import os
 import sys
 from array import array
 from enum import Enum
 from math import inf
 
 from .errors import InsufficientPrecision, ZeroDenominator, ZeroElement
-
-PRECISION_CAP = 1 << 16
-
-
-def starting_precision(p: int, pole_order: int, genus: int) -> int:
-    """Default number of series coefficients to work with.
-
-    Overridable through the DORMANT_PRECISION environment variable; callers
-    double on InsufficientPrecision up to PRECISION_CAP.
-    """
-    env = os.environ.get("DORMANT_PRECISION")
-    if env:
-        n = int(env)
-        if n > 0:
-            return min(n, PRECISION_CAP)
-    return min(4 * p * (max(pole_order, 0) + genus + 1), PRECISION_CAP)
-
-
-def precision_ladder(start: int):
-    """Yield start, 2*start, 4*start, ... up to PRECISION_CAP."""
-    prec = max(1, start)
-    while prec <= PRECISION_CAP:
-        yield prec
-        prec *= 2
 
 
 def is_prime(n: int) -> bool:

@@ -25,14 +25,13 @@ from .errors import (
 from .field import UPoly
 from .curves import FFElem
 from .connections import (
+    OMEGA_FRAMES,
     LogConnection,
     dual,
     monodromy,
-    omega_ell_label,
     omega_frame_differential,
-    omega_log_label,
+    omega_label,
     p_curvature,
-    raynaud_omega_label,
     tensor,
     trivial_label,
 )
@@ -150,17 +149,6 @@ def cartan_from_connections(*nablas: LogConnection) -> CartanConnection:
     return CartanConnection(curve, comps)
 
 
-def _omega_label(curve):
-    if curve.model == "p1":
-        return omega_log_label(curve)
-    if curve.model == "ell":
-        return omega_ell_label(curve)
-    return raynaud_omega_label(curve)
-
-
-_OMEGA_NAMES = ("omega_log", "omega_ell", "ray_omega")
-
-
 def _coordinate_scalar(comp: LogConnection) -> FFElem:
     """Matrix of a rank-1 component rewritten in the coordinate frame.
 
@@ -169,8 +157,8 @@ def _coordinate_scalar(comp: LogConnection) -> FFElem:
     dlog h.  Components on other labels are taken as written.
     """
     name = comp.label.name
-    if name.startswith("dual(") and name[5:-1] in _OMEGA_NAMES:
-        h = omega_frame_differential(_omega_label(comp.curve)).h
+    if name.startswith("dual(") and name[5:-1] in OMEGA_FRAMES:
+        h = omega_frame_differential(omega_label(comp.curve)).h
         return comp.scalar() + h.dlog()
     return comp.scalar()
 
@@ -300,7 +288,7 @@ def pretango_of(m: MiuraGL2Oper) -> LogConnection:
     if not is_dormant(m):
         raise NotDormant("the operator has nonzero p-curvature")
     curve = m.curve
-    label = _omega_label(curve)
+    label = omega_label(curve)
     comp1 = m.cartan.components[1]
     if comp1.label.name == f"dual({label.name})":
         scalar = -comp1.scalar()

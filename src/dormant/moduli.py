@@ -4,24 +4,23 @@ Genus 0: a log connection on the marked line with prescribed residues is
 unique when it exists at all, and it exists exactly when the residue
 classes pass the divisibility test.  Genus 1: the connections form the
 one-parameter family d + w * delta over the invariant differential.  The
-flatness of every candidate is certified here by literal operator
+flatness of every candidate is certified by p_curvature, which is operator
 powering, independent of the closed forms elsewhere in the package.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import UnsupportedCurve
 from .field import RatFunc, UPoly
-from .curves import INF, FFElem, P1Marked
+from .curves import INF, P1Marked
 from .connections import (
     LogConnection,
     monodromy,
-    omega_ell_label,
-    omega_log_label,
+    omega_label,
+    p_curvature,
 )
 from .cartier import is_pre_tango
 
@@ -85,14 +84,6 @@ class EnumerationReport:
         )
 
 
-def _psi_by_powering(curve, a: FFElem) -> FFElem:
-    # (d/dx + a)^p applied to the frame section, one application at a time
-    v = curve.ff_const(1)
-    for _ in range(curve.field.p):
-        v = v.derivative() + a * v
-    return v
-
-
 def _tag(curve) -> str:
     return " ".join(str(part) for part in curve.key())
 
@@ -125,20 +116,19 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
                     UPoly(curve.field, (v,)),
                     UPoly(curve.field, (-m % p, 1)),
                 )
-            conn = LogConnection(curve, [[omega]], omega_log_label(curve))
-            if _psi_by_powering(curve, conn.scalar()).is_zero and monodromy(conn) == mu:
+            conn = LogConnection(curve, [[omega]], omega_label(curve))
+            if p_curvature(conn).is_zero and monodromy(conn) == mu:
                 flat.append(conn)
     elif curve.model == "ell":
         if len(mu) != 0:
             raise ValueError("the shipped elliptic model carries no marks")
         mu = ()
         admissible = True
-        yinv = curve.y_elem().inverse()
-        flat = []
-        for w in range(p):
-            a = curve.ff_const(w) * yinv
-            if _psi_by_powering(curve, a).is_zero:
-                flat.append(LogConnection(curve, [[a]], omega_ell_label(curve)))
+        label, yinv = omega_label(curve), curve.y_elem().inverse()
+        candidates = (
+            LogConnection(curve, [[curve.ff_const(w) * yinv]], label) for w in range(p)
+        )
+        flat = [conn for conn in candidates if p_curvature(conn).is_zero]
     else:
         raise UnsupportedCurve(f"unknown model {curve.model}")
     pretango = [conn for conn in flat if is_pre_tango(conn)]
@@ -166,12 +156,8 @@ def standard_marked_line(p: int, r: int) -> P1Marked:
     return P1Marked(PrimeField(p), (*range(r - 1), INF))
 
 
-def sweep_genus0(p: int, r: int, threads: int = 1):
+def sweep_genus0(p: int, r: int):
     """Reports for every monodromy vector on the standard r-marked line,
     in lexicographic order."""
     curve = standard_marked_line(p, r)
-    vectors = list(itertools.product(range(p), repeat=r))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda mu: enumerate_flat(curve, mu), vectors))
-    return [enumerate_flat(curve, mu) for mu in vectors]
+    return [enumerate_flat(curve, mu) for mu in itertools.product(range(p), repeat=r)]

@@ -87,6 +87,11 @@ class TestPCurvature:
         conn2 = LogConnection(curve, [[0, 0], [0, 0]])
         assert p_curvature(conn2).is_zero
 
+    def test_computed_once_per_connection(self):
+        curve = line(5, 0, 1, INF)
+        conn = LogConnection(curve, [[simple_poles(curve, (2, 3))]])
+        assert p_curvature(conn) is p_curvature(conn)
+
     def test_dlog_pole_is_flat(self):
         # psi(1/x) = x^-p (1 + (p-1)!) = 0 by Wilson
         for p in (3, 5, 7):

@@ -211,6 +211,16 @@ class TestWeierstrassBranches:
         res = br.y_series**2 - (br.x_series**3 + 4 * br.x_series)
         assert res.is_zero_to_prec
 
+    @pytest.mark.parametrize("p, a, b, prec", [(7, 3, 5, 556), (11, 1, 1, 300)])
+    def test_infinity_long_precision(self, p, a, b, prec):
+        curve = Weierstrass(PrimeField(p), a, b)
+        br = branch_at(curve, INF, prec)
+        assert br.x_series.prec >= prec
+        assert valuation(curve.x_elem(), br) == -2
+        assert valuation(curve.y_elem(), br) == -3
+        res = br.y_series**2 - (br.x_series**3 + a * br.x_series + b)
+        assert res.is_zero_to_prec
+
     def test_point_not_on_curve_rejected(self):
         with pytest.raises(ValueError):
             branch_at(Weierstrass(F5, 4, 0), (2, 2), 8)

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from dormant import cartier, connections
 from dormant.connections import monodromy, residue_pcurvature_identity
 from dormant.curves import INF, P1Marked, RaynaudPlane, Weierstrass
 from dormant.errors import UnsupportedCurve
 from dormant.field import PrimeField
+from dormant.miura import is_dormant, miura_from_tango, pretango_of
 from dormant.moduli import (
     EnumerationReport,
     count_pretango,
@@ -125,13 +127,6 @@ class TestGenus0:
         assert reports[1].monodromy == (0, 0, 1)
         assert reports[-1].monodromy == (2, 2, 2)
 
-    def test_threaded_sweep_matches(self):
-        seq = sweep_genus0(3, 3)
-        par = sweep_genus0(3, 3, threads=2)
-        assert [r.monodromy for r in par] == [r.monodromy for r in seq]
-        assert [r.flat_count for r in par] == [r.flat_count for r in seq]
-        assert [r.pretango_count for r in par] == [r.pretango_count for r in seq]
-
     def test_too_many_marks_refused(self):
         with pytest.raises(UnsupportedCurve):
             standard_marked_line(3, 5)
@@ -203,3 +198,35 @@ class TestReportSurface:
     def test_raynaud_refused(self):
         with pytest.raises(UnsupportedCurve):
             enumerate_flat(RaynaudPlane(PrimeField(5), 1))
+
+
+class TestProveOnce:
+    @pytest.mark.parametrize("curve, mu", [
+        (line(5), (4, 4, 1)),
+        (line(7, (0, 1, 2, INF)), (2, 5, 2, 3)),
+        (Weierstrass(PrimeField(5), 3, 0), ()),
+    ], ids=["line5", "line7", "ell5"])
+    def test_enumeration_and_roundtrip_power_each_connection_once(
+            self, monkeypatch, curve, mu):
+        powered, decided = [], []
+
+        def counting(log, inner):
+            return lambda conn: log.append(conn) or inner(conn)
+
+        monkeypatch.setattr(connections, "_power_frame",
+                            counting(powered, connections._power_frame))
+        monkeypatch.setattr(cartier, "_horizontal_cartier",
+                            counting(decided, cartier._horizontal_cartier))
+        rep = enumerate_flat(curve, mu)
+        assert rep.pretango_count
+        opers = []
+        for conn in rep.pretango_list:
+            m = miura_from_tango(conn)
+            assert is_dormant(m)
+            assert pretango_of(m) == conn
+            opers.append(m.connection)
+        # powered objects stay alive in the log, so their ids are distinct
+        ids = [id(conn) for conn in powered]
+        assert len(ids) == len(set(ids))
+        assert {id(c) for c in rep.flat_list + tuple(opers)} <= set(ids)
+        assert [id(c) for c in decided] == [id(c) for c in rep.flat_list]
