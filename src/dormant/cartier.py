@@ -178,16 +178,24 @@ def is_pre_tango(conn: LogConnection) -> bool:
     vanishing C(u eta) = 0.  Without one the same condition is certified
     formally at a distinguished place; see _formal_pre_tango.
     """
+    return conn._memo("is_pre_tango", lambda: decide_pre_tango(conn)[0])
+
+
+def decide_pre_tango(conn: LogConnection):
+    """(is_pre_tango verdict, CartierOutput of the horizontal step, or None
+    without a rational generator), from one horizontal Cartier step.
+
+    Checks the rank and the omega label first; is_pre_tango keeps only the
+    verdict, since CartierOutputs kept on connections cost memory.
+    """
     if conn.rank != 1:
         raise ValueError("pre-Tango test is a rank-one notion")
     _require_omega(conn.label)
-
-    def decide():
-        try:
-            return _horizontal_cartier(conn).is_exact
-        except NoRationalGenerator:
-            return _formal_pre_tango(conn, omega_frame_differential(conn.label))
-    return conn._memo("is_pre_tango", decide)
+    try:
+        out = _horizontal_cartier(conn)
+    except NoRationalGenerator:
+        return _formal_pre_tango(conn, omega_frame_differential(conn.label)), None
+    return out.is_exact, out
 
 
 def tango_from_pretango(conn: LogConnection) -> FFElem:

@@ -15,7 +15,7 @@ import random
 import sys
 from typing import Optional
 
-from .cartier import cartier_curve, cartier_p1, is_pre_tango, tango_from_pretango
+from .cartier import cartier_curve, cartier_p1, decide_pre_tango
 from .connections import (
     OMEGA_FRAMES,
     LogConnection,
@@ -41,7 +41,6 @@ from .curves import (
 )
 from .errors import (
     DormantError,
-    NoRationalGenerator,
     SemanticError,
     SyntaxError,
 )
@@ -453,12 +452,11 @@ def _run_cartier(spec: JobSpec) -> str:
 
 def _run_pretango(spec: JobSpec) -> str:
     conn = _connection(spec, rank=1)
-    verdict = is_pre_tango(conn)
-    if verdict:
-        try:
-            witness = f"witness f = {tango_from_pretango(conn).render()}"
-        except NoRationalGenerator:
-            witness = "witness: formal certificate at the distinguished place"
+    verdict, out = decide_pre_tango(conn)
+    if verdict and out is not None:
+        witness = f"witness f = {out.antiderivative().render()}"
+    elif verdict:
+        witness = "witness: formal certificate at the distinguished place"
     else:
         witness = "obstruction: nonzero Cartier image on the horizontal line"
     if spec.machine:

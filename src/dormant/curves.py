@@ -250,9 +250,9 @@ class Weierstrass(_CurveBase):
         return self._memo("hasse", build)
 
     def minpoly(self):
-        c = RatFunc.from_poly(self.c_poly())
-        one = RatFunc.one(self.field)
-        return [-c, RatFunc.zero(self.field), one]
+        f = self.field
+        return self._memo("minpoly", lambda: (
+            -RatFunc.from_poly(self.c_poly()), RatFunc.zero(f), RatFunc.one(f)))
 
     def yprime(self) -> "FFElem":
         # implicit differentiation of y^2 = c:  y' = c' * y / (2c)
@@ -307,13 +307,11 @@ class RaynaudPlane(_CurveBase):
     def minpoly(self):
         # x y^(q-1) + y - x^q = 0, divided by x:
         # Y^(q-1) + (1/x) Y - x^(q-1)
-        field = self.field
-        x = RatFunc.x(field)
-        coeffs = [RatFunc.zero(field) for _ in range(self.q)]
-        coeffs[0] = -(x ** (self.q - 1))
-        coeffs[1] = 1 / x
-        coeffs[self.q - 1] = RatFunc.one(field)
-        return coeffs
+        def build():
+            f, x = self.field, RatFunc.x(self.field)
+            zeros = (RatFunc.zero(f),) * (self.q - 3)
+            return (-(x ** (self.q - 1)), 1 / x) + zeros + (RatFunc.one(f),)
+        return self._memo("minpoly", build)
 
     def yprime(self) -> "FFElem":
         # dG/dx = -y^(q-1), dG/dy = x y^(q-2) - 1 for G = x^q - x y^(q-1) - y
@@ -343,7 +341,8 @@ class RaynaudPlane(_CurveBase):
 class FFElem:
     """Element of the function field in the y-power basis over F_p(x)."""
 
-    __slots__ = ("curve", "comps")
+    # _xz: the Z-chart vector (xz_components), set by Z0Place on first use
+    __slots__ = ("curve", "comps", "_xz")
 
     def __init__(self, curve, comps):
         field = curve.field
@@ -728,7 +727,9 @@ class Z0Place:
     def valuation_of(self, f) -> int:
         if isinstance(f, RatFunc):
             f = FFElem(self.curve, (f,))
-        return self._zval(xz_components(self.curve, f))
+        if getattr(f, "_xz", None) is None:  # the same at every z = 0 place
+            f._xz = xz_components(self.curve, f)
+        return self._zval(f._xz)
 
     def dx_cofactor_valuation(self) -> int:
         # dx = (Z^(q-1) - X) Z^(-2) dZ on the curve, and dZ is a unit at z = 0

@@ -302,7 +302,7 @@ class UPoly:
                 for j, bc in enumerate(o.coeffs):
                     rem[i - db + j] -= q * bc
                 rem[i] = 0
-        return UPoly(self.field, quo), UPoly(self.field, rem)
+        return UPoly(self.field, quo), UPoly(self.field, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -836,11 +836,35 @@ class TruncSeries:
 
 
 def poly_at_series(poly: UPoly, s: TruncSeries) -> TruncSeries:
-    """Evaluate a polynomial at a series by Horner; precision via min-rules."""
-    acc = TruncSeries.zero(poly.field, s.center)
+    """Evaluate a polynomial at a series by Horner; precision via min-rules.
+
+    The accumulator t^lo * cs + O(t^prec) is a list in TruncSeries normal
+    form, and each step acc * s + c follows the TruncSeries rules.
+    """
+    p = poly.field.p
+    sl, sc, sp = s.ord_low, s.coeffs, s.prec
+    lo = prec = inf
+    cs = []
     for c in reversed(poly.coeffs):
-        acc = acc * s + c
-    return acc
+        prec = min(prec + sl, sp + lo)
+        lo += sl
+        cs = _mul(cs, sc, p, None if prec == inf else prec - lo)
+        if c and prec > 0:
+            if not cs:
+                lo = 0
+            elif lo > 0:
+                cs[:0] = [0] * lo
+                lo = 0
+            cs += [0] * (1 - lo - len(cs))
+            cs[-lo] = (cs[-lo] + c) % p
+        while cs and not cs[-1]:
+            cs.pop()
+        if cs and not cs[0]:  # t^0 cancelled the leading term
+            lead = next(i for i, a in enumerate(cs) if a)
+            cs, lo = cs[lead:], lo + lead
+        if not cs:
+            lo = prec
+    return TruncSeries(poly.field, s.center, lo, cs, prec)
 
 
 def ratfunc_at_series(f: RatFunc, s: TruncSeries, prec_hint=None) -> TruncSeries:

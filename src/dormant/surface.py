@@ -10,6 +10,7 @@ shipped covers can produce.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -135,8 +136,8 @@ def _clear_pole(curve, w: FFElem, place) -> FFElem:
         w = w - (curve.ff_const(a) * x ** (v // p)) ** p
 
 
-def _solve_chart_function(gtc: GeneralizedTango, chart: Chart, places) -> FFElem:
-    """t with dt = F*(gen^(p-1)) df, regular on the chart.
+def _solve_chart_function(gtc: GeneralizedTango, chart: Chart, places, df: FFElem) -> FFElem:
+    """t with dt = F*(gen^(p-1)) df, regular on the chart; df = gtc.f'.
 
     The seed F*(gen^(p-1)) f already has the right differential; what can
     remain is polar surgery by p-th powers, which the differential never
@@ -144,14 +145,15 @@ def _solve_chart_function(gtc: GeneralizedTango, chart: Chart, places) -> FFElem
     """
     curve = gtc.curve
     p = curve.field.p
-    w = _frob(chart.gen ** (p - 1)) * gtc.f
+    unit = _frob(chart.gen ** (p - 1))
+    w = unit * gtc.f
     for place in places:
         if not chart.contains(place):
             continue
         v = _val(place, w)
         if v is not None and v < 0:
             w = _clear_pole(curve, w, place)
-    if w.derivative() != _frob(chart.gen ** (p - 1)) * gtc.f.derivative():
+    if w.derivative() != unit * df:
         raise NotExactOnChart("surgery failed to preserve the differential")
     for place in places:
         if chart.contains(place):
@@ -190,7 +192,8 @@ def build_surface(gtc: GeneralizedTango, covering: Optional[Sequence[Chart]] = N
                 raise UnitFailure(
                     f"generator of chart {chart.name} fails to trivialize at {place.key}"
                 )
-    t = [_solve_chart_function(gtc, chart, places) for chart in charts]
+    df = gtc.f.derivative()
+    t = [_solve_chart_function(gtc, chart, places, df) for chart in charts]
     overlaps = {}
     for i in range(len(charts)):
         for j in range(len(charts)):
@@ -254,6 +257,7 @@ def validate_cocycle(data: SurfaceGluingData) -> CocycleReport:
     curve = data.curve
     p = curve.field.p
     one = curve.ff_const(1)
+    dt = [ti.derivative() for ti in data.t]
     out = []
     for (i, j) in sorted(data.overlaps):
         u, r = data.overlaps[(i, j)]
@@ -270,9 +274,10 @@ def validate_cocycle(data: SurfaceGluingData) -> CocycleReport:
                 vr = _val(place, r)
                 if vr is not None and vr < 0:
                     out.append(f"r_{i}{j} has a pole at {place.key}")
-        if data.t[i] != _frob(u ** (p - 1)) * data.t[j] - _frob(r):
+        fu = _frob(u ** (p - 1))
+        if data.t[i] != fu * data.t[j] - _frob(r):
             out.append(f"transition t_{i} = F*(u^(p-1)) t_{j} - F*(r) fails")
-        if data.t[i].derivative() != _frob(u ** (p - 1)) * data.t[j].derivative():
+        if dt[i] != fu * dt[j]:
             out.append(f"differential relation dt_{i} = F*(u^(p-1)) dt_{j} fails")
         if not r.is_zero:
             rr = _frob(r).pth_root()
@@ -358,8 +363,12 @@ def fiber_smoothness_probe(data: SurfaceGluingData, samples) -> SmoothnessReport
     curve = data.curve
     p = curve.field.p
     entries = []
+    values = {}  # (chart, base) -> _chart_value, one evaluation each
     for ci, base, fiber in samples:
-        tval, dval = _chart_value(data, ci, base)
+        key = (ci, tuple(base))
+        if key not in values:
+            values[key] = _chart_value(data, ci, base)
+        tval, dval = values[key]
         fx, fy, fz = (int(v) % p for v in fiber)
         if fx == 0 and fy == 0 and fz == 0:
             raise ValueError("(0:0:0) is not a projective point")
@@ -386,15 +395,13 @@ def random_fiber_samples(data: SurfaceGluingData, count: int, seed: int = 0) -> 
     rng = random.Random(seed)
     bases = []
     for pt in curve.affine_points():
-        for ci in range(len(data.charts)):
-            br = branch_at(curve, pt, 8)
-            if data.charts[ci].contains(br):
-                bases.append((ci, pt))
+        br = branch_at(curve, pt, 8)
+        bases += [(ci, pt) for ci, chart in enumerate(data.charts) if chart.contains(br)]
+    fibers = cache(lambda ci, base: fiber_points(data, ci, base))
     samples = []
     while len(samples) < count:
         ci, base = rng.choice(bases)
-        pts = fiber_points(data, ci, base)
-        samples.append((ci, base, rng.choice(pts)))
+        samples.append((ci, base, rng.choice(fibers(ci, base))))
     return samples
 
 

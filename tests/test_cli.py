@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dormant import cli
+from dormant import cartier, cli
 from dormant.cli import ConnBlock, JobSpec, main, parse_job, render_job, run_job
 from dormant.errors import SemanticError, SyntaxError
 
@@ -418,3 +418,22 @@ class TestMain:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
+
+
+class TestPretangoOnce:
+    @pytest.mark.parametrize("job, first", [
+        (PRETANGO_P3, "yes"),
+        ("cmd=pretango\nell p=5 a=3 b=0\nconn rank=1 bundle=omega_ell\n"
+         "0 / 1 ; 1 / 0 3 0 1\n", "yes"),
+        ("cmd=pretango\nell p=5 a=3 b=0\nconn rank=1 bundle=omega_ell\n0 / 1\n", "no"),
+    ], ids=["generator", "formal", "obstructed"])
+    def test_one_horizontal_cartier_step_per_job(self, monkeypatch, job, first):
+        steps, scans = [], []
+        step, scan = cartier._horizontal_cartier, cartier.solve_dlog
+        monkeypatch.setattr(cartier, "_horizontal_cartier",
+                            lambda conn: steps.append(conn) or step(conn))
+        monkeypatch.setattr(cartier, "solve_dlog",
+                            lambda *a: scans.append(a) or scan(*a))
+        text, code = run_job(parse_job(job))
+        assert code == 0 and text.splitlines()[0] == first
+        assert len(steps) == len(scans) == 1

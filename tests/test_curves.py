@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dormant import curves
 from dormant.curves import (
     INF,
     Differential,
@@ -409,3 +410,32 @@ class TestDivisorAlgebra:
         curve = line(5, 0, 1, INF)
         with pytest.raises(ZeroElement):
             valuation(curve.ff(0), branch_at(curve, 0, 8))
+
+
+class TestComputeOnce:
+    def test_z_chart_vector_once_per_element(self, monkeypatch):
+        curve = RaynaudPlane(F5, 1)
+        omega = d_of(-curve.y_elem().inverse())
+        pinf = raynaud_p_inf(curve, 40)
+        z0 = z0_places(curve)
+        assert len(z0) == 5
+        seen = []
+        inner = curves.xz_components
+        monkeypatch.setattr(curves, "xz_components",
+                            lambda c, f: seen.append(f) or inner(c, f))
+        for _ in range(2):
+            div, complete = divisor_of_differential(omega, [pinf] + z0)
+            assert complete and div.coeff(pinf) == 10
+        assert [id(f) for f in seen] == [id(omega.h)]
+        x = curve.x_elem()
+        assert sorted(valuation(x, pl) for pl in z0) == [-1, -1, -1, -1, 3]
+        assert [id(f) for f in seen] == [id(omega.h), id(x)]
+
+    @pytest.mark.parametrize("curve", [Weierstrass(F7, 3, 5), RaynaudPlane(F3, 2)],
+                             ids=["ell", "raynaud"])
+    def test_minpoly_built_once_and_immutable(self, curve):
+        m = curve.minpoly()
+        assert isinstance(m, tuple) and m is curve.minpoly()
+        assert len(m) == curve.ext_degree + 1 and m[-1] == RatFunc.one(curve.field)
+        with pytest.raises((TypeError, AttributeError)):
+            m[0] = m[-1]

@@ -498,3 +498,62 @@ class TestMulKernel:
                     b = coeff_list(rng, lb, p, "top")
                     assert _mul(a, b, p) == naive_mul(a, b, p)
                     assert _mul(b, a, p, la) == naive_mul(a, b, p)[:la]
+
+
+def horner_oracle(poly, s):
+    """The Horner loop through TruncSeries objects."""
+    acc = TruncSeries.zero(poly.field, s.center)
+    for c in reversed(poly.coeffs):
+        acc = acc * s + c
+    return acc
+
+
+def series_state(s):
+    return s.ord_low, s.coeffs, s.prec, s.center
+
+
+class TestPolyAtSeries:
+    """poly_at_series on coefficient lists against the series Horner loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        p=st.sampled_from((3, 5, 131)),
+        poly=st.lists(st.integers(0, 130), max_size=12),
+        ord_low=st.integers(-6, 6),
+        coeffs=st.lists(st.integers(0, 130), max_size=40),
+        known=st.one_of(st.none(), st.integers(-4, 40)),
+        cancel=st.booleans(),
+    )
+    def test_matches_series_horner(self, p, poly, ord_low, coeffs, known, cancel):
+        field = PrimeField(p)
+        prec = float("inf") if known is None else ord_low + known
+        if cancel:
+            # s = s0 + ... at valuation 0 and poly(s0) = 0, so the constant
+            # term of the last Horner step cancels the leading term
+            ord_low = 0
+            coeffs = [1 + coeffs[0] % (p - 1) if coeffs else 1] + coeffs[1:]
+            tail = sum(c * pow(coeffs[0], i, p) for i, c in enumerate(poly[1:], 1))
+            poly = [-tail % p] + poly[1:]
+        s = TruncSeries(field, ("c", p), ord_low, coeffs, prec)
+        f = UPoly(field, poly)
+        got, want = poly_at_series(f, s), horner_oracle(f, s)
+        assert series_state(got) == series_state(want)
+        assert type(got.prec) is type(want.prec)
+
+    @pytest.mark.parametrize("p", [3, 5, 131])
+    @pytest.mark.parametrize("prec", [float("inf"), -2, 0, 1, 7])
+    def test_zero_series_and_zero_poly(self, p, prec):
+        field = PrimeField(p)
+        for s in (TruncSeries.zero(field, "c", prec),
+                  TruncSeries(field, "c", -3, [0, 0, 2, 1], prec)):
+            for poly in ([], [0, 1], [2], [1, 0, 4, 3]):
+                f = UPoly(field, poly)
+                got = poly_at_series(f, s)
+                assert series_state(got) == series_state(horner_oracle(f, s))
+
+    def test_cancellation_empties_the_series(self):
+        # x - 2 at s = 2 + O(t^3) is 0 to precision 3
+        s = TruncSeries(F5, "c", 0, [2], 3)
+        got = poly_at_series(UPoly(F5, [-2, 1]), s)
+        assert series_state(got) == (3, (), 3, "c")
+        assert series_state(got) == series_state(horner_oracle(UPoly(F5, [-2, 1]), s))

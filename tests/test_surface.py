@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from dormant import surface
 from dormant.curves import (
     Divisor,
     P1Marked,
@@ -364,3 +365,19 @@ class TestInvariance:
         # lambda^(q-1) = 1 in F_p has one solution at (3, 2), four at (5, 1)
         assert [a for a in range(1, 3) if pow(a, 5, 3) == 1] == [1]
         assert [a for a in range(1, 5) if pow(a, 4, 5) == 1] == [1, 2, 3, 4]
+
+
+class TestChartValueOnce:
+    def test_samples_and_probe_evaluate_each_chart_base_once(self, monkeypatch):
+        data = build_surface(tango32())
+        seen = []
+        inner = surface._chart_value
+        monkeypatch.setattr(surface, "_chart_value",
+                            lambda d, ci, base: seen.append((ci, base)) or inner(d, ci, base))
+        samples = random_fiber_samples(data, 100, seed=0)
+        assert len(samples) == 100
+        assert len(seen) == len(set(seen)) >= 2
+        seen.clear()
+        rep = fiber_smoothness_probe(data, samples)
+        assert rep.all_smooth and len(rep.entries) == 100
+        assert len(seen) == len(set(seen)) == len({(ci, b) for ci, b, _ in samples})
