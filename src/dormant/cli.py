@@ -75,6 +75,9 @@ COMMANDS = (
     "selftest",
 )
 
+# largest starting series precision DORMANT_PRECISION may ask for
+PRECISION_CAP = 4096
+
 _OPTION_ORDER = ("action", "monodromy", "pretango", "height", "N", "mode", "threads")
 
 
@@ -418,8 +421,8 @@ def _env_places(curve):
         prec = int(raw)
     except ValueError:
         raise SemanticError("DORMANT_PRECISION must be an integer")
-    if prec < 4:
-        raise SemanticError("DORMANT_PRECISION must be at least 4")
+    if not 4 <= prec <= PRECISION_CAP:
+        raise SemanticError(f"DORMANT_PRECISION must lie in [4, {PRECISION_CAP}]")
     return default_places(curve, prec)
 
 

@@ -3,8 +3,10 @@
 A connection is stored through its apparent matrix in a chosen frame of the
 bundle; the frame's section divisor is kept on the bundle label so that
 intrinsic residues can be recovered from apparent ones.  The p-curvature is
-computed by operator powering: p-fold application of v -> v' + Av to the
-identity frame.
+computed by operator powering, (d/dx + A)^p on the identity frame, on
+integral data: one denominator Delta clears A and the curve's structure
+constants, the p steps run on y-basis coefficient lists over F_p[x], and
+only the result is divided by Delta^p.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .errors import (
     NotFlat,
     UndeclaredPoleDetected,
 )
-from .field import RatFunc, UPoly
+from .field import RatFunc, UPoly, _mul
 from .curves import (
     INF,
     Differential,
@@ -26,6 +28,7 @@ from .curves import (
     SeriesBranch,
     Weierstrass,
     _Memo,
+    _list_add,
     branch_at,
     raynaud_p_inf,
     z0_places,
@@ -274,24 +277,6 @@ class PCurvatureTensor:
         return f"PCurvatureTensor[{self.rank}]({tag})"
 
 
-def _mat_apply_d(curve, m):
-    return [[c.derivative() for c in row] for row in m]
-
-
-def _mat_mul(a, b, curve):
-    n = len(a)
-    zero = curve.ff_const(0)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k].is_zero:
-                continue
-            for j in range(n):
-                if not b[k][j].is_zero:
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
 def p_curvature(conn: LogConnection) -> PCurvatureTensor:
     """The p-curvature, computed once per connection by _power_frame."""
     return conn._memo("p_curvature", lambda: _power_frame(conn))
@@ -299,19 +284,98 @@ def p_curvature(conn: LogConnection) -> PCurvatureTensor:
 
 def _power_frame(conn: LogConnection) -> PCurvatureTensor:
     """(d/dx + A)^p applied to the frame columns; x is separating so the
-    p-th derivation power contributes nothing and the result is linear."""
+    p-th derivation power contributes nothing and the result is linear.
+
+    Powering runs on integral data.  Delta = L_A * L_C clears the
+    denominators of A and of the curve constants, so P_k = Delta^k
+    (d/dx + A)^k I has y-basis components in F_p[x], and
+    P_{k+1} = Delta P_k' - k Delta' P_k + (Delta A) P_k.  Every term but
+    Delta times the coefficientwise derivative is linear over F_p[x] in the
+    components of P_k, through table[i][l][t]: the image of y^t under
+    multiplication by Delta A_il, plus Delta d(y^t)/dx - k Delta' y^t when
+    i == l.  Only P_p is divided, by Delta^p.
+    """
     curve = conn.curve
-    n = conn.rank
-    a = [list(row) for row in conn.matrix]
-    zero = curve.ff_const(0)
-    one = curve.ff_const(1)
-    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for _ in range(curve.p):
-        m = [
-            [d + s for d, s in zip(drow, srow)]
-            for drow, srow in zip(_mat_apply_d(curve, m), _mat_mul(a, m, curve))
-        ]
-    return PCurvatureTensor(curve, m)
+    field, p, n, d = curve.field, curve.p, conn.rank, curve.ext_degree
+    lc, red, dys = _curve_constants(curve)
+    la = _common_den([c for row in conn.matrix for c in row], field)
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(conn.matrix):
+        for l, cell in enumerate(row):
+            b = _cleared(cell, la)
+            for t in range(d):
+                raw = [[]] * t + b + [[]] * (d - 1 - t)
+                v = _acc([_mul(lc.coeffs, r, p) for r in raw[:d]], raw[d:], red, p)
+                if i == l:
+                    v = [_list_add(a, _mul(la.coeffs, r, p), p) for a, r in zip(v, dys[t])]
+                table[i][l].append(v)
+    delta = la * lc
+    ndd, dl = (-delta.derivative()).coeffs, delta.coeffs
+    m = [[[[1] if i == j and c == 0 else [] for c in range(d)]
+          for j in range(n)] for i in range(n)]
+    for _ in range(p):
+        nxt = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                out = [_mul(dl, [e * c for e, c in enumerate(f)][1:], p)
+                       for f in m[i][j]]
+                for l in range(n):
+                    _acc(out, m[l][j], table[i][l], p)
+                nxt[i][j] = [_trim(v) for v in out]
+        m = nxt
+        for i in range(n):  # the - k Delta' term of the next step
+            for t in range(d):
+                table[i][i][t][t] = _list_add(table[i][i][t][t], ndd, p)
+    dp = delta.pth_power()
+    return PCurvatureTensor(curve, [
+        [FFElem(curve, [RatFunc(field, UPoly(field, c), dp) for c in v]) for v in row]
+        for row in m
+    ])
+
+
+def _curve_constants(curve):
+    """(L_C, L_C y^m for d <= m <= 2d - 2, L_C d(y^j)/dx for j < d), with
+    L_C the monic common denominator of those elements, each cleared to
+    y-basis coefficient lists; built once per curve."""
+    def build():
+        d = curve.ext_degree
+        pows = [curve.ff_const(1)]
+        for _ in range(2 * d - 2):
+            pows.append(pows[-1] * curve.y_elem())
+        elems = pows[d:] + [y.derivative() for y in pows[:d]]
+        lc = _common_den(elems, curve.field)
+        vecs = [_cleared(e, lc) for e in elems]
+        return lc, vecs[: d - 1], vecs[d - 1 :]
+    return curve._memo("pcurv_constants", build)
+
+
+def _common_den(elems, field) -> UPoly:
+    den = UPoly.one(field)
+    for e in elems:
+        for c in e.comps:
+            den = den // den.gcd(c.den) * c.den
+    return den
+
+
+def _cleared(e: FFElem, den: UPoly):
+    """den * e as y-basis coefficient lists; den clears e's denominators."""
+    return [list((c.num * (den // c.den)).coeffs) for c in e.comps]
+
+
+def _acc(out, u, table, p):
+    """out += sum_s u[s] * table[s] over y-basis coefficient lists."""
+    for us, row in zip(u, table):
+        if us:
+            for c, r in enumerate(row):
+                if r:
+                    out[c] = _list_add(out[c], _mul(us, r, p), p)
+    return out
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def rank1_p_curvature_closed(conn: LogConnection) -> FFElem:

@@ -5,7 +5,8 @@ unique when it exists at all, and it exists exactly when the residue
 classes pass the divisibility test.  Genus 1: the connections form the
 one-parameter family d + w * delta over the invariant differential.  The
 flatness of every candidate is certified by p_curvature, which is operator
-powering, independent of the closed forms elsewhere in the package.
+powering (an integral recurrence over F_p[x] with one denominator),
+independent of the closed forms elsewhere in the package.
 """
 from __future__ import annotations
 

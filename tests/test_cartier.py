@@ -41,6 +41,7 @@ from dormant.errors import (
     NotFlat,
     NotOmegaBundle,
     NotPreTango,
+    ReconstructionFailure,
 )
 from dormant.field import PrimeField, RatFunc, UPoly
 
@@ -122,6 +123,24 @@ class TestCartierLine:
         out = cartier_p1(Differential(curve, 1 / x))
         with pytest.raises(NotExactOnChart):
             out.antiderivative()
+
+    def test_corrupt_split_is_caught(self, monkeypatch):
+        # the spread check in _split_ratfunc is the line route's only
+        # recombination check, so a wrong p-basis part must not pass it
+        split = UPoly.frobenius_split
+
+        def corrupt(poly):
+            parts = list(split(poly))
+            parts[1] = parts[1] + 1
+            return tuple(parts)
+
+        curve = line(5, 0, INF)
+        x = RatFunc.x(F5)
+        omega = Differential(curve, (x**3 + 2) / (x - 1))
+        assert cartier_curve(omega).components
+        monkeypatch.setattr(UPoly, "frobenius_split", corrupt)
+        with pytest.raises(ReconstructionFailure):
+            cartier_curve(omega)
 
     def test_local_series_rule_matches(self):
         curve = line(5, 0, 2, INF)

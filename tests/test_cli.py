@@ -363,6 +363,21 @@ class TestDeterminism:
         monkeypatch.setenv("DORMANT_PRECISION", "40")
         assert run_job(parse_job(job)) == plain
 
+    def test_huge_precision_is_refused_before_places(self, monkeypatch):
+        # a precision above the cap would size series buffers by it; the
+        # job is refused before any place is built
+        built = []
+        monkeypatch.setattr(cli, "default_places", lambda *a: built.append(a))
+        monkeypatch.setenv("DORMANT_PRECISION", str(10**12))
+        job = (
+            "cmd=tango-certify\nraynaud p=5 l=1\n"
+            "f 4 / 0 0 0 0 0 1 ; 0 / 1 ; 0 / 1 ; 4 / 0 0 0 0 1\n"
+        )
+        text, code = run_job(parse_job(job))
+        assert code == 2
+        assert str(cli.PRECISION_CAP) in text
+        assert built == []
+
     def test_bad_precision_is_input_error(self, monkeypatch):
         monkeypatch.setenv("DORMANT_PRECISION", "soon")
         job = "cmd=tango-search\nheight=1\nraynaud p=3 l=2\n"

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dormant.connections import (
     BundleLabel,
@@ -215,6 +217,51 @@ class TestPCurvature:
         d = dual(conn)
         assert d.scalar() == curve.ff(-a)
         assert rank1_p_curvature_closed(d) == -rank1_p_curvature_closed(conn)
+
+
+# the cross-check runs on all three curve models
+CROSS_CHECK_CURVES = (
+    line(3, 0, INF),
+    line(5, 0, 1, INF),
+    line(7, 0, 1, INF),
+    Weierstrass(F5, 1, 2),
+    Weierstrass(F7, 3, 5),
+    RaynaudPlane(F3, 2),
+    RaynaudPlane(F5, 1),
+)
+
+
+@st.composite
+def random_connections(draw):
+    """A random, usually non-flat matrix whose entries have y-components
+    over simple denominators 1, x or x - 1."""
+    curve = draw(st.sampled_from(CROSS_CHECK_CURVES))
+    field, p = curve.field, curve.p
+    rank = draw(st.sampled_from((1, 2)))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=1, max_size=2)
+
+    def cell():
+        # fewer y-powers at rank 2 keep the literal route affordable
+        den = draw(st.sampled_from(((1,), (0, 1), (p - 1, 1))))
+        comps = [draw(coeffs) for _ in range(min(curve.ext_degree, 4 - rank))]
+        return curve.ff(*(rat(field, c, den) for c in comps))
+
+    mat = [[cell() for _ in range(rank)] for _ in range(rank)]
+    return LogConnection(curve, mat, validate=False)
+
+
+class TestPCurvatureCrossCheck:
+    @settings(max_examples=50, deadline=None)
+    @given(random_connections())
+    def test_powering_matches_literal_application(self, conn):
+        psi = p_curvature(conn)
+        for j in range(conn.rank):
+            basis = [conn.curve.ff_const(1 if i == j else 0) for i in range(conn.rank)]
+            col = apply_p_times(conn, basis)
+            for i in range(conn.rank):
+                assert psi.entry(i, j) == col[i]
+        if conn.rank == 1:
+            assert psi.scalar() == rank1_p_curvature_closed(conn)
 
 
 class TestValidation:
