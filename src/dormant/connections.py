@@ -10,6 +10,8 @@ only the result is divided by Delta^p.
 """
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .errors import (
     CurveMismatch,
     NoRationalGenerator,
@@ -549,38 +551,67 @@ def _divisor_points_p1(u: FFElem):
 def solve_dlog(curve, g: FFElem) -> FFElem:
     """Find rational u with dlog u = g, up to p-th powers.
 
-    Complete over the line.  On the other models only a bounded monomial
-    search x^i y^j is attempted; a miss raises NoRationalGenerator carrying
-    the unresolved form, which is the honest outcome because a formal
-    certificate can still decide dormancy downstream.
+    On the line u is the polynomial prod (x - c)^e over the rational poles
+    c of g, e the residue of g at c in [1, p); it solves dlog u = g exactly
+    when u' den(g) = num(g) u.  On the other models u is searched among the
+    monomials x^i y^j: i dlog x + j dlog y = g is solved as an F_p-linear
+    system on the cleared y-basis coefficients, for the lexicographically
+    least (i, j).  A miss raises NoRationalGenerator carrying the unresolved
+    form, which is the honest outcome because a formal certificate can
+    still decide dormancy downstream.
     """
     if isinstance(g, RatFunc):
         g = FFElem(curve, (g,))
     if g.is_zero:
         return curve.ff_const(1)
-    p = curve.p
+    p, field = curve.p, curve.field
     if curve.ext_degree == 1:
         r = g.as_ratfunc()
-        u = RatFunc.one(curve.field)
-        den = r.den
+        u = UPoly.one(field)
         for c in range(p):
-            if den.evaluate(c) == 0:
-                e = r.residue_at(c) % p
-                if e:
-                    u = u * (RatFunc.x(curve.field) - c) ** e
-        if u.dlog() == r:
+            e = r.residue_at(c)
+            if e:
+                u = u * UPoly(field, (-c, 1)) ** e
+        if u.derivative() * r.den == r.num * u:
             return FFElem(curve, (u,))
         raise NoRationalGenerator(
             "no rational solution of dlog u = g over the line",
-            descent=g - FFElem(curve, (u.dlog(),)),
+            descent=g - FFElem(curve, (RatFunc.from_poly(u).dlog(),)),
         )
     x, y = curve.x_elem(), curve.y_elem()
     dlx, dly = x.dlog(), y.dlog()
-    for i in range(p):
-        for j in range(p):
-            if (i * dlx + j * dly - g).is_zero:
-                return x**i * y**j
+    den = _common_den((dlx, dly, g), field)
+    rows = [row for comps in zip(*(_cleared(e, den) for e in (dlx, dly, g)))
+            for row in zip_longest(*comps, fillvalue=0)]
+    ij = _least_solution(rows, p)
+    if ij is not None and (ij[0] * dlx + ij[1] * dly - g).is_zero:
+        return x ** ij[0] * y ** ij[1]
     raise NoRationalGenerator("monomial search exhausted", descent=g)
+
+
+def _least_solution(rows, p):
+    """Lexicographically least (i, j) in F_p^2 with a i + b j = c for every
+    row (a, b, c), or None; Gauss-Jordan elimination."""
+    piv = {}  # pivot column -> its row, reduced and scaled to 1
+    for row in rows:
+        for col, pr in piv.items():
+            row = [(v - row[col] * w) % p for v, w in zip(row, pr)]
+        col = next((k for k in (0, 1) if row[k]), None)
+        if col is None:
+            if row[2]:
+                return None
+            continue
+        inv = pow(row[col], p - 2, p)
+        row = [v * inv % p for v in row]
+        piv = {k: [(v - pr[col] * w) % p for v, w in zip(pr, row)]
+               for k, pr in piv.items()}
+        piv[col] = row
+    if len(piv) == 2:
+        return piv[0][2], piv[1][2]
+    if 0 not in piv:
+        return 0, piv[1][2] if 1 in piv else 0
+    _, b, c = piv[0]
+    return (0, c * pow(b, p - 2, p) % p) if b else (c, 0)
 
 
 def horizontal_generator(conn: LogConnection) -> FFElem:

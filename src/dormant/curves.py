@@ -262,10 +262,6 @@ class Weierstrass(_CurveBase):
             return FFElem(self, (RatFunc.zero(self.field), cp / (2 * c)))
         return self._memo("yprime", build)
 
-    def two_torsion_x(self):
-        c = self.c_poly()
-        return [x0 for x0 in range(self.p) if c.evaluate(x0) == 0]
-
     def rational_points(self):
         pts = [INF]
         c = self.c_poly()
@@ -1144,9 +1140,6 @@ class Divisor:
 
     def floor_div(self, p: int) -> "Divisor":
         return Divisor([(pl, c // p) for pl, c in self.entries.values()])
-
-    def support_keys(self):
-        return set(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Divisor):

@@ -463,10 +463,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             if other.field != self.field:
@@ -605,9 +601,16 @@ class RatFunc:
         return TruncSeries(self.field, center, ord_low, cs, prec)
 
     def residue_at(self, a: int) -> int:
-        """Residue of self * dx at x = a."""
-        if self.is_zero:
+        """Residue of self * dx at x = a.
+
+        0 where den(a) != 0 and num(a)/den'(a) at a simple pole; only a pole
+        of order >= 2 takes the Laurent expansion.
+        """
+        if self.is_zero or self.den.evaluate(a):
             return 0
+        dd = self.den.derivative().evaluate(a)
+        if dd:
+            return self.num.evaluate(a) * self.field.inv(dd) % self.field.p
         return self.series_at(a, 0).coeff(-1)
 
     def residue_at_infinity(self) -> int:

@@ -108,15 +108,14 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
         admissible = total == 0
         flat = []
         if admissible:
-            omega = RatFunc.zero(curve.field)
-            for m, v in zip(marks, mu):
-                if m == INF:
-                    continue
-                omega = omega + RatFunc(
-                    curve.field,
-                    UPoly(curve.field, (v,)),
-                    UPoly(curve.field, (-m % p, 1)),
-                )
+            # omega = sum of v / (x - m) over the finite marks, normalized once
+            poles = [(UPoly(curve.field, (-m, 1)), v)
+                     for m, v in zip(marks, mu) if m != INF and v]
+            den = UPoly.one(curve.field)
+            for lin, _ in poles:
+                den = den * lin
+            num = sum((den // lin * v for lin, v in poles), UPoly.zero(curve.field))
+            omega = RatFunc(curve.field, num, den)
             conn = LogConnection(curve, [[omega]], omega_label(curve))
             if p_curvature(conn).is_zero and monodromy(conn) == mu:
                 flat.append(conn)

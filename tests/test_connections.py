@@ -25,6 +25,7 @@ from dormant.connections import (
     solve_dlog,
     tensor,
     trivial_label,
+    _least_solution,
 )
 from dormant.curves import (
     INF,
@@ -64,6 +65,17 @@ def simple_poles(curve, coeffs):
     for m, c in zip(fin, coeffs):
         acc = acc + RatFunc.const(curve.field, c) / (x - m)
     return acc
+
+
+def trial_loop(curve, g):
+    """(i, j) with i dlog x + j dlog y = g, lexicographically first in a
+    scan of all p^2 pairs, or None; kept free of the solver on purpose."""
+    dlx, dly = curve.x_elem().dlog(), curve.y_elem().dlog()
+    for i in range(curve.p):
+        for j in range(curve.p):
+            if (i * dlx + j * dly - g).is_zero:
+                return i, j
+    return None
 
 
 def apply_p_times(conn, vec):
@@ -450,6 +462,75 @@ class TestHorizontal:
         curve = Weierstrass(F5, 3, 0)
         y = curve.y_elem()
         assert solve_dlog(curve, y.dlog()) == y
+
+    def test_line_generator_from_residues(self):
+        rng = random.Random(6)
+        for p in (3, 5, 7, 11):
+            curve = line(p, 0, INF)
+            x = RatFunc.x(curve.field)
+            for _ in range(6):
+                g = RatFunc.zero(curve.field)
+                for c in rng.sample(range(p), rng.randrange(1, p + 1)):
+                    g = g + RatFunc.const(curve.field, rng.randrange(1, p)) / (x - c)
+                g = curve.ff(g)
+                assert solve_dlog(curve, g).dlog() == g
+
+    def test_line_double_pole_descent(self):
+        # reference: u from the series residues at the rational poles,
+        # descent = g - dlog u
+        curve = line(5, 0, INF)
+        x = RatFunc.x(F5)
+        g = curve.ff(1 / x**2 + 2 / (x - 1) + 3 / (x - 4) ** 3)
+        r = g.as_ratfunc()
+        u = RatFunc.one(F5)
+        for c in range(5):
+            if r.den.evaluate(c) == 0:
+                u = u * (x - c) ** r.series_at(c, 0).coeff(-1)
+        with pytest.raises(NoRationalGenerator) as exc:
+            solve_dlog(curve, g)
+        assert exc.value.descent == g - curve.ff(u.dlog())
+        assert exc.value.descent == curve.ff(1 / x**2 + 3 / (x - 4) ** 3)
+
+    @pytest.mark.parametrize("curve", [
+        Weierstrass(F5, 1, 2), Weierstrass(F7, 3, 5),
+        RaynaudPlane(F3, 2), RaynaudPlane(F5, 1),
+    ], ids=str)
+    def test_monomial_solve_matches_trial_loop(self, curve):
+        x, y = curve.x_elem(), curve.y_elem()
+        dlx, dly = x.dlog(), y.dlog()
+        for i in range(curve.p):
+            for j in range(curve.p):
+                g = i * dlx + j * dly
+                oi, oj = trial_loop(curve, g)
+                assert solve_dlog(curve, g) == x**oi * y**oj
+        for g in (y.inverse(), x, x.inverse() + y):
+            assert trial_loop(curve, g) is None
+            with pytest.raises(NoRationalGenerator) as exc:
+                solve_dlog(curve, g)
+            assert exc.value.descent == g
+
+    def test_elliptic_solve_tries_one_candidate(self, monkeypatch):
+        # a trial scan makes one subtraction per candidate (i, j), here
+        # up to p^2 = 121
+        curve = Weierstrass(PrimeField(11), 1, 3)
+        x, y = curve.x_elem(), curve.y_elem()
+        g = 10 * x.dlog() + 10 * y.dlog()
+        calls = []
+        sub = FFElem.__sub__
+        monkeypatch.setattr(FFElem, "__sub__",
+                            lambda a, b: calls.append(b) or sub(a, b))
+        assert solve_dlog(curve, g) == x**10 * y**10
+        assert len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), data=st.data())
+    def test_least_solution_matches_brute_force(self, p, data):
+        cell = st.integers(0, p - 1)
+        rows = data.draw(st.lists(st.tuples(cell, cell, cell), max_size=4))
+        want = next(((i, j) for i in range(p) for j in range(p)
+                     if all((a * i + b * j - c) % p == 0 for a, b, c in rows)),
+                    None)
+        assert _least_solution(rows, p) == want
 
 
 class TestDescent:

@@ -9,7 +9,7 @@ from dormant import cartier, connections
 from dormant.connections import monodromy, residue_pcurvature_identity
 from dormant.curves import INF, P1Marked, RaynaudPlane, Weierstrass
 from dormant.errors import UnsupportedCurve
-from dormant.field import PrimeField
+from dormant.field import PrimeField, RatFunc
 from dormant.miura import is_dormant, miura_from_tango, pretango_of
 from dormant.moduli import (
     EnumerationReport,
@@ -230,3 +230,13 @@ class TestProveOnce:
         assert len(ids) == len(set(ids))
         assert {id(c) for c in rep.flat_list + tuple(opers)} <= set(ids)
         assert [id(c) for c in decided] == [id(c) for c in rep.flat_list]
+
+    def test_line_sweep_expands_no_series(self, monkeypatch):
+        # every residue the sweep reads sits at a simple pole, so none
+        # needs a Laurent expansion
+        calls = []
+        series_at = RatFunc.series_at
+        monkeypatch.setattr(RatFunc, "series_at",
+                            lambda f, *a: calls.append(a) or series_at(f, *a))
+        sweep_genus0(5, 4)
+        assert calls == []
