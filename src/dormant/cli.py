@@ -60,6 +60,7 @@ from .tango import (
     build_generalized_tango,
     certify_tango_structure,
     default_places,
+    default_precision,
     search_tango_candidates,
 )
 
@@ -423,7 +424,8 @@ def _env_places(curve):
         raise SemanticError("DORMANT_PRECISION must be an integer")
     if not 4 <= prec <= PRECISION_CAP:
         raise SemanticError(f"DORMANT_PRECISION must lie in [4, {PRECISION_CAP}]")
-    return default_places(curve, prec)
+    # a floor: below the default the certificate's valuations are undecidable
+    return default_places(curve, max(prec, default_precision(curve)))
 
 
 def _run_pcurv(spec: JobSpec) -> str:

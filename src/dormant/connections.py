@@ -19,7 +19,7 @@ from .errors import (
     NotFlat,
     UndeclaredPoleDetected,
 )
-from .field import RatFunc, UPoly, _mul
+from .field import RatFunc, UPoly, _mul, _trim
 from .curves import (
     INF,
     Differential,
@@ -27,13 +27,15 @@ from .curves import (
     FFElem,
     P1Marked,
     RaynaudPlane,
-    SeriesBranch,
     Weierstrass,
     _Memo,
+    _deriv,
     _list_add,
+    _over_lcm,
+    _shift,
+    _vadd,
+    _vmul,
     branch_at,
-    raynaud_p_inf,
-    z0_places,
 )
 
 
@@ -288,96 +290,42 @@ def _power_frame(conn: LogConnection) -> PCurvatureTensor:
     """(d/dx + A)^p applied to the frame columns; x is separating so the
     p-th derivation power contributes nothing and the result is linear.
 
-    Powering runs on integral data.  Delta = L_A * L_C clears the
-    denominators of A and of the curve constants, so P_k = Delta^k
-    (d/dx + A)^k I has y-basis components in F_p[x], and
-    P_{k+1} = Delta P_k' - k Delta' P_k + (Delta A) P_k.  Every term but
-    Delta times the coefficientwise derivative is linear over F_p[x] in the
-    components of P_k, through table[i][l][t]: the image of y^t under
-    multiplication by Delta A_il, plus Delta d(y^t)/dx - k Delta' y^t when
-    i == l.  Only P_p is divided, by Delta^p.
+    Powering runs on integral y-vectors.  With y' = Y / E and x^s the
+    leading coefficient of the curve's minpoly, a product or a reduced
+    derivative of integral vectors has a denominator dividing L_C = E x^s,
+    and Delta = L_A L_C clears A too.  So P_k = Delta^k (d/dx + A)^k I is
+    integral, and P_{k+1} = Delta P_k' - k Delta' P_k + (Delta A) P_k.
+    Only P_p is divided, by Delta^p.
     """
     curve = conn.curve
-    field, p, n, d = curve.field, curve.p, conn.rank, curve.ext_degree
-    lc, red, dys = _curve_constants(curve)
-    la = _common_den([c for row in conn.matrix for c in row], field)
-    table = [[[] for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(conn.matrix):
-        for l, cell in enumerate(row):
-            b = _cleared(cell, la)
-            for t in range(d):
-                raw = [[]] * t + b + [[]] * (d - 1 - t)
-                v = _acc([_mul(lc.coeffs, r, p) for r in raw[:d]], raw[d:], red, p)
-                if i == l:
-                    v = [_list_add(a, _mul(la.coeffs, r, p), p) for a, r in zip(v, dys[t])]
-                table[i][l].append(v)
-    delta = la * lc
-    ndd, dl = (-delta.derivative()).coeffs, delta.coeffs
-    m = [[[[1] if i == j and c == 0 else [] for c in range(d)]
-          for j in range(n)] for i in range(n)]
+    p, n, alg = curve.p, conn.rank, curve.algebra()
+    la, cells = _over_lcm([(c.num, c.den) for row in conn.matrix for c in row], curve.field)
+    yp = curve.yprime() if alg.d > 1 else None
+    lc = _shift(yp.den.coeffs, alg.s) if yp else [1]
+    delta = _mul(la.coeffs, lc, p)
+    ndd = [-c % p for c in _deriv(delta, p)]
+    # Delta A as integral vectors; the diagonal also carries the - k Delta'
+    table = [[[_mul(lc, c, p) for c in cells[i * n + l]] for l in range(n)] for i in range(n)]
+    m = [[[[1]] if i == j else [] for j in range(n)] for i in range(n)]
     for _ in range(p):
         nxt = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                out = [_mul(dl, [e * c for e, c in enumerate(f)][1:], p)
-                       for f in m[i][j]]
+                out = [_mul(delta, _deriv(c, p), p) for c in m[i][j]]
+                chain = [_trim([k * v % p for v in c]) for k, c in enumerate(m[i][j][1:], 1)]
+                if any(chain):  # Delta (dP/dy) Y / E = L_A x^s w / x^(s e)
+                    w, e = _vmul(chain, yp.num, alg)
+                    out = _vadd(out, [_shift(_mul(la.coeffs, c, p), alg.s * (1 - e))
+                                      for c in w], p)
                 for l in range(n):
-                    _acc(out, m[l][j], table[i][l], p)
-                nxt[i][j] = [_trim(v) for v in out]
+                    w, e = _vmul(table[i][l], m[l][j], alg)
+                    out = _vadd(out, [c[alg.s * e :] for c in w], p)
+                nxt[i][j] = out
         m = nxt
-        for i in range(n):  # the - k Delta' term of the next step
-            for t in range(d):
-                table[i][i][t][t] = _list_add(table[i][i][t][t], ndd, p)
-    dp = delta.pth_power()
-    return PCurvatureTensor(curve, [
-        [FFElem(curve, [RatFunc(field, UPoly(field, c), dp) for c in v]) for v in row]
-        for row in m
-    ])
-
-
-def _curve_constants(curve):
-    """(L_C, L_C y^m for d <= m <= 2d - 2, L_C d(y^j)/dx for j < d), with
-    L_C the monic common denominator of those elements, each cleared to
-    y-basis coefficient lists; built once per curve."""
-    def build():
-        d = curve.ext_degree
-        pows = [curve.ff_const(1)]
-        for _ in range(2 * d - 2):
-            pows.append(pows[-1] * curve.y_elem())
-        elems = pows[d:] + [y.derivative() for y in pows[:d]]
-        lc = _common_den(elems, curve.field)
-        vecs = [_cleared(e, lc) for e in elems]
-        return lc, vecs[: d - 1], vecs[d - 1 :]
-    return curve._memo("pcurv_constants", build)
-
-
-def _common_den(elems, field) -> UPoly:
-    den = UPoly.one(field)
-    for e in elems:
-        for c in e.comps:
-            den = den // den.gcd(c.den) * c.den
-    return den
-
-
-def _cleared(e: FFElem, den: UPoly):
-    """den * e as y-basis coefficient lists; den clears e's denominators."""
-    return [list((c.num * (den // c.den)).coeffs) for c in e.comps]
-
-
-def _acc(out, u, table, p):
-    """out += sum_s u[s] * table[s] over y-basis coefficient lists."""
-    for us, row in zip(u, table):
-        if us:
-            for c, r in enumerate(row):
-                if r:
-                    out[c] = _list_add(out[c], _mul(us, r, p), p)
-    return out
-
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
+        for i in range(n):
+            table[i][i][0] = _list_add(table[i][i][0], ndd, p)
+    dp = UPoly(curve.field, delta).pth_power().coeffs
+    return PCurvatureTensor(curve, [[FFElem._make(curve, v, dp) for v in row] for row in m])
 
 
 def rank1_p_curvature_closed(conn: LogConnection) -> FFElem:
@@ -579,9 +527,8 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
             descent=g - FFElem(curve, (RatFunc.from_poly(u).dlog(),)),
         )
     x, y = curve.x_elem(), curve.y_elem()
-    dlx, dly = x.dlog(), y.dlog()
-    den = _common_den((dlx, dly, g), field)
-    rows = [row for comps in zip(*(_cleared(e, den) for e in (dlx, dly, g)))
+    dlx, dly = curve._memo("dlog_xy", lambda: (x.dlog(), y.dlog()))
+    rows = [row for comps in zip(*_over_lcm([(e.num, e.den) for e in (dlx, dly, g)], field)[1])
             for row in zip_longest(*comps, fillvalue=0)]
     ij = _least_solution(rows, p)
     if ij is not None and (ij[0] * dlx + ij[1] * dly - g).is_zero:

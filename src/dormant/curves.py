@@ -11,10 +11,10 @@ through the second chart.
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
 
 from .errors import (
     CurveMismatch,
-    IncompleteDivisor,
     InsufficientPrecision,
     NewtonStall,
     SemanticError,
@@ -22,113 +22,157 @@ from .errors import (
     ZeroElement,
 )
 from .field import (
-    NEG_INF,
     PrimeField,
     RatFunc,
     TruncSeries,
     UPoly,
+    _Ring,
+    _div_exact,
+    _gcd,
     _mul,
     _series_inv,
-    ratfunc_at_series,
+    _trim,
+    poly_at_series,
 )
 
 INF = "inf"
 
 
 # ---------------------------------------------------------------------------
-# polynomials in Y with RatFunc coefficients (ascending lists, trimmed)
+# integral algebras
+#
+# A vector is a list of coefficient lists over F_p[x] (ascending, trimmed,
+# [] for zero); entry k is the coefficient of Y^k.  An algebra is
+# F_p(x)[Y] / (G), G = sum_k m_k Y^k the cleared minpoly with m_d = x^s.  Its
+# leading coefficient is a monomial, so pseudo-reduction only shifts.  The
+# instances: the y-algebra of each curve model, and on the Raynaud curves
+# the algebra of z = y^p and the chart y = 1.
 
-def _pk_trim(a):
-    while a and a[-1].is_zero:
-        a.pop()
-    return a
+class _Algebra:
+    __slots__ = ("p", "d", "s", "m", "terms")
 
-
-def _pk_add(a, b, field):
-    out = [RatFunc.zero(field)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _pk_trim(out)
-
-
-def _pk_sub(a, b, field):
-    return _pk_add(a, [-c for c in b], field)
+    def __init__(self, p, m):
+        self.p, self.d, self.s = p, len(m) - 1, len(m[-1]) - 1
+        self.m = [_trim([c % p for c in u]) for u in m]
+        # x^s Y^(d+j) = sum_k -m_k Y^(j+k)
+        self.terms = [(k, [-c % p for c in u]) for k, u in enumerate(self.m[:-1]) if u]
 
 
-def _pk_mul(a, b, field):
-    if not a or not b:
-        return []
-    out = [RatFunc.zero(field) for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if not ai.is_zero:
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return _pk_trim(out)
+def _shift(a, n):
+    """x^n * a."""
+    return [0] * n + list(a) if a and n else list(a)
 
 
-def _pk_divmod(a, b, field):
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _pk_trim(rem)
-    inv_lc = RatFunc.one(field) / b[-1]
-    quo = [RatFunc.zero(field)] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if not c.is_zero:
-            q = c * inv_lc
-            quo[i - db] = q
-            for j, bc in enumerate(b):
-                rem[i - db + j] = rem[i - db + j] - q * bc
-    return _pk_trim(quo), _pk_trim(rem[:db])
+def _vadd(u, v, p):
+    if len(u) < len(v):
+        u, v = v, u
+    return [_list_add(a, b, p) for a, b in zip(u, v)] + list(u[len(v) :])
 
 
-def _pk_mod(a, m, field):
-    return _pk_divmod(a, m, field)[1]
+def _vtrim(v):
+    v = [list(c) for c in v]
+    while v and not v[-1]:
+        v.pop()
+    return v
 
 
-def _pk_extgcd(a, m, field):
-    """Monic g = gcd(a, m) and s with s*a = g (mod m)."""
-    r0, r1 = list(m), _pk_trim(list(a))
-    s0, s1 = [], [RatFunc.one(field)]
-    while r1:
-        q, r = _pk_divmod(r0, r1, field)
-        r0, r1 = r1, r
-        s0, s1 = s1, _pk_sub(s0, _pk_mul(q, s1, field), field)
-    lc = r0[-1]
-    return [c / lc for c in r0], [c / lc for c in s0]
+def _reduce(v, alg):
+    """(w, e) with v = w / x^(s e) in the algebra and len(w) <= d."""
+    v, e = _vtrim(v), 0
+    while len(v) > alg.d:
+        out = [_shift(c, alg.s) for c in v[: alg.d]] + [[] for _ in v]
+        for j, c in enumerate(v[alg.d :]):
+            for k, m in alg.terms:
+                out[j + k] = _list_add(out[j + k], _mul(c, m, alg.p), alg.p)
+        v, e = _vtrim(out), e + 1
+    return v, e
 
 
-def _alg_mul(a, b, minpoly, field):
-    return _pk_mod(_pk_mul(a, b, field), minpoly, field)
+def _vmul(a, b, alg):
+    """a * b in the algebra: (w, e) with a * b = w / x^(s e).
+
+    One bivariate Kronecker product: Y^k x^i goes to t^(k * stride + i),
+    and no x-degree of the product reaches the stride.
+    """
+    if alg.d == 1:  # the line: one product
+        c = _mul(a[0], b[0], alg.p) if a and b else []
+        return ([c] if c else []), 0
+    a, b = sorted((_vtrim(a), _vtrim(b)), key=len)
+    if not a:
+        return [], 0
+    if len(a) == 1:
+        return _vtrim([_mul(a[0], c, alg.p) for c in b]), 0
+    stride = max(map(len, a)) + max(map(len, b)) - 1
+    fa, fb = ([t for c in v for t in c + [0] * (stride - len(c))] for v in (a, b))
+    prod = _mul(fa, fb, alg.p)
+    return _reduce([_trim(prod[k : k + stride]) for k in range(0, len(prod), stride)], alg)
 
 
-def _alg_inv(a, minpoly, field):
-    g, s = _pk_extgcd(a, minpoly, field)
-    if len(g) != 1:
-        raise ZeroDivisionError("non-invertible algebra element")
-    return s
+def _canon(num, den, p, coprime=False):
+    """(numerators, den) with den monic and gcd(den, numerators) = 1.
+
+    The power of x in den cancels by valuations; the rest takes one gcd
+    chain, shortest numerator first, stopped at the first constant gcd.
+    """
+    num = [list(c) for c in num]
+    nz = [c for c in num if c]
+    if not nz:
+        return [[] for _ in num], [1]
+    if not coprime:
+        v = min(next(i for i, c in enumerate(e) if c) for e in nz + [den])
+        den, num = den[v:], [c[v:] for c in num]
+        g = den if any(den[:-1]) else [1]  # a monomial den is coprime by now
+        for c in sorted(nz, key=len):
+            if len(g) == 1:
+                break
+            g = _gcd(g, c[v:], p)
+        if len(g) > 1:
+            inv = _series_inv(g[::-1], max(map(len, num + [den])), p)
+            den, num = _div_exact(den, g, p, inv), [_div_exact(c, g, p, inv) for c in num]
+    inv = pow(den[-1], p - 2, p)
+    return [[c * inv % p for c in e] for e in num], [c * inv % p for c in den]
 
 
-def _matinv_ratfunc(m, field):
-    """Invert a small square matrix of RatFunc by Gauss-Jordan."""
-    n = len(m)
-    a = [list(row) + [RatFunc.const(field, 1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = RatFunc.one(field) / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero:
-                f = a[r][col]
-                a[r] = [c - f * d for c, d in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def _inverse(a, alg, rhs=([1],)):
+    """(v, det) with a * v = det * rhs in the algebra, v integral, det != 0.
+
+    Fraction-free (Bareiss) solve of the multiplication system for the one
+    right-hand side: column k is a * Y^k cleared of its x^(s e_k), and the
+    solution is scaled back by those powers.
+    """
+    d, p = alg.d, alg.p
+    cols, col, e = [], _vtrim(a), 0
+    for k in range(d):
+        cols.append((col + [[]] * d, e))
+        col, de = _reduce([[]] + col, alg)
+        e += de
+    rhs = list(rhs) + [[]] * d
+    rows = [[c[0][i] for c in cols] + [rhs[i]] for i in range(d)]
+    prev = [1]
+    for k in range(d):
+        # the shortest pivot keeps the minors low in degree
+        live = [i for i in range(k, d) if rows[i][k]]
+        if not live:
+            raise ZeroDivisionError("non-invertible algebra element")
+        piv = min(live, key=lambda i: len(rows[i][k]))
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk, rk = rows[k][k], rows[k]
+        for ri in rows[k + 1 :]:
+            ri[k + 1 :] = [_list_add(_mul(pk, t, p), [-c for c in _mul(ri[k], u, p)], p)
+                           for t, u in zip(ri[k + 1 :], rk[k + 1 :])]
+        n = max((len(t) for ri in rows[k + 1 :] for t in ri[k + 1 :]), default=0)
+        if len(prev) > 1 and n >= len(prev):  # the step's divisions share prev
+            inv = _series_inv(prev[::-1], n - len(prev) + 1, p)
+            for ri in rows[k + 1 :]:
+                ri[k + 1 :] = [_div_exact(t, prev, p, inv) for t in ri[k + 1 :]]
+        prev = pk
+    sol = [None] * d
+    for i in range(d - 1, -1, -1):
+        t = _mul(prev, rows[i][d], p)
+        for j in range(i + 1, d):
+            t = _list_add(t, [-c for c in _mul(rows[i][j], sol[j], p)], p)
+        sol[i] = _div_exact(t, rows[i][i], p)
+    return [_shift(c, alg.s * ek) for c, (_, ek) in zip(sol, cols)], prev
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +206,37 @@ class _CurveBase(_Memo):
         return FFElem(self, comps)
 
     def ff_const(self, c) -> "FFElem":
-        return FFElem(self, (RatFunc.const(self.field, c),))
+        return FFElem._make(self, [_trim([c % self.p])], [1], coprime=True)
 
     def x_elem(self) -> "FFElem":
-        return FFElem(self, (RatFunc.x(self.field),))
+        return FFElem._make(self, [[0, 1]], [1], coprime=True)
 
     def y_elem(self) -> "FFElem":
         if self.ext_degree < 2:
             raise CurveMismatch("no y coordinate on this model")
-        zero = RatFunc.zero(self.field)
-        return FFElem(self, (zero, RatFunc.one(self.field)))
+        return FFElem._make(self, [[], [1]], [1], coprime=True)
+
+    def algebra(self) -> _Algebra:
+        """The y-algebra, from the cleared minpoly of the model."""
+        return self._memo("algebra", lambda: _Algebra(self.p, self.cleared_minpoly()))
+
+    def minpoly(self):
+        """The monic minpoly of y over F_p(x), constant term first."""
+        def build():
+            alg = self.algebra()
+            den = UPoly.monomial(self.field, alg.s)
+            return tuple(RatFunc(self.field, UPoly(self.field, c), den) for c in alg.m)
+        return self._memo("minpoly", build)
+
+    def yprime(self) -> "FFElem":
+        """dy/dx = -G_x(y) / G_y(y) for the cleared minpoly G(x, Y)."""
+        def build():
+            alg = self.algebra()
+            gx, e = _reduce([_deriv(c, self.p) for c in alg.m], alg)
+            gy = [[k * c % self.p for c in u] for k, u in enumerate(alg.m)][1:]
+            return (-FFElem._make(self, gx, _shift([1], alg.s * e))
+                    / FFElem._make(self, gy, [1]))
+        return self._memo("yprime", build)
 
     def __eq__(self, other):
         return isinstance(other, _CurveBase) and other.key() == self.key()
@@ -214,6 +279,9 @@ class P1Marked(_CurveBase):
     def key(self):
         return ("p1", self.p, self.marks)
 
+    def cleared_minpoly(self):
+        return [[], [1]]  # y-vectors have the one entry of F_p(x)
+
 
 class Weierstrass(_CurveBase):
     """y^2 = x^3 + ax + b with nonzero discriminant."""
@@ -249,18 +317,8 @@ class Weierstrass(_CurveBase):
             return h.coeff(self.p - 1)
         return self._memo("hasse", build)
 
-    def minpoly(self):
-        f = self.field
-        return self._memo("minpoly", lambda: (
-            -RatFunc.from_poly(self.c_poly()), RatFunc.zero(f), RatFunc.one(f)))
-
-    def yprime(self) -> "FFElem":
-        # implicit differentiation of y^2 = c:  y' = c' * y / (2c)
-        def build():
-            c = RatFunc.from_poly(self.c_poly())
-            cp = RatFunc.from_poly(self.c_poly().derivative())
-            return FFElem(self, (RatFunc.zero(self.field), cp / (2 * c)))
-        return self._memo("yprime", build)
+    def cleared_minpoly(self):
+        return [(-self.c_poly()).coeffs, [], [1]]  # Y^2 - c(x)
 
     def rational_points(self):
         pts = [INF]
@@ -300,24 +358,9 @@ class RaynaudPlane(_CurveBase):
     def key(self):
         return ("raynaud", self.p, self.l)
 
-    def minpoly(self):
-        # x y^(q-1) + y - x^q = 0, divided by x:
-        # Y^(q-1) + (1/x) Y - x^(q-1)
-        def build():
-            f, x = self.field, RatFunc.x(self.field)
-            zeros = (RatFunc.zero(f),) * (self.q - 3)
-            return (-(x ** (self.q - 1)), 1 / x) + zeros + (RatFunc.one(f),)
-        return self._memo("minpoly", build)
-
-    def yprime(self) -> "FFElem":
-        # dG/dx = -y^(q-1), dG/dy = x y^(q-2) - 1 for G = x^q - x y^(q-1) - y
-        def build():
-            y = self.y_elem()
-            x = self.x_elem()
-            num = y ** (self.q - 1)
-            den = x * y ** (self.q - 2) - self.ff_const(1)
-            return num / den
-        return self._memo("yprime", build)
+    def cleared_minpoly(self):
+        # x Y^(q-1) + Y - x^q
+        return [[0] * self.q + [-1], [1]] + [[]] * (self.q - 3) + [[0, 1]]
 
     def affine_points(self):
         """All F_p-rational points of the z = 1 chart (P_inf = (0,0) included)."""
@@ -334,34 +377,59 @@ class RaynaudPlane(_CurveBase):
 # ---------------------------------------------------------------------------
 # function-field elements
 
-class FFElem:
-    """Element of the function field in the y-power basis over F_p(x)."""
+class FFElem(_Ring):
+    """Element of the function field: num / den.
+
+    num is a y-basis vector over F_p[x] (d coefficient tuples) and den a
+    monic UPoly, in canonical form: gcd(den, every numerator entry) = 1.
+    The constructor takes RatFunc, UPoly or int components; comps gives
+    them back as reduced RatFuncs.
+    """
 
     # _xz: the Z-chart vector (xz_components), set by Z0Place on first use
-    __slots__ = ("curve", "comps", "_xz")
+    __slots__ = ("curve", "num", "den", "_xz")
 
     def __init__(self, curve, comps):
-        field = curve.field
-        cs = []
+        rats = []
         for c in comps:
-            if isinstance(c, RatFunc):
-                cs.append(c)
-            elif isinstance(c, UPoly):
-                cs.append(RatFunc.from_poly(c))
+            if isinstance(c, UPoly):
+                c = RatFunc.from_poly(c)
             elif isinstance(c, int):
-                cs.append(RatFunc.const(field, c))
-            else:
+                c = RatFunc.const(curve.field, c)
+            elif not isinstance(c, RatFunc):
                 raise TypeError(f"bad component {c!r}")
-        d = curve.ext_degree
-        if len(cs) > d:
-            cs = _pk_mod(cs, curve.minpoly(), field)
-        cs += [RatFunc.zero(field)] * (d - len(cs))
+            rats.append(c)
+        if len(rats) == 1:  # a reduced RatFunc is canonical
+            return self._set(curve, [rats[0].num.coeffs], rats[0].den.coeffs)
+        # over the lcm of reduced denominators the numerators are coprime
+        den, num = _over_lcm([([c.num.coeffs], c.den) for c in rats], curve.field)
+        alg = curve.algebra()
+        num, e = _reduce([v[0] for v in num], alg)
+        self._set(curve, *_canon(num, _shift(den.coeffs, alg.s * e), curve.p, not e))
+
+    def _set(self, curve, num, den):
         self.curve = curve
-        self.comps = tuple(cs)
+        self.num = tuple(map(tuple, num)) + ((),) * (curve.ext_degree - len(num))
+        self.den = UPoly(curve.field, den)
+
+    @classmethod
+    def _make(cls, curve, num, den, coprime=False):
+        """The element num / den from integral data, brought to canonical form."""
+        self = object.__new__(cls)
+        self._set(curve, *_canon(num, den, curve.p, coprime))
+        return self
+
+    @property
+    def comps(self):
+        """The y-basis components as reduced rational functions."""
+        field, den = self.curve.field, self.den
+        if len(self.num) == 1:
+            return (RatFunc._reduced(UPoly(field, self.num[0]), den),)
+        return tuple(RatFunc(field, UPoly(field, c), den) for c in self.num)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.comps)
+        return not any(self.num)
 
     def _coerce(self, other):
         if isinstance(other, FFElem):
@@ -376,50 +444,41 @@ class FFElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FFElem(self.curve, [a + b for a, b in zip(self.comps, o.comps)])
+        p, a, b = self.curve.p, self.den.coeffs, o.den.coeffs
+        if a == b:  # integral sums stay coprime
+            num = [_list_add(u, v, p) for u, v in zip(self.num, o.num)]
+            return FFElem._make(self.curve, num, list(a), len(a) == 1)
+        # gcd(a, u b + v a) = gcd(a, u) when b = 1, and symmetrically
+        num = [_list_add(_mul(u, b, p), _mul(v, a, p), p) for u, v in zip(self.num, o.num)]
+        return FFElem._make(self.curve, num, _mul(a, b, p), 1 in (len(a), len(b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FFElem(self.curve, [-a for a in self.comps])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        p = self.curve.p
+        return FFElem._make(self.curve, [[-c % p for c in u] for u in self.num],
+                            list(self.den.coeffs), True)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.curve.ext_degree == 1:
-            return FFElem(self.curve, (self.comps[0] * o.comps[0],))
-        prod = _alg_mul(
-            _pk_trim(list(self.comps)),
-            _pk_trim(list(o.comps)),
-            self.curve.minpoly(),
-            self.curve.field,
-        )
-        return FFElem(self.curve, prod)
+        alg = self.curve.algebra()
+        num, e = _vmul(self.num, o.num, alg)
+        den = _shift(_mul(self.den.coeffs, o.den.coeffs, alg.p), alg.s * e)
+        return FFElem._make(self.curve, num, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElem":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero function")
-        if self.curve.ext_degree == 1:
-            return FFElem(self.curve, (1 / self.comps[0],))
-        inv = _alg_inv(
-            _pk_trim(list(self.comps)), self.curve.minpoly(), self.curve.field
-        )
-        return FFElem(self.curve, inv)
+        den = list(self.den.coeffs)
+        if not any(self.num[1:]):  # in F_p(x): swap, already coprime
+            return FFElem._make(self.curve, [den], list(self.num[0]), True)
+        alg = self.curve.algebra()
+        v, det = _inverse(self.num, alg)
+        return FFElem._make(self.curve, [_mul(c, den, alg.p) for c in v], det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -433,107 +492,84 @@ class FFElem:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.curve.ff_const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def derivative(self) -> "FFElem":
-        """d/dx using implicit differentiation of the curve relation."""
-        curve = self.curve
-        if curve.ext_degree == 1:
-            return FFElem(curve, (self.comps[0].derivative(),))
-        zero = RatFunc.zero(curve.field)
-        straight = FFElem(curve, [c.derivative() for c in self.comps])
-        chain_comps = [zero] * (curve.ext_degree - 1)
-        for k in range(1, curve.ext_degree):
-            chain_comps[k - 1] = k * self.comps[k]
-        chain = FFElem(curve, chain_comps)
-        if chain.is_zero:
-            return straight
-        return straight + chain * curve.yprime()
+        """d/dx by implicit differentiation: with y' = Y / E,
+        (N / D)' = ((N' D - N D') E + D (dN/dy) Y) / (D^2 E)."""
+        curve, p = self.curve, self.curve.p
+        den = self.den.coeffs
+        num = [_list_add(_mul(_deriv(u, p), den, p), [-c for c in _mul(u, _deriv(den, p), p)], p)
+               for u in self.num]
+        den = [den, _mul(den, den, p)]
+        chain = [_trim([k * c % p for c in u]) for k, u in enumerate(self.num)][1:]
+        if any(chain):
+            alg, yp = curve.algebra(), curve.yprime()
+            w, e = _vmul(chain, yp.num, alg)
+            scale = _shift(yp.den.coeffs, alg.s * e)
+            num = [_list_add(_mul(u, scale, p), _mul(c, den[0], p), p)
+                   for u, c in zip_longest(num, w, fillvalue=[])]
+            den[1] = _mul(den[1], scale, p)
+        return FFElem._make(curve, num, den[1])
 
     def dlog(self) -> "FFElem":
         if self.is_zero:
             raise ZeroElement("dlog of 0")
         return self.derivative() / self
 
-    def _zpows(self):
-        def build():
-            d = self.curve.ext_degree
-            zero_c = self.curve.ff_const(1)
-            if d == 1:
-                return [zero_c]
-            y = self.curve.y_elem()
-            z = y ** self.curve.p
-            pows = [zero_c]
-            for _ in range(d - 1):
-                pows.append(pows[-1] * z)
-            return pows
-        return self.curve._memo("zpows", build)
-
     def pth_power(self) -> "FFElem":
-        """self**p through the Frobenius spread of each component."""
-        pows = self._zpows()
-        acc = self.curve.ff_const(0)
-        for k, c in enumerate(self.comps):
-            if not c.is_zero:
-                acc = acc + FFElem(self.curve, (c.pth_power(),)) * pows[k]
-        return acc
+        """self**p: the Frobenius spread of the numerator entries, put
+        together by Horner in z = y^p."""
+        curve, p = self.curve, self.curve.p
+        spread = [UPoly(curve.field, c).pth_power().coeffs for c in self.num]
+        alg = curve.algebra()
+        z, ez = curve._memo("ypow_p", lambda: _reduce([[]] * p + [[1]], alg))  # y^p
+        acc, e = [spread.pop()], 0
+        for c in reversed(spread):
+            acc, e1 = _vmul(acc, z, alg)
+            e += e1 + ez
+            acc = [_list_add(acc[0] if acc else [], _shift(c, alg.s * e), p)] + acc[1:]
+        # Frobenius keeps the pair coprime on the line
+        return FFElem._make(curve, acc, _shift(self.den.pth_power().coeffs, alg.s * e),
+                            len(self.num) == 1)
+
+    def _zvec(self):
+        """(S, E): self = sum_j S_j z^j / E with z = y^p, canonical."""
+        curve, p = self.curve, self.curve.p
+        num, den = [list(c) for c in self.num], list(self.den.coeffs)
+        if curve.model == "ell":  # y = z / c^((p-1)/2)
+            h = (curve.c_poly() ** ((p - 1) // 2)).coeffs
+            return _canon([_mul(num[0], h, p), num[1]], _mul(den, h, p), p)
+        if curve.model == "raynaud":
+            return _zbasis_raynaud(curve, num, den)
+        return num, den
 
     def to_zbasis(self):
         """Components s_j with self = sum_j s_j * (y^p)^j; s_j in F_p(x)."""
-        def build():
-            d = self.curve.ext_degree
-            cols = [z.comps for z in self._zpows()]
-            m = [[cols[j][i] for j in range(d)] for i in range(d)]
-            return _matinv_ratfunc(m, self.curve.field)
-        minv = self.curve._memo("zbasis_inv", build)
-        out = []
-        for row in minv:
-            acc = RatFunc.zero(self.curve.field)
-            for c, comp in zip(row, self.comps):
-                acc = acc + c * comp
-            out.append(acc)
-        return out
+        field = self.curve.field
+        s, e = self._zvec()
+        s += [[]] * (self.curve.ext_degree - len(s))
+        return [RatFunc(field, UPoly(field, c), UPoly(field, e)) for c in s]
 
     def pth_root(self):
-        """g with g^p = self, or None when self is not a p-th power."""
-        if self.curve.ext_degree == 1:
-            r = self.comps[0].pth_root()
-            return None if r is None else FFElem(self.curve, (r,))
-        roots = []
-        for s in self.to_zbasis():
-            r = s.pth_root()
-            if r is None:
-                return None
-            roots.append(r)
-        return FFElem(self.curve, roots)
+        """g with g^p = self, or None when self is not a p-th power: in
+        canonical form, when the z-basis denominator or a numerator is not
+        a p-th power in F_p[x]."""
+        s, e = self._zvec()
+        roots = [UPoly(self.curve.field, c).pth_root() for c in s + [e]]
+        if None in roots:
+            return None
+        return FFElem._make(self.curve, [r.coeffs for r in roots[:-1]],
+                            list(roots[-1].coeffs), True)
 
     def evaluate(self, point):
         """Value at an affine rational point (x0, y0), or x0 alone for P^1."""
         p = self.curve.p
-        if self.curve.ext_degree == 1:
-            x0 = point if isinstance(point, int) else point[0]
-            return self.comps[0].evaluate(x0)
-        x0, y0 = point
-        acc = 0
-        for k, c in enumerate(self.comps):
-            if not c.is_zero:
-                acc += c.evaluate(x0) * pow(y0, k, p)
-        return acc % p
+        x0, y0 = (point, 0) if isinstance(point, int) else (point[0], point[-1])
+        return sum(c.evaluate(x0) * pow(y0, k, p)
+                   for k, c in enumerate(self.comps) if not c.is_zero) % p
 
     def as_ratfunc(self) -> RatFunc:
-        for c in self.comps[1:]:
-            if not c.is_zero:
-                raise CurveMismatch("element has y-components")
+        if any(self.num[1:]):
+            raise CurveMismatch("element has y-components")
         return self.comps[0]
 
     def render(self) -> str:
@@ -541,28 +577,95 @@ class FFElem:
 
     def __eq__(self, other):
         if isinstance(other, FFElem):
-            return other.curve == self.curve and other.comps == self.comps
+            return (other.curve == self.curve and other.num == self.num
+                    and other.den == self.den)
         if isinstance(other, (int, UPoly, RatFunc)):
             return self == FFElem(self.curve, (other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.curve.key(), self.comps))
+        return hash((self.curve.key(), self.num, self.den.coeffs))
 
     def __repr__(self):
         return f"FFElem({self.render()})"
+
+
+def _over_lcm(pairs, field):
+    """(L, vectors): L the monic lcm of the denominators of the (vector,
+    den) pairs, and each vector times L / den."""
+    den = UPoly.one(field)
+    for _, d in pairs:
+        if d.degree > 0:
+            den = den // den.gcd(d) * d
+    return den, [[_mul(c, (den // d).coeffs, field.p) for c in v] for v, d in pairs]
+
+
+def _deriv(a, p):
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _zalg(curve) -> _Algebra:
+    """z = y^p on a Raynaud curve: x^p Z^(q-1) + Z - x^(pq) = 0."""
+    p, q = curve.p, curve.q
+    return curve._memo("zalg", lambda: _Algebra(
+        p, [[0] * (p * q) + [-1], [1]] + [[]] * (q - 3) + [[0] * p + [1]]))
+
+
+def _y_over_z(curve):
+    """y in the z-basis of a Raynaud curve, canonical (V, Delta).
+
+    Multiplying the curve equation by y and using y^q = z^l gives
+    y^2 - x^q y + x z^l = 0.  Reducing Y^p modulo that monic quadratic over
+    F_p[x, z] gives y^p = A y + B, so y = (z - B) / A.  A != 0: otherwise
+    both roots y and x^q - y of the quadratic would have the p-th power B,
+    and Frobenius is injective.
+    """
+    def build():
+        p, q, l = curve.p, curve.q, curve.l
+        alg = _zalg(curve)
+        # Y^(k+1) = (x^q A_k + B_k) Y - x z^l A_k, from Y^1 = 1 * Y + 0
+        a, b = [[1]], []
+        for _ in range(p - 1):
+            a, b = ([_list_add(_shift(u, q), v, p) for u, v in zip_longest(a, b, fillvalue=[])],
+                    [[]] * l + [_shift([-c % p for c in u], 1) for u in a])
+        (a, ea), (b, eb) = _reduce(a, alg), _reduce(b, alg)
+        zmb = [[-c % p for c in u] for u in b] + [[], []]
+        zmb[1] = _list_add(zmb[1], _shift([1], p * eb), p)  # x^(p eb) (z - B)
+        v, det = _inverse(a, alg, zmb)  # y = x^(p ea) v / (x^(p eb) det)
+        return _canon([_shift(c, p * ea) for c in v], _shift(det, p * eb), p)
+    return curve._memo("y_over_z", build)
+
+
+def _zbasis_raynaud(curve, num, den):
+    """The canonical z-basis vector of N(y) / D on a Raynaud curve.
+
+    Horner in Y modulo y^2 = x^q y - x z^l leaves N(y) = P + Q y with P, Q
+    in F_p[x][z]; then y = V / Delta.
+    """
+    p, q, l = curve.p, curve.q, curve.l
+    alg, (v, delta) = _zalg(curve), _y_over_z(curve)
+    big_p, big_q = [], []
+    for c in reversed(num):
+        # (P + Q y) y + c = (c - x z^l Q) + (P + x^q Q) y
+        nxt_q = [_list_add(u, _shift(w, q), p) for u, w in zip_longest(big_p, big_q, fillvalue=[])]
+        big_p = [list(c)] + [[]] * (l - 1) + [_shift([-t % p for t in u], 1) for u in big_q]
+        big_q = nxt_q
+    (big_p, ep), (big_q, eq) = _reduce(big_p, alg), _reduce(big_q, alg)
+    w, ew = _vmul(big_q, v, alg)
+    # N(y) = P / x^(p ep) + W / (x^(p (eq + ew)) Delta)
+    top = max(ep, eq + ew)
+    out = [_list_add(_shift(_mul(u, delta, p), p * (top - ep)), _shift(t, p * (top - eq - ew)), p)
+           for u, t in zip_longest(big_p, w, fillvalue=[])]
+    return _canon(out, _shift(_mul(delta, den, p), p * top), p)
 
 
 # ---------------------------------------------------------------------------
 # branches
 
 def _list_add(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return [c % p for c in out]
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([(u + v) % p for u, v in zip(a, b)] + [c % p for c in a[len(b):]])
 
 
 def _newton_series(field, ycoeffs, y0, prec):
@@ -636,14 +739,19 @@ class SeriesBranch:
             if self.point == INF:
                 return r.series_at_infinity(prec, center=self.key)
             return r.series_at(self.point, prec, center=self.key)
-        acc = TruncSeries.zero(self.curve.field, self.key, prec)
-        ypow = TruncSeries.const(self.curve.field, self.key, 1)
-        for k, c in enumerate(f.comps):
-            if not c.is_zero:
-                acc = acc + ratfunc_at_series(c, self.x_series, prec_hint=prec) * ypow
-            if k + 1 < len(f.comps):
+        # the numerator sum over one inverse of the common denominator; the
+        # sum starts at prec + v(den) so that the quotient keeps O(t^prec)
+        field = self.curve.field
+        den = poly_at_series(f.den, self.x_series)
+        acc = TruncSeries.zero(field, self.key, prec + den.valuation())
+        ypow = TruncSeries.const(field, self.key, 1)
+        last = max((k for k, c in enumerate(f.num) if c), default=-1)
+        for k, c in enumerate(f.num[: last + 1]):
+            if c:
+                acc = acc + poly_at_series(UPoly(field, c), self.x_series) * ypow
+            if k < last:
                 ypow = ypow * self.y_series
-        return acc
+        return acc * den.inverse(prec_hint=prec)
 
     def valuation_of(self, f) -> int:
         if getattr(f, "is_zero", False):
@@ -692,33 +800,20 @@ class Z0Place:
     def point(self):
         return self.key
 
-    def _ord_phi(self, r: RatFunc) -> int:
-        if r.is_zero:
-            raise ZeroElement("valuation of 0")
-
-        def mult(poly):
+    def _zval(self, comps) -> int:
+        """min over k of (q - 1) ord_phi(c_k) + k, Z having valuation 1."""
+        def ordp(poly):
             m = 0
             while True:
                 quo, rem = divmod(poly, self.phi)
-                if rem.is_zero:
-                    m += 1
-                    poly = quo
-                else:
+                if not rem.is_zero:
                     return m
-        return mult(r.num) - mult(r.den)
-
-    def _zval(self, comps) -> int:
-        q = self.curve.q
-        best = None
-        for k, c in enumerate(comps):
-            if c.is_zero:
-                continue
-            v = (q - 1) * self._ord_phi(c) + k
-            if best is None or v < best:
-                best = v
-        if best is None:
+                m, poly = m + 1, quo
+        vals = [(self.curve.q - 1) * (ordp(c.num) - ordp(c.den)) + k
+                for k, c in enumerate(comps) if not c.is_zero]
+        if not vals:
             raise ZeroElement("valuation of 0")
-        return best
+        return min(vals)
 
     def valuation_of(self, f) -> int:
         if isinstance(f, RatFunc):
@@ -728,17 +823,9 @@ class Z0Place:
         return self._zval(f._xz)
 
     def dx_cofactor_valuation(self) -> int:
-        # dx = (Z^(q-1) - X) Z^(-2) dZ on the curve, and dZ is a unit at z = 0
-        def build():
-            q = self.curve.q
-            f = self.curve.field
-            w = _w(self.curve)
-            c = (w - RatFunc.x(f)) / w
-            comps = [RatFunc.zero(f)] * (q - 1)
-            comps[q - 3] = c
-            return comps
-        comps = self.curve._memo("z0_dx_cofactor", build)
-        return self._zval(comps)
+        # dx = (Z^(q-1) - X) Z^(-2) dZ on the curve, dZ a unit at z = 0, and
+        # Z^(q-1) - X = X^q - 2X vanishes there only at X = 0, simply
+        return self.curve.q - 3 if self.phi.coeffs == (0, 1) else -2
 
     def form_valuation(self, h) -> int:
         return self.valuation_of(h) + self.dx_cofactor_valuation()
@@ -747,68 +834,40 @@ class Z0Place:
         return f"Z0Place(phi={list(self.phi.coeffs)}, p={self.curve.p})"
 
 
-def _w(curve: RaynaudPlane) -> RatFunc:
+def _w(curve: RaynaudPlane) -> UPoly:
     """w(X) = X^q - X, with Z^(q-1) = w in the chart y = 1."""
-    return curve._memo("xq_minus_x", lambda: RatFunc.from_poly(
-        UPoly(curve.field, [0, -1] + [0] * (curve.q - 2) + [1])))
-
-
-def _zshift(comps, e, curve):
-    """Multiply a Z-basis vector by Z^e in F_p(X)[Z]/(Z^(q-1) - w)."""
-    q = curve.q
-    f = curve.field
-    w = _w(curve)
-    out = [RatFunc.zero(f)] * (q - 1)
-    for k, c in enumerate(comps):
-        if c.is_zero:
-            continue
-        j = k + e
-        r = j % (q - 1)
-        s = j // (q - 1)
-        out[r] = out[r] + c * w**s
-    return out
+    return UPoly(curve.field, [0, -1] + [0] * (curve.q - 2) + [1])
 
 
 def xz_components(curve: RaynaudPlane, f: FFElem):
     """Rewrite f in the chart y = 1 as a Z-power vector over F_p(X).
 
-    Uses x = X/Z, y = 1/Z and the radical relation Z^(q-1) = X^q - X.
+    Uses x = X/Z, y = 1/Z and the radical relation Z^(q-1) = X^q - X = w:
+    with M = max(deg N_k + k), f = G Z^(deg D - M) / H for the polynomials
+    G = sum_k Z^(M - k) N_k(X/Z) and H = Z^(deg D) D(X/Z) in X and Z.
     """
-    q = curve.q
-    field = curve.field
-    zero = RatFunc.zero(field)
-
-    def homog(poly: UPoly):
-        # Z^deg * poly(X/Z) as a Z-basis vector
-        d = poly.degree
-        comps = [zero] * (q - 1)
-        if poly.is_zero:
-            return comps, 0
-        vec = [zero] * (q - 1)
-        for i, a in enumerate(poly.coeffs):
-            if a:
-                term = [zero] * (q - 1)
-                term[0] = RatFunc.from_poly(UPoly.monomial(field, i, a))
-                term = _zshift(term, d - i, curve)
-                vec = [u + v for u, v in zip(vec, term)]
-        return vec, d
-
-    minpoly = curve._memo(
-        "z_minpoly", lambda: [-_w(curve)] + [zero] * (q - 2) + [RatFunc.one(field)]
-    )
-    total = [zero] * (q - 1)
-    for k, c in enumerate(f.comps):
-        if c.is_zero:
-            continue
-        nvec, dn = homog(c.num)
-        dvec, dd = homog(c.den)
-        dinv = _alg_inv(_pk_trim(list(dvec)), minpoly, field)
-        part = _alg_mul(_pk_trim(list(nvec)), dinv, minpoly, field)
-        part = (list(part) + [zero] * (q - 1))[: q - 1]
-        # f_k(x) y^k = Z^(dd - dn - k) * N/D in the second chart
-        part = _zshift(part, dd - dn - k, curve)
-        total = [u + v for u, v in zip(total, part)]
-    return total
+    q, field, w = curve.q, curve.field, _w(curve)
+    alg = curve._memo("xzalg", lambda: _Algebra(curve.p, [(-w).coeffs] + [[]] * (q - 2) + [[1]]))
+    terms = [(k, c) for k, c in enumerate(f.num) if c]
+    top = max((len(c) - 1 + k for k, c in terms), default=0)
+    dc = f.den.coeffs
+    # w^n Z^(deg D - M) is a nonnegative power of Z
+    n = max(0, (top - len(dc) + q - 1) // (q - 1))
+    g = [[] for _ in range(len(dc) + n * (q - 1))]
+    for k, c in terms:
+        for i, a in enumerate(c):  # a x^i y^k = a X^i Z^(M - i - k) / Z^M
+            if a:  # one k per (Z, X) exponent pair, so nothing adds up
+                row = g[len(dc) - 1 + n * (q - 1) - i - k]
+                row += [0] * (i + 1 - len(row))
+                row[i] = a
+    h = [[0] * i + [a] if a else [] for i, a in reversed(list(enumerate(dc)))]
+    (g, _), (h, _) = _reduce(g, alg), _reduce(h, alg)
+    den = h[0]
+    if len(h) > 1:
+        inv, den = _inverse(h, alg)
+        g, _ = _vmul(g, inv, alg)
+    den = UPoly(field, den) * w ** n
+    return [RatFunc(field, UPoly(field, c), den) for c in g + [[]] * (q - 1 - len(g))]
 
 
 def _factor_linear_and_rest(poly: UPoly):
@@ -892,7 +951,7 @@ def _equal_degree_split(poly: UPoly, d: int, rng) -> list:
 def z0_places(curve: RaynaudPlane):
     """All places of the curve on z = 0, one per irreducible factor of X^q - X."""
     def build():
-        linear, rest = _factor_linear_and_rest(_w(curve).num)
+        linear, rest = _factor_linear_and_rest(_w(curve))
         places = [Z0Place(curve, UPoly(curve.field, (-a, 1))) for a, _ in linear]
         if rest.degree > 0:
             for f in _factor_squarefree(rest):
@@ -1176,15 +1235,7 @@ def _place_name(place) -> str:
 
 def divisor_of_differential(omega: Differential, candidate_places):
     """Divisor of omega on the candidates; complete iff degree hits 2g - 2."""
-    items = []
-    for place in candidate_places:
-        try:
-            v = valuation(omega, place)
-        except ZeroElement:
-            raise
-        if v:
-            items.append((place, v))
-    div = Divisor(items)
+    div = Divisor((place, valuation(omega, place)) for place in candidate_places)
     complete = div.degree() == 2 * omega.curve.genus() - 2
     return div, complete
 

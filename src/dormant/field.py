@@ -166,7 +166,32 @@ def _mul(a, b, p, n=None):
     return [int.from_bytes(buf[i : i + w], "little") % p for i in range(0, k * w, w)]
 
 
-class UPoly:
+class _Ring:
+    """Subtraction and integer powers from +, unary -, * and _coerce."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result, base = self._coerce(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+class UPoly(_Ring):
     """Dense univariate polynomial over F_p, coefficients ascending."""
 
     __slots__ = ("field", "coeffs")
@@ -249,18 +274,6 @@ class UPoly:
     def __neg__(self):
         return UPoly(self.field, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -272,14 +285,7 @@ class UPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = UPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _Ring.__pow__(self, n)
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -287,22 +293,8 @@ class UPoly:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.p
-        inv_lc = self.field.inv(o.coeffs[-1])
-        rem = list(self.coeffs)
-        db = len(o.coeffs) - 1
-        if len(rem) - 1 < db:
-            return UPoly.zero(self.field), self
-        quo = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] % p
-            if c:
-                q = c * inv_lc % p
-                quo[i - db] = q
-                for j, bc in enumerate(o.coeffs):
-                    rem[i - db + j] -= q * bc
-                rem[i] = 0
-        return UPoly(self.field, quo), UPoly(self.field, rem[:db])
+        quo, rem = _divmod(self.coeffs, o.coeffs, self.field.p)
+        return UPoly(self.field, quo), UPoly(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -311,10 +303,7 @@ class UPoly:
         return divmod(self, other)[1]
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        a, b = self, self._coerce(other)
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        return UPoly(self.field, _gcd(self.coeffs, self._coerce(other).coeffs, self.field.p))
 
     def derivative(self) -> "UPoly":
         return UPoly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
@@ -415,7 +404,52 @@ def _series_inv(u, count, p):
     return y
 
 
-class RatFunc:
+def _divmod(a, b, p):
+    """(quotient, remainder) of coefficient lists over F_p; b[-1] != 0."""
+    db, r = len(b) - 1, list(a)
+    quo = [0] * max(0, len(r) - db)
+    inv, low = pow(b[-1], p - 2, p), b[:-1]
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] % p
+        if c:
+            q = quo[i - db] = c * inv % p
+            r[i - db : i] = [u - q * v for u, v in zip(r[i - db : i], low)]
+    return quo, _trim([c % p for c in r[:db]])
+
+
+def _gcd(a, b, p):
+    """Monic gcd of two coefficient lists over F_p, by Euclid."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _div_exact(a, b, p, inv=None):
+    """a / b over F_p when b divides a: the reversed quotient is a truncated
+    product with the series inverse of reversed b.  inv, that inverse to
+    at least len(a) - len(b) + 1 terms, serves many dividends of one b."""
+    n = len(a) - len(b) + 1
+    if n <= 0:
+        return []
+    if len(b) == 1:
+        c = pow(b[0], p - 2, p)
+        return [v * c % p for v in a]
+    if inv is None:
+        inv = _series_inv(b[::-1], n, p)
+    return _mul(a[::-1][:n], inv, p, n)[::-1]
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+class RatFunc(_Ring):
     """Reduced rational function num/den over F_p; den monic, gcd 1."""
 
     __slots__ = ("field", "num", "den")
@@ -442,6 +476,13 @@ class RatFunc:
     @classmethod
     def from_poly(cls, poly: UPoly):
         return cls(poly.field, poly)
+
+    @classmethod
+    def _reduced(cls, num: UPoly, den: UPoly):
+        """num/den already coprime with den monic; no gcd is taken."""
+        self = object.__new__(cls)
+        self.field, self.num, self.den = num.field, num, den
+        return self
 
     @classmethod
     def const(cls, field, c: int):
@@ -486,18 +527,6 @@ class RatFunc:
 
     def __neg__(self):
         return RatFunc(self.field, -self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -640,7 +669,7 @@ def rat_normalize(num: UPoly, den: UPoly) -> RatFunc:
     return RatFunc(num.field, num, den)
 
 
-class TruncSeries:
+class TruncSeries(_Ring):
     """Truncated Laurent series in a local parameter t at a tagged center.
 
     Coefficients are known for exponents in [ord_low, prec); the stored tuple
@@ -744,18 +773,6 @@ class TruncSeries:
             [-c for c in self.coeffs], self.prec,
         )
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -769,18 +786,6 @@ class TruncSeries:
         return TruncSeries(self.field, self.center, ord_low, out, prec)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncSeries.const(self.field, self.center, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def inverse(self, prec_hint=None) -> "TruncSeries":
         """1/self.  Exact inputs need prec_hint unless they are monomials."""
@@ -805,12 +810,6 @@ class TruncSeries:
         prec = self.prec if self.prec == inf else self.prec - 1
         out = [(self.ord_low + i) * c for i, c in enumerate(self.coeffs)]
         return TruncSeries(self.field, self.center, self.ord_low - 1, out, prec)
-
-    def shift(self, k: int) -> "TruncSeries":
-        """Multiply by t^k."""
-        return TruncSeries(
-            self.field, self.center, self.ord_low + k, self.coeffs, self.prec + k
-        )
 
     def truncate(self, prec) -> "TruncSeries":
         if prec > self.prec:

@@ -38,6 +38,11 @@ def floor_div_divisor(divisor: Divisor, n: int) -> Divisor:
     return divisor.floor_div(n)
 
 
+def default_precision(curve) -> int:
+    """Starting series precision of the candidate places on the curve."""
+    return max(6 * curve.genus() + 10, 24)
+
+
 def default_places(curve, prec: Optional[int] = None) -> list:
     """Candidate places rich enough for the divisors this module meets.
 
@@ -47,7 +52,7 @@ def default_places(curve, prec: Optional[int] = None) -> list:
     precision; each call returns a fresh list of them.
     """
     if prec is None:
-        prec = max(6 * curve.genus() + 10, 24)
+        prec = default_precision(curve)
     return list(curve._memo(("default_places", prec), lambda: _places(curve, prec)))
 
 
@@ -72,6 +77,16 @@ def _coerce(curve, f) -> FFElem:
             raise ValueError("candidate lives on a different curve")
         return f
     return FFElem(curve, (f,))
+
+
+def _df_divisor(curve, f, places):
+    """(f as an element, the certified divisor of df on the places)."""
+    cand = _coerce(curve, f)
+    df = cand.derivative()
+    if df.is_zero:
+        raise CandidateIsPthPower("df = 0, the candidate is a p-th power")
+    places = places if places is not None else default_places(curve)
+    return cand, _certified_divisor(curve, Differential(curve, df), places)
 
 
 def _certified_divisor(curve, omega: Differential, places) -> Divisor:
@@ -122,14 +137,7 @@ class TangoCertificate:
 
 def tango_invariant_lower_bound(curve, f, places: Optional[Sequence] = None) -> int:
     """deg floor(div(df)/p) for one candidate; a lower bound for the curve."""
-    cand = _coerce(curve, f)
-    df = cand.derivative()
-    if df.is_zero:
-        raise CandidateIsPthPower("df = 0, the candidate is a p-th power")
-    div = _certified_divisor(
-        curve, Differential(curve, df), places if places is not None else default_places(curve)
-    )
-    return div.floor_div(curve.field.p).degree()
+    return _df_divisor(curve, f, places)[1].floor_div(curve.field.p).degree()
 
 
 def certify_tango_structure(curve, f, places: Optional[Sequence] = None) -> TangoCertificate:
@@ -143,13 +151,7 @@ def certify_tango_structure(curve, f, places: Optional[Sequence] = None) -> Tang
     chi = 2 * curve.genus() - 2
     if chi % p:
         raise PNotDividing2gMinus2(f"2g - 2 = {chi} is not divisible by p = {p}")
-    cand = _coerce(curve, f)
-    df = cand.derivative()
-    if df.is_zero:
-        raise CandidateIsPthPower("df = 0, the candidate is a p-th power")
-    div = _certified_divisor(
-        curve, Differential(curve, df), places if places is not None else default_places(curve)
-    )
+    cand, div = _df_divisor(curve, f, places)
     for place, coeff in div.items():
         if coeff % p:
             err = NotDivisibleByP(
@@ -191,13 +193,7 @@ def build_generalized_tango(curve, f, N: Divisor, places: Optional[Sequence] = N
         raise PremiseViolated(
             f"p(p-1) deg(N) = {m * N.degree()} but 2g - 2 = {chi}"
         )
-    cand = _coerce(curve, f)
-    df = cand.derivative()
-    if df.is_zero:
-        raise CandidateIsPthPower("df = 0, the candidate is a p-th power")
-    div = _certified_divisor(
-        curve, Differential(curve, df), places if places is not None else default_places(curve)
-    )
+    cand, div = _df_divisor(curve, f, places)
     if div != N.times(m):
         raise InvalidCertificate("div(df) is not p(p-1) N for the proposed N")
     # the divisor match is exact, so the trivializing unit is a constant

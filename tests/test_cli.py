@@ -363,6 +363,19 @@ class TestDeterminism:
         monkeypatch.setenv("DORMANT_PRECISION", "40")
         assert run_job(parse_job(job)) == plain
 
+    @pytest.mark.parametrize("prec", ["4", "8"])
+    def test_low_precision_is_a_floor(self, monkeypatch, prec):
+        # the README job; a starting precision below the default must not
+        # make its valuations undecidable
+        monkeypatch.setenv("DORMANT_PRECISION", prec)
+        job = (
+            "cmd=tango-certify\nraynaud p=5 l=1\n"
+            "f 4 / 0 0 0 0 0 1 ; 0 / 1 ; 0 / 1 ; 4 / 0 0 0 0 1\n"
+        )
+        text, code = run_job(parse_job(job))
+        assert code == 0
+        assert text.splitlines() == ["value 2", "exact true", "Pinf 10"]
+
     def test_huge_precision_is_refused_before_places(self, monkeypatch):
         # a precision above the cap would size series buffers by it; the
         # job is refused before any place is built

@@ -522,6 +522,17 @@ class TestHorizontal:
         assert solve_dlog(curve, g) == x**10 * y**10
         assert len(calls) == 1
 
+    def test_elliptic_dlogs_of_x_and_y_once_per_curve(self, monkeypatch):
+        curve = Weierstrass(F7, 3, 5)
+        x, y = curve.x_elem(), curve.y_elem()
+        goals = (2 * x.dlog() + 3 * y.dlog(), 5 * y.dlog())
+        calls = []
+        dlog = FFElem.dlog
+        monkeypatch.setattr(FFElem, "dlog", lambda f: calls.append(f) or dlog(f))
+        assert solve_dlog(curve, goals[0]) == x**2 * y**3
+        assert solve_dlog(curve, goals[1]) == y**5
+        assert len(calls) <= 2
+
     @settings(max_examples=300, deadline=None)
     @given(p=st.sampled_from([3, 5, 7]), data=st.data())
     def test_least_solution_matches_brute_force(self, p, data):

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dormant import curves
 from dormant.curves import (
@@ -439,3 +441,366 @@ class TestComputeOnce:
         assert len(m) == curve.ext_degree + 1 and m[-1] == RatFunc.one(curve.field)
         with pytest.raises((TypeError, AttributeError)):
             m[0] = m[-1]
+
+
+# ---------------------------------------------------------------------------
+# oracle: function-field arithmetic on y-basis vectors of RatFunc components,
+# a gcd after every component operation; the library's integral
+# representation must agree with it operation by operation
+
+def _o_trim(a):
+    while a and a[-1].is_zero:
+        a.pop()
+    return a
+
+
+def _o_add(a, b, field):
+    out = [RatFunc.zero(field)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = out[i] + c
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _o_trim(out)
+
+
+def _o_mul(a, b, field):
+    if not a or not b:
+        return []
+    out = [RatFunc.zero(field) for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return _o_trim(out)
+
+
+def _o_divmod(a, b, field):
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) - 1 < db:
+        return [], _o_trim(rem)
+    inv_lc = RatFunc.one(field) / b[-1]
+    quo = [RatFunc.zero(field)] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c.is_zero:
+            q = c * inv_lc
+            quo[i - db] = q
+            for j, bc in enumerate(b):
+                rem[i - db + j] = rem[i - db + j] - q * bc
+    return _o_trim(quo), _o_trim(rem[:db])
+
+
+def _o_inv_mod(a, m, field):
+    """s with s * a = 1 modulo m, by the extended Euclidean algorithm."""
+    r0, r1 = list(m), _o_trim(list(a))
+    s0, s1 = [], [RatFunc.one(field)]
+    while r1:
+        q, r = _o_divmod(r0, r1, field)
+        r0, r1 = r1, r
+        s0, s1 = s1, _o_add(s0, [-c for c in _o_mul(q, s1, field)], field)
+    assert len(r0) == 1
+    return [c / r0[0] for c in s0]
+
+
+def _o_matinv(m, field):
+    n = len(m)
+    a = [list(row) + [RatFunc.const(field, 1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if not a[r][col].is_zero)
+        a[col], a[piv] = a[piv], a[col]
+        inv = RatFunc.one(field) / a[col][col]
+        a[col] = [c * inv for c in a[col]]
+        for r in range(n):
+            if r != col and not a[r][col].is_zero:
+                f = a[r][col]
+                a[r] = [c - f * d for c, d in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+class Oracle:
+    """Old-style arithmetic on one curve; elements are d-tuples of RatFunc."""
+
+    def __init__(self, curve):
+        self.curve, self.field, self.d = curve, curve.field, curve.ext_degree
+        f, x = self.field, RatFunc.x(self.field)
+        if curve.model == "ell":
+            self.minpoly = [-RatFunc.from_poly(curve.c_poly()), RatFunc.zero(f), RatFunc.one(f)]
+        elif curve.model == "raynaud":
+            q = curve.q
+            self.minpoly = ([-(x ** (q - 1)), 1 / x] + [RatFunc.zero(f)] * (q - 3)
+                            + [RatFunc.one(f)])
+
+    def vec(self, comps):
+        cs = _o_trim(list(comps))
+        if len(cs) > self.d:
+            cs = _o_divmod(cs, self.minpoly, self.field)[1]
+        return tuple(cs + [RatFunc.zero(self.field)] * (self.d - len(cs)))
+
+    def const(self, c):
+        return self.vec([RatFunc.const(self.field, c)])
+
+    def y(self):
+        return self.vec([RatFunc.zero(self.field), RatFunc.one(self.field)])
+
+    def add(self, a, b):
+        return tuple(u + v for u, v in zip(a, b))
+
+    def mul(self, a, b):
+        return self.vec(_o_mul(_o_trim(list(a)), _o_trim(list(b)), self.field))
+
+    def inv(self, a):
+        if self.d == 1:
+            return (1 / a[0],)
+        return self.vec(_o_inv_mod(a, self.minpoly, self.field))
+
+    def pow(self, a, n):
+        out = self.const(1)
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+    def yprime(self):
+        curve, f = self.curve, self.field
+        if curve.model == "ell":
+            c = RatFunc.from_poly(curve.c_poly())
+            cp = RatFunc.from_poly(curve.c_poly().derivative())
+            return self.vec([RatFunc.zero(f), cp / (2 * c)])
+        q, y = curve.q, self.y()
+        den = self.add(self.mul(self.vec([RatFunc.x(f)]), self.pow(y, q - 2)), self.const(-1))
+        return self.mul(self.pow(y, q - 1), self.inv(den))
+
+    def derivative(self, a):
+        straight = tuple(c.derivative() for c in a)
+        if self.d == 1:
+            return straight
+        chain = self.vec([k * a[k] for k in range(1, self.d)])
+        return self.add(straight, self.mul(chain, self.yprime()))
+
+    def zpows(self):
+        if self.d == 1:
+            return [self.const(1)]
+        z = self.pow(self.y(), self.curve.p)
+        pows = [self.const(1)]
+        for _ in range(self.d - 1):
+            pows.append(self.mul(pows[-1], z))
+        return pows
+
+    def pth_power(self, a):
+        acc = self.const(0)
+        for c, zk in zip(a, self.zpows()):
+            acc = self.add(acc, self.mul(self.vec([c.pth_power()]), zk))
+        return acc
+
+    def zbasis(self, a):
+        cols = self.zpows()
+        minv = _o_matinv([[cols[j][i] for j in range(self.d)] for i in range(self.d)],
+                         self.field)
+        out = []
+        for row in minv:
+            acc = RatFunc.zero(self.field)
+            for c, comp in zip(row, a):
+                acc = acc + c * comp
+            out.append(acc)
+        return out
+
+    def xz(self, a):
+        """The Z-chart vector of a Raynaud element (X = x/y, Z = 1/y)."""
+        q, f = self.curve.q, self.field
+        zero = RatFunc.zero(f)
+        w = RatFunc.from_poly(UPoly(f, [0, -1] + [0] * (q - 2) + [1]))
+        zmin = [-w] + [zero] * (q - 2) + [RatFunc.one(f)]
+
+        def zshift(comps, e):
+            out = [zero] * (q - 1)
+            for k, c in enumerate(comps):
+                if not c.is_zero:
+                    out[(k + e) % (q - 1)] = out[(k + e) % (q - 1)] + c * w ** ((k + e) // (q - 1))
+            return out
+
+        def homog(poly):
+            vec = [zero] * (q - 1)
+            for i, c in enumerate(poly.coeffs):
+                if c:
+                    term = [RatFunc.from_poly(UPoly.monomial(f, i, c))] + [zero] * (q - 2)
+                    vec = [u + v for u, v in zip(vec, zshift(term, poly.degree - i))]
+            return vec, poly.degree
+
+        total = [zero] * (q - 1)
+        for k, c in enumerate(a):
+            if c.is_zero:
+                continue
+            nvec, dn = homog(c.num)
+            dvec, dd = homog(c.den)
+            part = _o_mul(_o_trim(list(nvec)), _o_inv_mod(dvec, zmin, f), f)
+            part = list(_o_divmod(part, zmin, f)[1]) + [zero] * (q - 1)
+            part = zshift(part[: q - 1], dd - dn - k)
+            total = [u + v for u, v in zip(total, part)]
+        return total
+
+
+ORACLE_CURVES = {
+    "p1-3": line(3, 0, 1, INF),
+    "p1-5": line(5, 0, 1, INF),
+    "p1-7": line(7, 0, 1, INF),
+    "ell-5,1,2": Weierstrass(F5, 1, 2),
+    "ell-7,3,5": Weierstrass(F7, 3, 5),
+    "ray-3,2": RaynaudPlane(F3, 2),
+    "ray-5,1": RaynaudPlane(F5, 1),
+    "ray-3,3": RaynaudPlane(F3, 3),
+}
+ORACLES = {name: Oracle(c) for name, c in ORACLE_CURVES.items()}
+
+
+@st.composite
+def oracle_elements(draw, curve, nonzero=False):
+    """d RatFunc components: short numerators over small monic denominators;
+    at most three nonzero components keep the oracle affordable."""
+    field, p, d = curve.field, curve.p, curve.ext_degree
+    dens = ((1,), (0, 1), (1, 1), (0, 0, 1), (p - 1, 0, 1), (2, 1, 1))
+    support = draw(st.lists(st.integers(0, d - 1), min_size=1 if nonzero else 0,
+                            max_size=min(d, 3), unique=True))
+    comps = [RatFunc.zero(field)] * d
+    for k in support:
+        num = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+        if nonzero and not any(num):
+            num[0] = 1
+        comps[k] = RatFunc(field, UPoly(field, num), UPoly(field, draw(st.sampled_from(dens))))
+    return FFElem(curve, comps)
+
+
+ORACLE_IDS = sorted(ORACLE_CURVES)
+
+
+class TestIntegralRepresentationOracle:
+    """Ring laws and every FFElem operation against the RatFunc oracle."""
+
+    @pytest.mark.parametrize("name", ORACLE_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_ring_laws_and_products(self, name, data):
+        curve, o = ORACLE_CURVES[name], ORACLES[name]
+        a, b, c = (data.draw(oracle_elements(curve)) for _ in range(3))
+        assert (a * b).comps == o.mul(a.comps, b.comps)
+        assert (a + b).comps == o.add(a.comps, b.comps)
+        assert (a - b).comps == o.add(a.comps, tuple(-u for u in b.comps))
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) + c == a + (b + c)
+        assert (a - a).is_zero and a + 0 == a and a * 1 == a
+
+    @pytest.mark.parametrize("name", ORACLE_IDS)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_inverse(self, name, data):
+        curve, o = ORACLE_CURVES[name], ORACLES[name]
+        a = data.draw(oracle_elements(curve, nonzero=True))
+        inv = a.inverse()
+        assert inv.comps == o.inv(a.comps)
+        assert a * inv == 1
+        assert (a / a) == 1
+
+    @pytest.mark.parametrize("name", ORACLE_IDS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_derivative_and_leibniz(self, name, data):
+        curve, o = ORACLE_CURVES[name], ORACLES[name]
+        a, b = (data.draw(oracle_elements(curve)) for _ in range(2))
+        assert a.derivative().comps == o.derivative(a.comps)
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+    @pytest.mark.parametrize("name", ORACLE_IDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_pth_power_and_root(self, name, data):
+        curve, o = ORACLE_CURVES[name], ORACLES[name]
+        a = data.draw(oracle_elements(curve))
+        g = a.pth_power()
+        assert g.comps == o.pth_power(a.comps)
+        assert g == a ** curve.p
+        assert g.pth_root() == a
+        if not a.derivative().is_zero:
+            assert a.pth_root() is None
+
+    @pytest.mark.parametrize("name", ORACLE_IDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_zbasis_reconstructs(self, name, data):
+        curve, o = ORACLE_CURVES[name], ORACLES[name]
+        a = data.draw(oracle_elements(curve))
+        s = a.to_zbasis()
+        assert s == o.zbasis(a.comps)
+        z = curve.y_elem() ** curve.p if curve.ext_degree > 1 else curve.ff_const(1)
+        total, zj = curve.ff_const(0), curve.ff_const(1)
+        for sj in s:
+            total, zj = total + sj * zj, zj * z
+        assert total == a
+
+    @pytest.mark.parametrize("name", [n for n in ORACLE_IDS if n.startswith("ray")])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_xz_components(self, name, data):
+        curve, o = ORACLE_CURVES[name], ORACLES[name]
+        a = data.draw(oracle_elements(curve))
+        assert xz_components(curve, a) == o.xz(a.comps)
+
+    @pytest.mark.parametrize("name", ORACLE_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_render_eq_hash(self, name, data):
+        curve, o = ORACLE_CURVES[name], ORACLES[name]
+        a, b = (data.draw(oracle_elements(curve)) for _ in range(2))
+        prod = o.mul(a.comps, b.comps)
+        assert (a * b).render() == " ; ".join(c.render() for c in prod)
+        rebuilt = FFElem(curve, prod)
+        assert rebuilt == a * b and hash(rebuilt) == hash(a * b)
+        assert rebuilt.render() == (b * a).render()
+        assert (a + 1 != a) and a == FFElem(curve, a.comps)
+
+
+@pytest.mark.parametrize("name", ORACLE_IDS)
+def test_cancellation_leaves_canonical_form(name):
+    # numerators longer than the denominator that share a factor with it
+    curve, o = ORACLE_CURVES[name], ORACLES[name]
+    field = curve.field
+    u = RatFunc(field, UPoly(field, (1, 1)) ** 3 * UPoly.monomial(field, 5), UPoly.one(field))
+    v = RatFunc(field, UPoly.one(field), UPoly(field, (0, 1, 1)))
+    a = FFElem(curve, [u] * curve.ext_degree)
+    b = FFElem(curve, [v])
+    prod = a * b
+    assert prod.comps == o.mul(a.comps, b.comps)
+    assert prod.den == UPoly.one(field)
+
+
+def _lucas_ab(p, q, l):
+    """A, B in F_p[x, z] with Y^p = A Y + B modulo Y^2 - x^q Y + x z^l, as
+    dicts (i, j) -> coefficient of x^i z^j."""
+    a, b = {(0, 0): 1}, {}
+    for _ in range(p - 1):
+        na = {(i + q, j): c for (i, j), c in a.items()}
+        for key, c in b.items():
+            na[key] = (na.get(key, 0) + c) % p
+        b = {(i + 1, j + l): -c % p for (i, j), c in a.items()}
+        a = {k: c for k, c in na.items() if c}
+    return a, b
+
+
+@pytest.mark.parametrize("p,l", [(3, 2), (3, 3), (5, 1), (5, 3), (7, 1), (7, 3)])
+def test_y_from_z_on_raynaud(p, l):
+    """y^p = A y + B with A != 0, so y = (z - B) / A lies in F_p(x)(z)."""
+    curve = RaynaudPlane(PrimeField(p), l)
+    x, y = curve.x_elem(), curve.y_elem()
+    z = y.pth_power()
+    zl = z ** l
+
+    def value(poly):
+        acc = curve.ff_const(0)
+        for (i, j), c in sorted(poly.items()):
+            acc = acc + c * x ** i * zl ** (j // l)
+        return acc
+
+    a, b = _lucas_ab(p, curve.q, l)
+    av = value(a)
+    assert not av.is_zero
+    assert av * y + value(b) == z
