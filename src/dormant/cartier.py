@@ -19,7 +19,7 @@ from .errors import (
     ReconstructionFailure,
     UndeclaredPoleDetected,
 )
-from .field import RatFunc, TruncSeries, UPoly
+from .field import TruncSeries, UPoly
 from .curves import (
     INF,
     Differential,
@@ -35,22 +35,6 @@ from .connections import (
     p_curvature,
     solve_dlog,
 )
-
-
-def _split_ratfunc(r: RatFunc):
-    """s_0..s_{p-1} with r = sum s_i^p x^i; clears the denominator first.
-
-    The split of the spread num * den^(p-1) = sum x^i t_i(x^p) is checked
-    coefficient by coefficient before s_i = t_i / den is formed.
-    """
-    field = r.field
-    p = field.p
-    spread = r.num * r.den ** (p - 1)
-    parts = spread.frobenius_split()
-    width = max(len(t.coeffs) for t in parts)
-    if UPoly(field, [t.coeff(q) for q in range(width) for t in parts]) != spread:
-        raise ReconstructionFailure("p-basis split does not recombine")
-    return [RatFunc(field, part, r.den) for part in parts]
 
 
 class CartierOutput:
@@ -107,30 +91,34 @@ def _recombine_check(curve, components, h):
 
 def cartier_p1(omega: Differential) -> CartierOutput:
     """Cartier data of a rational differential on the line."""
-    curve = omega.curve
-    if curve.ext_degree != 1:
+    if omega.curve.ext_degree != 1:
         raise CurveMismatch("rational-function route needs the line")
-    comps = [FFElem(curve, (s,)) for s in _split_ratfunc(omega.h.as_ratfunc())]
-    return CartierOutput(curve, omega, comps)
+    return cartier_curve(omega)
 
 
 def cartier_curve(omega: Differential) -> CartierOutput:
-    """Cartier data of h dx on any supported curve.
+    """Cartier data of h dx on any supported curve, the line included.
 
-    Writes h over the basis (y^p)^j with coefficients in F_p(x), splits each
-    coefficient against the p-basis {1, x, .., x^(p-1)}, and reassembles the
-    h_i inside the function field.
+    Writes h = sum_j S_j z^j / E over z = y^p and spreads each
+    S_j E^(p-1) = sum_i x^i t_ij(x^p), a split checked coefficient by
+    coefficient.  Since S_j / E = sum_i x^i (t_ij / E)^p, the components
+    are h_i = (sum_j t_ij y^j) / E.
     """
     curve = omega.curve
-    if curve.ext_degree == 1:
-        return cartier_p1(omega)
-    p = curve.p
-    cols = [_split_ratfunc(s) for s in omega.h.to_zbasis()]
-    comps = [
-        FFElem(curve, [cols[j][i] for j in range(curve.ext_degree)])
-        for i in range(p)
-    ]
-    _recombine_check(curve, comps, omega.h)
+    field, p = curve.field, curve.p
+    s, e = omega.h._zvec()
+    lift = UPoly(field, e) ** (p - 1)
+    cols = []
+    for c in s:
+        spread = UPoly(field, c) * lift
+        parts = spread.frobenius_split()
+        width = max(len(t.coeffs) for t in parts)
+        if UPoly(field, [t.coeff(q) for q in range(width) for t in parts]) != spread:
+            raise ReconstructionFailure("p-basis split does not recombine")
+        cols.append(parts)
+    comps = [FFElem._make(curve, [col[i].coeffs for col in cols], list(e)) for i in range(p)]
+    if curve.ext_degree > 1:
+        _recombine_check(curve, comps, omega.h)
     return CartierOutput(curve, omega, comps)
 
 

@@ -447,7 +447,7 @@ def _run_pcurv(spec: JobSpec) -> str:
 def _run_cartier(spec: JobSpec) -> str:
     h = _value(spec, "form")
     omega = Differential(spec.curve, h)
-    out = cartier_p1(omega) if spec.curve.model == "p1" else cartier_curve(omega)
+    out = cartier_curve(omega)
     img = out.image.h
     if spec.machine:
         return f"cartier exact={_bool(out.is_exact)}\n{img.render()}"

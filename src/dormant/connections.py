@@ -19,7 +19,7 @@ from .errors import (
     NotFlat,
     UndeclaredPoleDetected,
 )
-from .field import RatFunc, UPoly, _mul, _trim
+from .field import RatFunc, UPoly, _deriv, _list_add, _mul, _shift, _trim
 from .curves import (
     INF,
     Differential,
@@ -29,10 +29,7 @@ from .curves import (
     RaynaudPlane,
     Weierstrass,
     _Memo,
-    _deriv,
-    _list_add,
     _over_lcm,
-    _shift,
     _vadd,
     _vmul,
     branch_at,
@@ -379,20 +376,14 @@ def _apparent_residue_p1(a: RatFunc, mark) -> int:
 def monodromy(conn: LogConnection) -> MonodromyVector:
     if conn.rank != 1:
         raise ValueError("monodromy vector is a rank-one notion")
-    curve = conn.curve
-    marks = conn.marks
-    if curve.model == "p1":
+    vals = []
+    if conn.curve.model == "p1":  # the other models carry no marks
         a = conn.scalar().as_ratfunc()
         vals = [
             _apparent_residue_p1(a, m) - conn.label.correction_at(m)
-            for m in marks
+            for m in conn.marks
         ]
-    else:
-        vals = []
-        for m in marks:
-            br = branch_at(curve, m, 4 * curve.p)
-            vals.append(br.form_residue(conn.scalar()) - conn.label.correction_at(m))
-    return MonodromyVector(curve, marks, vals)
+    return MonodromyVector(conn.curve, conn.marks, vals)
 
 
 def residue_pcurvature_identity(conn: LogConnection):

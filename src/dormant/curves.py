@@ -15,7 +15,6 @@ from itertools import zip_longest
 
 from .errors import (
     CurveMismatch,
-    InsufficientPrecision,
     NewtonStall,
     SemanticError,
     SingularPoint,
@@ -27,10 +26,14 @@ from .field import (
     TruncSeries,
     UPoly,
     _Ring,
+    _canon,
+    _deriv,
     _div_exact,
-    _gcd,
+    _frac_sum,
+    _list_add,
     _mul,
     _series_inv,
+    _shift,
     _trim,
     poly_at_series,
 )
@@ -56,11 +59,6 @@ class _Algebra:
         self.m = [_trim([c % p for c in u]) for u in m]
         # x^s Y^(d+j) = sum_k -m_k Y^(j+k)
         self.terms = [(k, [-c % p for c in u]) for k, u in enumerate(self.m[:-1]) if u]
-
-
-def _shift(a, n):
-    """x^n * a."""
-    return [0] * n + list(a) if a and n else list(a)
 
 
 def _vadd(u, v, p):
@@ -106,31 +104,6 @@ def _vmul(a, b, alg):
     fa, fb = ([t for c in v for t in c + [0] * (stride - len(c))] for v in (a, b))
     prod = _mul(fa, fb, alg.p)
     return _reduce([_trim(prod[k : k + stride]) for k in range(0, len(prod), stride)], alg)
-
-
-def _canon(num, den, p, coprime=False):
-    """(numerators, den) with den monic and gcd(den, numerators) = 1.
-
-    The power of x in den cancels by valuations; the rest takes one gcd
-    chain, shortest numerator first, stopped at the first constant gcd.
-    """
-    num = [list(c) for c in num]
-    nz = [c for c in num if c]
-    if not nz:
-        return [[] for _ in num], [1]
-    if not coprime:
-        v = min(next(i for i, c in enumerate(e) if c) for e in nz + [den])
-        den, num = den[v:], [c[v:] for c in num]
-        g = den if any(den[:-1]) else [1]  # a monomial den is coprime by now
-        for c in sorted(nz, key=len):
-            if len(g) == 1:
-                break
-            g = _gcd(g, c[v:], p)
-        if len(g) > 1:
-            inv = _series_inv(g[::-1], max(map(len, num + [den])), p)
-            den, num = _div_exact(den, g, p, inv), [_div_exact(c, g, p, inv) for c in num]
-    inv = pow(den[-1], p - 2, p)
-    return [[c * inv % p for c in e] for e in num], [c * inv % p for c in den]
 
 
 def _inverse(a, alg, rhs=([1],)):
@@ -382,8 +355,8 @@ class FFElem(_Ring):
 
     num is a y-basis vector over F_p[x] (d coefficient tuples) and den a
     monic UPoly, in canonical form: gcd(den, every numerator entry) = 1.
-    The constructor takes RatFunc, UPoly or int components; comps gives
-    them back as reduced RatFuncs.
+    The constructor takes RatFunc, UPoly or int components over the
+    curve's field; comps gives them back as reduced RatFuncs.
     """
 
     # _xz: the Z-chart vector (xz_components), set by Z0Place on first use
@@ -398,6 +371,8 @@ class FFElem(_Ring):
                 c = RatFunc.const(curve.field, c)
             elif not isinstance(c, RatFunc):
                 raise TypeError(f"bad component {c!r}")
+            if c.field != curve.field:
+                raise ValueError("mixed fields")
             rats.append(c)
         if len(rats) == 1:  # a reduced RatFunc is canonical
             return self._set(curve, [rats[0].num.coeffs], rats[0].den.coeffs)
@@ -444,13 +419,8 @@ class FFElem(_Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p, a, b = self.curve.p, self.den.coeffs, o.den.coeffs
-        if a == b:  # integral sums stay coprime
-            num = [_list_add(u, v, p) for u, v in zip(self.num, o.num)]
-            return FFElem._make(self.curve, num, list(a), len(a) == 1)
-        # gcd(a, u b + v a) = gcd(a, u) when b = 1, and symmetrically
-        num = [_list_add(_mul(u, b, p), _mul(v, a, p), p) for u, v in zip(self.num, o.num)]
-        return FFElem._make(self.curve, num, _mul(a, b, p), 1 in (len(a), len(b)))
+        return FFElem._make(self.curve, *_frac_sum(
+            self.num, self.den.coeffs, o.num, o.den.coeffs, self.curve.p))
 
     __radd__ = __add__
 
@@ -542,13 +512,6 @@ class FFElem(_Ring):
             return _zbasis_raynaud(curve, num, den)
         return num, den
 
-    def to_zbasis(self):
-        """Components s_j with self = sum_j s_j * (y^p)^j; s_j in F_p(x)."""
-        field = self.curve.field
-        s, e = self._zvec()
-        s += [[]] * (self.curve.ext_degree - len(s))
-        return [RatFunc(field, UPoly(field, c), UPoly(field, e)) for c in s]
-
     def pth_root(self):
         """g with g^p = self, or None when self is not a p-th power: in
         canonical form, when the z-basis denominator or a numerator is not
@@ -579,6 +542,8 @@ class FFElem(_Ring):
         if isinstance(other, FFElem):
             return (other.curve == self.curve and other.num == self.num
                     and other.den == self.den)
+        if isinstance(other, (UPoly, RatFunc)) and other.field != self.curve.field:
+            return False  # arithmetic refuses mixed fields; equality says no
         if isinstance(other, (int, UPoly, RatFunc)):
             return self == FFElem(self.curve, (other,))
         return NotImplemented
@@ -598,10 +563,6 @@ def _over_lcm(pairs, field):
         if d.degree > 0:
             den = den // den.gcd(d) * d
     return den, [[_mul(c, (den // d).coeffs, field.p) for c in v] for v, d in pairs]
-
-
-def _deriv(a, p):
-    return _trim([i * c % p for i, c in enumerate(a)][1:])
 
 
 def _zalg(curve) -> _Algebra:
@@ -661,12 +622,6 @@ def _zbasis_raynaud(curve, num, den):
 
 # ---------------------------------------------------------------------------
 # branches
-
-def _list_add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim([(u + v) % p for u, v in zip(a, b)] + [c % p for c in a[len(b):]])
-
 
 def _newton_series(field, ycoeffs, y0, prec):
     """Solve P(t, Y) = 0 for the series Y(t), Y(0) = y0.
@@ -1082,20 +1037,6 @@ def valuation(f, place) -> int:
     if isinstance(f, Differential):
         return place.form_valuation(f.h)
     return place.valuation_of(f)
-
-
-def series_expand(f, branch: SeriesBranch, prec: int) -> TruncSeries:
-    """Expansion with at least prec coefficients past the leading term."""
-    s = branch.expand(f)
-    if s.is_zero_to_prec:
-        if getattr(f, "is_zero", False):
-            raise ZeroElement("expansion of 0")
-        raise InsufficientPrecision("no visible leading term; re-derive branch")
-    if s.prec != float("inf") and s.prec - s.valuation() < prec:
-        raise InsufficientPrecision(
-            f"only {s.prec - s.valuation()} coefficients available, need {prec}"
-        )
-    return s.truncate(s.valuation() + prec) if s.prec != float("inf") else s
 
 
 class Differential:

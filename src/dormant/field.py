@@ -11,6 +11,10 @@ the other; below a product of lengths of _KRONECKER_AT it runs the schoolbook
 loop; above, it packs each list into one int with slots wide enough for any
 product coefficient (Kronecker substitution) and does one big-int multiply.
 Series inverses are Newton iterations on the same kernel.
+
+A fraction has one normal form, _canon: numerators over one monic
+denominator, coprime.  A RatFunc is its one-numerator case and a
+function-field element (curves.FFElem) its vector case.
 """
 from __future__ import annotations
 
@@ -59,9 +63,6 @@ class PrimeField:
         if p % 2 == 0 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
 
     def neg(self, a: int) -> int:
         return -a % self.p
@@ -429,9 +430,10 @@ def _gcd(a, b, p):
 
 
 def _div_exact(a, b, p, inv=None):
-    """a / b over F_p when b divides a: the reversed quotient is a truncated
-    product with the series inverse of reversed b.  inv, that inverse to
-    at least len(a) - len(b) + 1 terms, serves many dividends of one b."""
+    """a / b over F_p when b divides a.  With inv, the series inverse of
+    reversed b to at least len(a) - len(b) + 1 terms, the reversed quotient
+    is one truncated product, so many dividends of one b share it; without
+    inv it is long division."""
     n = len(a) - len(b) + 1
     if n <= 0:
         return []
@@ -439,7 +441,7 @@ def _div_exact(a, b, p, inv=None):
         c = pow(b[0], p - 2, p)
         return [v * c % p for v in a]
     if inv is None:
-        inv = _series_inv(b[::-1], n, p)
+        return _divmod(a, b, p)[0]
     return _mul(a[::-1][:n], inv, p, n)[::-1]
 
 
@@ -449,29 +451,82 @@ def _trim(a):
     return a
 
 
+def _shift(a, n):
+    """x^n * a."""
+    return [0] * n + list(a) if a and n else list(a)
+
+
+def _list_add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([(u + v) % p for u, v in zip(a, b)] + [c % p for c in a[len(b):]])
+
+
+def _deriv(a, p):
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _frac_sum(u, a, v, b, p):
+    """u/a + v/b for numerator vectors u, v over canonical monic a, b, as
+    (numerators, den, coprime) for _canon.  No gcd is owed when a or b is 1:
+    gcd(a, u b + v a) = gcd(a, u) = 1 when b = 1, and symmetrically."""
+    coprime = 1 in (len(a), len(b))
+    if a == b:
+        return [_list_add(s, t, p) for s, t in zip(u, v)], list(a), coprime
+    num = [_list_add(_mul(s, b, p), _mul(t, a, p), p) for s, t in zip(u, v)]
+    return num, _mul(a, b, p), coprime
+
+
+def _canon(num, den, p, coprime=False):
+    """(numerators, den) with den monic and gcd(den, numerators) = 1.
+
+    The one normal form of a fraction: a RatFunc is the case of one
+    numerator.  The power of x in den cancels by valuations; the rest takes
+    one gcd chain, shortest numerator first, stopped at the first constant
+    gcd.  coprime=True promises gcd 1 and only makes den monic.
+    """
+    num = [list(c) for c in num]
+    nz = [c for c in num if c]
+    if not nz:
+        return [[] for _ in num], [1]
+    if not coprime:
+        v = min(next(i for i, c in enumerate(e) if c) for e in nz + [den])
+        den, num = den[v:], [c[v:] for c in num]
+        g = den if any(den[:-1]) else [1]  # a monomial den is coprime by now
+        for c in sorted(nz, key=len):
+            if len(g) == 1:
+                break
+            g = _gcd(g, c[v:], p)
+        if len(g) > 1:
+            den, num = _div_exact(den, g, p), [_div_exact(c, g, p) for c in num]
+    inv = pow(den[-1], p - 2, p)
+    return [[c * inv % p for c in e] for e in num], [c * inv % p for c in den]
+
+
 class RatFunc(_Ring):
-    """Reduced rational function num/den over F_p; den monic, gcd 1."""
+    """Reduced rational function num/den over F_p; den monic, gcd 1.
+
+    The normal form is _canon's, the one every function-field element
+    shares.  Operations that keep the pair coprime skip the gcd.
+    """
 
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: PrimeField, num: UPoly, den: UPoly | None = None):
         if den is None:
             den = UPoly.one(field)
+        for f in (num.field, den.field):
+            if f is not field and f != field:
+                raise ValueError("mixed fields")
+        self.field = field
+        if den.coeffs == (1,):  # a polynomial is in normal form
+            self.num, self.den = num, den
+            return
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
-        if num.is_zero:
-            num, den = UPoly.zero(field), UPoly.one(field)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            if den.coeffs[-1] != 1:
-                c = field.inv(den.coeffs[-1])
-                num = num * c
-                den = den * c
-        self.field = field
-        self.num = num
-        self.den = den
+        (n,), d = _canon([num.coeffs], den.coeffs, field.p)
+        self.num = UPoly(field, n)
+        self.den = UPoly(field, d)
 
     @classmethod
     def from_poly(cls, poly: UPoly):
@@ -519,14 +574,16 @@ class RatFunc(_Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(
-            self.field, self.num * o.den + o.num * self.den, self.den * o.den
-        )
+        field = self.field
+        (num,), den, coprime = _frac_sum(
+            [self.num.coeffs], self.den.coeffs, [o.num.coeffs], o.den.coeffs, field.p)
+        num, den = UPoly(field, num), UPoly(field, den)
+        return RatFunc._reduced(num, den) if coprime else RatFunc(field, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.field, -self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -554,8 +611,9 @@ class RatFunc(_Ring):
         if n < 0:
             if self.is_zero:
                 raise ZeroDenominator("negative power of 0")
-            return RatFunc(self.field, self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.field, self.num**n, self.den**n)
+            c = self.field.inv(self.num.lc())
+            return RatFunc._reduced(self.den * c, self.num * c) ** -n
+        return RatFunc._reduced(self.num**n, self.den**n)
 
     def derivative(self) -> "RatFunc":
         n, d = self.num, self.den
@@ -569,7 +627,8 @@ class RatFunc(_Ring):
         return self.derivative() / self
 
     def pth_power(self) -> "RatFunc":
-        return RatFunc(self.field, self.num.pth_power(), self.den.pth_power())
+        """Frobenius keeps the pair coprime and den monic."""
+        return RatFunc._reduced(self.num.pth_power(), self.den.pth_power())
 
     def pth_root(self):
         """g with g^p = self, or None.  Canonical form makes this exact."""
@@ -577,7 +636,7 @@ class RatFunc(_Ring):
         rd = self.den.pth_root()
         if rn is None or rd is None:
             return None
-        return RatFunc(self.field, rn, rd)
+        return RatFunc._reduced(rn, rd)
 
     def evaluate(self, a: int) -> int:
         d = self.den.evaluate(a)
@@ -652,21 +711,18 @@ class RatFunc(_Ring):
         return f"{self.num.render()} / {self.den.render()}"
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, RatFunc) else other
-        if not isinstance(o, RatFunc):
+        if isinstance(other, (RatFunc, UPoly)) and other.field != self.field:
+            return False  # arithmetic refuses mixed fields; equality says no
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return o.field == self.field and o.num == self.num and o.den == self.den
+        return o.num == self.num and o.den == self.den
 
     def __hash__(self):
         return hash((self.field.p, self.num.coeffs, self.den.coeffs))
 
     def __repr__(self):
         return f"RatFunc({self.num.render()} / {self.den.render()}, p={self.field.p})"
-
-
-def rat_normalize(num: UPoly, den: UPoly) -> RatFunc:
-    """Canonical num/den form; idempotent."""
-    return RatFunc(num.field, num, den)
 
 
 class TruncSeries(_Ring):
@@ -868,9 +924,3 @@ def poly_at_series(poly: UPoly, s: TruncSeries) -> TruncSeries:
             lo = prec
     return TruncSeries(poly.field, s.center, lo, cs, prec)
 
-
-def ratfunc_at_series(f: RatFunc, s: TruncSeries, prec_hint=None) -> TruncSeries:
-    """Evaluate num/den at a series; prec_hint bounds exact-denominator inverses."""
-    n = poly_at_series(f.num, s)
-    d = poly_at_series(f.den, s)
-    return n * d.inverse(prec_hint=prec_hint)

@@ -117,9 +117,6 @@ class CartanConnection:
     def n(self) -> int:
         return len(self.components)
 
-    def monodromy_tuple(self):
-        return tuple(monodromy(comp) for comp in self.components)
-
     def __eq__(self, other):
         if not isinstance(other, CartanConnection):
             return NotImplemented

@@ -164,16 +164,16 @@ def certify_tango_structure(curve, f, places: Optional[Sequence] = None) -> Tang
 
 
 class GeneralizedTango:
-    """A candidate f with div(df) = p(p-1) N and the realizing unit nu."""
+    """A candidate f with div(df) = p(p-1) N; the divisor match is exact,
+    so the unit that realizes it is a constant."""
 
-    __slots__ = ("curve", "f", "N", "divisor", "nu")
+    __slots__ = ("curve", "f", "N", "divisor")
 
-    def __init__(self, curve, f: FFElem, N: Divisor, divisor: Divisor, nu: FFElem):
+    def __init__(self, curve, f: FFElem, N: Divisor, divisor: Divisor):
         self.curve = curve
         self.f = f
         self.N = N
         self.divisor = divisor
-        self.nu = nu
 
     def render(self) -> str:
         return f"generalized tango deg(N)={self.N.degree()} divisor={self.divisor.render()}"
@@ -196,9 +196,7 @@ def build_generalized_tango(curve, f, N: Divisor, places: Optional[Sequence] = N
     cand, div = _df_divisor(curve, f, places)
     if div != N.times(m):
         raise InvalidCertificate("div(df) is not p(p-1) N for the proposed N")
-    # the divisor match is exact, so the trivializing unit is a constant
-    nu = curve.ff_const(1)
-    return GeneralizedTango(curve, cand, N, div, nu)
+    return GeneralizedTango(curve, cand, N, div)
 
 
 class TangoSearchReport:

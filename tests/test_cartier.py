@@ -125,7 +125,7 @@ class TestCartierLine:
             out.antiderivative()
 
     def test_corrupt_split_is_caught(self, monkeypatch):
-        # the spread check in _split_ratfunc is the line route's only
+        # the per-spread check in cartier_curve is the line's only
         # recombination check, so a wrong p-basis part must not pass it
         split = UPoly.frobenius_split
 

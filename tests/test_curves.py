@@ -1,6 +1,7 @@
 """Curve models, function-field arithmetic, branches and divisors."""
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from dormant.curves import (
     is_ordinary,
     raynaud_p_inf,
     raynaud_smoothness_report,
-    series_expand,
     valuation,
     xz_components,
     z0_places,
@@ -355,7 +355,7 @@ class TestP1Branches:
         curve = line(5, 0, 1, INF)
         br = branch_at(curve, 0, 10)
         x = RatFunc.x(F5)
-        s = series_expand(curve.ff(1 / x), br, 6)
+        s = br.expand(curve.ff(1 / x))
         assert s.valuation() == -1
         assert s.coeff(-1) == 1
 
@@ -446,7 +446,9 @@ class TestComputeOnce:
 # ---------------------------------------------------------------------------
 # oracle: function-field arithmetic on y-basis vectors of RatFunc components,
 # a gcd after every component operation; the library's integral
-# representation must agree with it operation by operation
+# representation must agree with it operation by operation.  RatFunc shares
+# the library's normal form, so test_field.py pins every RatFunc operation
+# to a textbook reference (UPoly.gcd, //, monic) that does not.
 
 def _o_trim(a):
     while a and a[-1].is_zero:
@@ -729,7 +731,10 @@ class TestIntegralRepresentationOracle:
     def test_zbasis_reconstructs(self, name, data):
         curve, o = ORACLE_CURVES[name], ORACLES[name]
         a = data.draw(oracle_elements(curve))
-        s = a.to_zbasis()
+        # self = sum_j S_j (y^p)^j / E, read off the canonical z-vector
+        s, e = a._zvec()
+        s = [RatFunc(curve.field, UPoly(curve.field, c), UPoly(curve.field, e))
+             for c in s + [[]] * (curve.ext_degree - len(s))]
         assert s == o.zbasis(a.comps)
         z = curve.y_elem() ** curve.p if curve.ext_degree > 1 else curve.ff_const(1)
         total, zj = curve.ff_const(0), curve.ff_const(1)
@@ -771,6 +776,26 @@ def test_cancellation_leaves_canonical_form(name):
     prod = a * b
     assert prod.comps == o.mul(a.comps, b.comps)
     assert prod.den == UPoly.one(field)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_mixed_fields_refused(op):
+    # a foreign coefficient is refused on the line as on the other models,
+    # never reduced modulo the curve's prime
+    foreign = (RatFunc(F7, UPoly(F7, [6, 1])), UPoly(F7, [6, 1]))
+    for curve in (line(5, 0, 1, INF), Weierstrass(F5, 1, 2), RaynaudPlane(F5, 1)):
+        x = curve.x_elem()
+        for other in foreign:
+            for a, b in ((x, other), (other, x)):
+                with pytest.raises(ValueError, match="mixed fields"):
+                    op(a, b)
+            with pytest.raises(ValueError, match="mixed fields"):
+                FFElem(curve, (other,))
+            with pytest.raises(ValueError, match="mixed fields"):
+                FFElem(curve, (1, other))
+            # equality is no arithmetic: a foreign operand is unequal
+            assert x != other and other != x and not x == other
+            assert x not in [other] and other not in [x]
 
 
 def _lucas_ab(p, q, l):

@@ -1,6 +1,7 @@
 """Exact rational function arithmetic over small prime fields."""
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -17,8 +18,6 @@ from dormant.field import (
     _mul,
     _series_inv,
     poly_at_series,
-    rat_normalize,
-    ratfunc_at_series,
 )
 
 F3 = PrimeField(3)
@@ -55,7 +54,7 @@ class TestPrimeField:
     def test_inverse(self):
         for field in FIELDS:
             for a in range(1, field.p):
-                assert field.reduce(a * field.inv(a)) == 1
+                assert a * field.inv(a) % field.p == 1
 
 
 class TestUPoly:
@@ -158,25 +157,25 @@ class TestUPoly:
 class TestRatFunc:
     def test_normalize_cancels_common_factor(self):
         x = UPoly.x(F5)
-        r = rat_normalize(x**2 - 1, x - 1)
+        r = RatFunc(F5, x**2 - 1, x - 1)
         assert r.num == x + 1
         assert r.den == UPoly.one(F5)
 
     def test_normalize_zero_numerator(self):
         x = UPoly.x(F5)
-        r = rat_normalize(UPoly.zero(F5), x**3)
+        r = RatFunc(F5, UPoly.zero(F5), x**3)
         assert r.is_zero
         assert r.den == UPoly.one(F5)
 
     def test_normalize_monic_denominator(self):
         x = UPoly.x(F7)
-        r = rat_normalize(2 * x, UPoly.const(F7, 4))
+        r = RatFunc(F7, 2 * x, UPoly.const(F7, 4))
         assert r.num == 4 * x
         assert r.den == UPoly.one(F7)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDenominator):
-            rat_normalize(UPoly.one(F5), UPoly.zero(F5))
+            RatFunc(F5, UPoly.one(F5), UPoly.zero(F5))
 
     def test_canonical_form_unique(self):
         rng = random.Random(0)
@@ -407,8 +406,7 @@ class TestTruncSeries:
 
     def test_ratfunc_at_series(self):
         x = RatFunc.x(F5)
-        t = TruncSeries.t_power(F5, ("aff", 0), 1)
-        s = ratfunc_at_series(1 / (1 - x), t, prec_hint=5)
+        s = (1 / (1 - x)).series_at(0, 5)
         for n in range(4):
             assert s.coeff(n) == 1
 
@@ -573,3 +571,118 @@ class TestPolyAtSeries:
         got = poly_at_series(UPoly(F5, [-2, 1]), s)
         assert series_state(got) == (3, (), 3, "c")
         assert series_state(got) == series_state(horner_oracle(UPoly(F5, [-2, 1]), s))
+
+
+# ---------------------------------------------------------------------------
+# reference normal form: the textbook reduction (UPoly.gcd, //, monic) that
+# RatFunc used before it shared the function-field normal form; RatFunc must
+# agree with it on construction and after every operation
+
+def ref_normal(num, den):
+    """(num, den) coefficient tuples of num/den in lowest terms, den monic."""
+    if den.is_zero:
+        raise ZeroDenominator("reference: zero denominator")
+    if num.is_zero:
+        return (), (1,)
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    c = num.field.inv(den.lc())
+    return (num * c).coeffs, (den * c).coeffs
+
+
+def state(r):
+    return r.num.coeffs, r.den.coeffs
+
+
+REF_PRIMES = (3, 5, 7, 101)
+# planted common factors of these degrees give gcds from constants to 23
+# terms, so the exact divisions of the normal form run short and long
+PLANTED_DEGREES = (0, 1, 2, 7, 14, 15, 16, 22)
+
+
+@st.composite
+def planted_pairs(draw, field):
+    """(num, den) with a planted common factor and powers of x; den is
+    non-monic and nonzero, num may be zero."""
+    p = field.p
+    coeffs = st.integers(0, p - 1)
+    g = draw(st.lists(coeffs, min_size=draw(st.sampled_from(PLANTED_DEGREES)),
+                      max_size=22))
+    g = UPoly(field, g + [draw(st.integers(1, p - 1))])
+    num = UPoly(field, draw(st.lists(coeffs, max_size=6)))
+    den = UPoly(field, draw(st.lists(coeffs, max_size=5)) + [draw(st.integers(1, p - 1))])
+    x = UPoly.x(field)
+    num = num * g * x ** draw(st.integers(0, 3))
+    den = den * g * x ** draw(st.integers(0, 3))
+    return num, den
+
+
+class TestReferenceNormalForm:
+    @pytest.mark.parametrize("p", REF_PRIMES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_construction(self, p, data):
+        field = PrimeField(p)
+        num, den = data.draw(planted_pairs(field))
+        assert state(RatFunc(field, num, den)) == ref_normal(num, den)
+        assert state(RatFunc(field, num)) == ref_normal(num, UPoly.one(field))
+
+    @pytest.mark.parametrize("p", REF_PRIMES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_operations(self, p, data):
+        field = PrimeField(p)
+        (an, ad), (bn, bd) = (data.draw(planted_pairs(field)) for _ in range(2))
+        a, b = RatFunc(field, an, ad), RatFunc(field, bn, bd)
+        an, ad, bn, bd = a.num, a.den, b.num, b.den
+        assert state(a + b) == ref_normal(an * bd + bn * ad, ad * bd)
+        assert state(a - b) == ref_normal(an * bd - bn * ad, ad * bd)
+        assert state(-a) == ref_normal(-an, ad)
+        assert state(a * b) == ref_normal(an * bn, ad * bd)
+        assert state(a + bn) == ref_normal(an + bn * ad, ad)
+        assert state(a * 3) == ref_normal(an * 3, ad)
+        if not b.is_zero:
+            assert state(a / b) == ref_normal(an * bd, ad * bn)
+        for n in range(-3, 4):
+            if n < 0 and a.is_zero:
+                with pytest.raises(ZeroDenominator):
+                    a ** n
+            elif n < 0:
+                assert state(a**n) == ref_normal(ad ** -n, an ** -n)
+            else:
+                assert state(a**n) == ref_normal(an**n, ad**n)
+        da = an.derivative() * ad - an * ad.derivative()
+        assert state(a.derivative()) == ref_normal(da, ad * ad)
+        if not a.is_zero:
+            assert state(a.dlog()) == ref_normal(da, ad * an)
+        fa = a.pth_power()
+        assert state(fa) == ref_normal(an.pth_power(), ad.pth_power())
+        assert state(fa.pth_root()) == ref_normal(an, ad)
+        if not a.is_zero:  # x times a nonzero p-th power is none
+            assert (fa * RatFunc.x(field)).pth_root() is None
+
+
+class TestMixedFields:
+    """Operands over different primes are refused on every path."""
+
+    def test_constructor(self):
+        with pytest.raises(ValueError, match="mixed fields"):
+            RatFunc(F5, UPoly(F7, [6, 1]))
+        with pytest.raises(ValueError, match="mixed fields"):
+            RatFunc(F5, UPoly(F5, [1]), UPoly(F7, [6, 1]))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_arithmetic(self, op):
+        x = RatFunc.x(F5)
+        for other in (UPoly(F7, [6, 1]), RatFunc(F7, UPoly(F7, [6, 1]))):
+            for a, b in ((x, other), (other, x)):
+                with pytest.raises(ValueError, match="mixed fields"):
+                    op(a, b)
+
+    def test_equality_is_false(self):
+        # equality is no arithmetic: a foreign operand is unequal, not refused
+        x = RatFunc.x(F5)
+        for other in (UPoly(F7, [0, 1]), RatFunc.x(F7)):
+            assert x != other and other != x and not x == other
+            assert x not in [other] and other not in [x]
+        assert x == UPoly.x(F5)

@@ -124,7 +124,7 @@ class TestBuildErrors:
         curve = gtc.curve
         pinf = raynaud_p_inf(curve, 24)
         bad = GeneralizedTango(
-            curve, gtc.f, Divisor([(pinf, 1)]), gtc.divisor, gtc.nu
+            curve, gtc.f, Divisor([(pinf, 1)]), gtc.divisor
         )
         with pytest.raises(PremiseViolated):
             build_surface(bad)
@@ -135,7 +135,7 @@ class TestBuildErrors:
         f = -(curve.y_elem() ** -1)
         pinf = raynaud_p_inf(curve, 24)
         bad = GeneralizedTango(
-            curve, f, Divisor([(pinf, 1)]), Divisor([(pinf, 10)]), curve.ff_const(1)
+            curve, f, Divisor([(pinf, 1)]), Divisor([(pinf, 10)])
         )
         with pytest.raises(PremiseViolated):
             build_surface(bad)
@@ -144,7 +144,7 @@ class TestBuildErrors:
         gtc = tango32()
         curve = gtc.curve
         x, one = curve.x_elem(), curve.ff_const(1)
-        fake = GeneralizedTango(curve, one / (x - one), gtc.N, gtc.divisor, gtc.nu)
+        fake = GeneralizedTango(curve, one / (x - one), gtc.N, gtc.divisor)
         with pytest.raises(NotExactOnChart):
             build_surface(fake)
 
@@ -153,7 +153,7 @@ class TestBuildErrors:
         curve = gtc.curve
         x, y = curve.x_elem(), curve.y_elem()
         z0keys = tuple(pl.key for pl in z0_places(curve))
-        fake = GeneralizedTango(curve, -(y ** -1) + x, gtc.N, gtc.divisor, gtc.nu)
+        fake = GeneralizedTango(curve, -(y ** -1) + x, gtc.N, gtc.divisor)
         with pytest.raises(NotExactOnChart, match="not divisible"):
             build_surface(fake, [Chart("affine", z0keys, x ** -3)])
 
@@ -174,7 +174,7 @@ class TestBuildErrors:
         curve = P1Marked(PrimeField(3), (0, 1, 2))
         one = curve.ff_const(1)
         # the model gate fires before any divisor is read
-        record = GeneralizedTango(curve, one, Divisor(), Divisor(), one)
+        record = GeneralizedTango(curve, one, Divisor(), Divisor())
         with pytest.raises(UnsupportedCurve):
             default_covering(record)
 
@@ -303,7 +303,7 @@ class TestWitness:
         gtc = tango32()
         pinf = raynaud_p_inf(gtc.curve, 24)
         record = GeneralizedTango(
-            gtc.curve, gtc.f, Divisor([(pinf, -1)]), gtc.divisor, gtc.nu
+            gtc.curve, gtc.f, Divisor([(pinf, -1)]), gtc.divisor
         )
         w = pathology_witness(record)
         assert w.dim_global_sections == 0
@@ -316,7 +316,7 @@ class TestWitness:
         expected = {0: 1, 3: 1, 4: 1, 5: 2, 6: 3, 10: 4, 19: 10, 20: 11}
         for n, dim in expected.items():
             record = GeneralizedTango(
-                gtc.curve, gtc.f, Divisor([(pinf, n)]), gtc.divisor, gtc.nu
+                gtc.curve, gtc.f, Divisor([(pinf, n)]), gtc.divisor
             )
             assert pathology_witness(record).dim_global_sections == dim
 
@@ -326,14 +326,14 @@ class TestWitness:
         pinf = raynaud_p_inf(gtc.curve, 24)
         for n in range(2 * g - 1, 2 * g + 4):
             record = GeneralizedTango(
-                gtc.curve, gtc.f, Divisor([(pinf, n)]), gtc.divisor, gtc.nu
+                gtc.curve, gtc.f, Divisor([(pinf, n)]), gtc.divisor
             )
             assert pathology_witness(record).dim_global_sections == n + 1 - g
 
     def test_needs_the_plane_model(self):
         curve = P1Marked(PrimeField(3), (0, 1, 2))
         one = curve.ff_const(1)
-        record = GeneralizedTango(curve, one, Divisor(), Divisor(), one)
+        record = GeneralizedTango(curve, one, Divisor(), Divisor())
         with pytest.raises(UnsupportedCurve):
             pathology_witness(record)
 
@@ -341,7 +341,7 @@ class TestWitness:
         gtc = tango32()
         br = branch_at(gtc.curve, (1, 2), 24)
         record = GeneralizedTango(
-            gtc.curve, gtc.f, Divisor([(br, 3)]), gtc.divisor, gtc.nu
+            gtc.curve, gtc.f, Divisor([(br, 3)]), gtc.divisor
         )
         with pytest.raises(UnsupportedCurve):
             pathology_witness(record)

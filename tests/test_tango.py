@@ -179,7 +179,6 @@ class TestGeneralized:
         gt = build_generalized_tango(curve, -(curve.y_elem() ** -1), N)
         assert gt.N.degree() == 3
         assert gt.divisor == N.times(6)
-        assert gt.nu == curve.ff_const(1)
 
     def test_l2_wrong_support(self):
         curve = RaynaudPlane(PrimeField(3), 2)
