@@ -237,12 +237,9 @@ def _formal_pre_tango(conn: LogConnection, eta: Differential) -> bool:
     else:
         dstar = 2 * g - 2 + p * ((r + 3) * (p - 1) + 2)
     need = p * (dstar + 4)
-    if curve.model == "raynaud":
-        br = raynaud_p_inf(curve, need + 3 * p)
-    else:
-        br = branch_at(curve, INF, need + 3 * p)
-    alpha = br.expand(Differential(curve, conn.scalar()))
-    eta_t = br.expand(eta)
+    br = raynaud_p_inf(curve) if curve.model == "raynaud" else branch_at(curve, INF)
+    alpha = br.expand(Differential(curve, conn.scalar()), need + 3 * p)
+    eta_t = br.expand(eta, need + 3 * p)
     if not alpha.is_zero_to_prec and alpha.valuation() < -1:
         raise UndeclaredPoleDetected(
             "certificate place carries a pole beyond log order"
@@ -251,11 +248,9 @@ def _formal_pre_tango(conn: LogConnection, eta: Differential) -> bool:
     if not alpha.is_zero_to_prec and alpha.valuation() == -1:
         k = (-alpha.coeff(-1)) % p
     # u = t^k v with v regular solving v' = (k/t - alpha) v
-    span = min(need, alpha.prec if alpha.prec != float("inf") else need)
-    span = int(span)
-    beta = [(-alpha.coeff(n)) % p for n in range(span)]
-    v = [1] + [0] * (span - 1)
-    for n in range(1, span):
+    beta = [(-alpha.coeff(n)) % p for n in range(need)]
+    v = [1] + [0] * (need - 1)
+    for n in range(1, need):
         s = sum(beta[n - 1 - i] * v[i] for i in range(n)) % p
         if n % p == 0:
             if s:
@@ -263,11 +258,11 @@ def _formal_pre_tango(conn: LogConnection, eta: Differential) -> bool:
             v[n] = 0
         else:
             v[n] = s * field.inv(n) % p
-    useries = TruncSeries(field, br.key, k, v, k + span)
+    useries = TruncSeries(field, br.key, k, v, k + need)
     image = cartier_series(useries * eta_t, p)
     if not image.is_zero_to_prec:
         return False
-    if image.prec != float("inf") and image.prec <= dstar:
+    if image.prec <= dstar:
         raise InsufficientPrecision(
             f"certificate stops at O(t^{image.prec}), bound needs {dstar}"
         )

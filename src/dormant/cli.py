@@ -60,7 +60,6 @@ from .tango import (
     build_generalized_tango,
     certify_tango_structure,
     default_places,
-    default_precision,
     search_tango_candidates,
 )
 
@@ -76,7 +75,7 @@ COMMANDS = (
     "selftest",
 )
 
-# largest starting series precision DORMANT_PRECISION may ask for
+# largest first rung DORMANT_PRECISION may ask for
 PRECISION_CAP = 4096
 
 _OPTION_ORDER = ("action", "monodromy", "pretango", "height", "N", "mode", "threads")
@@ -424,8 +423,8 @@ def _env_places(curve):
         raise SemanticError("DORMANT_PRECISION must be an integer")
     if not 4 <= prec <= PRECISION_CAP:
         raise SemanticError(f"DORMANT_PRECISION must lie in [4, {PRECISION_CAP}]")
-    # a floor: below the default the certificate's valuations are undecidable
-    return default_places(curve, max(prec, default_precision(curve)))
+    # the first rung of every valuation; results never depend on it
+    return default_places(curve, prec)
 
 
 def _run_pcurv(spec: JobSpec) -> str:
@@ -572,7 +571,7 @@ def _run_raynaud(spec: JobSpec) -> tuple:
     if "N" not in spec.options:
         raise SemanticError("raynaud needs N=<degree at P_inf>")
     f = _value(spec, "f")
-    pinf = raynaud_p_inf(curve, 24)
+    pinf = raynaud_p_inf(curve)
     gtc = build_generalized_tango(
         curve, f, Divisor([(pinf, spec.options["N"])]), _env_places(curve)
     )
@@ -644,7 +643,7 @@ def _suite_miura():
 def _suite_surface():
     curve = RaynaudPlane(PrimeField(3), 2)
     f = -(curve.y_elem() ** -1)
-    pinf = raynaud_p_inf(curve, 24)
+    pinf = raynaud_p_inf(curve)
     gtc = build_generalized_tango(curve, f, Divisor([(pinf, 3)]))
     data = build_surface(gtc)
     assert validate_cocycle(data).ok

@@ -640,7 +640,7 @@ def frobenius_descent(conn: LogConnection) -> DescentClass:
                 branch=pt,
             )
         if total:
-            items.append((branch_at(curve, pt, 4), total // p))
+            items.append((branch_at(curve, pt), total // p))
     return DescentClass(curve, True, Divisor(items), u)
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import random
 from itertools import zip_longest
+from math import inf
 
 from .errors import (
     CurveMismatch,
+    InsufficientPrecision,
     NewtonStall,
     SemanticError,
     SingularPoint,
@@ -623,14 +625,18 @@ def _zbasis_raynaud(curve, num, den):
 # ---------------------------------------------------------------------------
 # branches
 
-def _newton_series(field, ycoeffs, y0, prec):
-    """Solve P(t, Y) = 0 for the series Y(t), Y(0) = y0.
+# the length a branch is built at, the first rung of every valuation
+_FIRST_RUNG = 8
+
+
+def _newton_series(field, ycoeffs, sol, prec):
+    """Solve P(t, Y) = 0 for the series Y(t) to prec terms.
 
     ycoeffs maps Y-degree to the t-coefficient list of that coefficient.
-    Requires dP/dY (0, y0) != 0; doubles precision per step.
+    sol holds the known first terms, at least Y(0), and is lengthened in
+    place.  Requires dP/dY (0, Y(0)) != 0; doubles precision per step.
     """
     p = field.p
-    top = max(ycoeffs)
 
     def ev(table, y, m):
         acc = []
@@ -641,8 +647,8 @@ def _newton_series(field, ycoeffs, y0, prec):
     dcoeffs = {
         k - 1: [c * k % p for c in cs] for k, cs in ycoeffs.items() if k >= 1
     }
-    y = [y0 % p]
-    m = 1
+    y = list(sol)
+    m = len(y)
     steps = 0
     while m < prec:
         m = min(2 * m, prec)
@@ -650,7 +656,7 @@ def _newton_series(field, ycoeffs, y0, prec):
         g = ev(ycoeffs, ycur, m)
         gp = ev(dcoeffs, ycur, m)
         if gp[0] == 0:
-            raise SingularPoint(f"vanishing derivative solving at start {y0}")
+            raise SingularPoint(f"vanishing derivative solving at start {y[0]}")
         corr = _mul(g, _series_inv(gp, m, p), p, m)
         y = [(a - b) % p for a, b in zip(ycur, corr + [0] * m)]
         steps += 1
@@ -660,72 +666,115 @@ def _newton_series(field, ycoeffs, y0, prec):
     check = ev(ycoeffs, final, prec)
     if any(check):
         raise NewtonStall("expansion fails to satisfy the defining equation")
+    sol[:] = final
     return final
 
 
-class SeriesBranch:
-    """A rational place with explicit coordinate expansions in a uniformizer."""
+def _degree_bound(f) -> int:
+    """B(f) >= |v_P(f)| at every place P, for f = N(x, y) / D(x) != 0: the
+    poles of x and y have degrees d and deg_x G, those of 1/D degree d deg D."""
+    d = f.curve.ext_degree
+    gx = max(map(len, f.curve.algebra().m)) - 1
+    return d * (max(map(len, f.num)) - 1 + f.den.degree) + (d - 1) * gx
 
-    __slots__ = ("curve", "key", "point", "uniformizer", "x_series", "y_series", "prec")
+
+class SeriesBranch:
+    """A rational place with coordinate expansions in a uniformizer t.
+
+    x_series and y_series (None on the line) are known to at least
+    O(t^prec).  solve(n) gives them to O(t^n): on the line they are
+    exact; elsewhere a Newton solution resumes from its last length.
+    """
+
+    __slots__ = ("curve", "key", "point", "uniformizer", "x_series", "y_series", "prec",
+                 "_solve")
 
     weight = 1
 
-    def __init__(self, curve, key, point, uniformizer, x_series, y_series, prec):
-        self.curve = curve
-        self.key = key
-        self.point = point
-        self.uniformizer = uniformizer
-        self.x_series = x_series
-        self.y_series = y_series
-        self.prec = prec
+    def __init__(self, curve, key, point, uniformizer, solve):
+        self.curve, self.key, self.point, self.uniformizer = curve, key, point, uniformizer
+        self._solve, self.prec = solve, 0
+        self.lengthen(_FIRST_RUNG)
 
-    def expand(self, f, prec=None) -> TruncSeries:
-        """Laurent expansion of f along the branch."""
-        if prec is None:
-            prec = self.prec
-        if isinstance(f, Differential):
-            return self.expand(f.h, prec) * self.dx_series(prec)
+    def lengthen(self, n):
+        """Make the coordinate series known to at least O(t^n)."""
+        if n > self.prec:
+            self.x_series, self.y_series = self._solve(n)
+            self.prec = n
+
+    def _coords(self, n):
+        """The coordinate series cut to O(t^n); exact monomials stay exact."""
+        self.lengthen(n)
+        return [s if s is None or s.prec <= n or (s.prec == inf and len(s.coeffs) == 1)
+                else s.truncate(n) for s in (self.x_series, self.y_series)]
+
+    def _elem(self, f):
         if isinstance(f, RatFunc):
             f = FFElem(self.curve, (f,))
         if f.curve != self.curve:
             raise CurveMismatch("expansion on the wrong curve")
-        if self.curve.ext_degree == 1:
-            r = f.comps[0]
-            if self.point == INF:
-                return r.series_at_infinity(prec, center=self.key)
-            return r.series_at(self.point, prec, center=self.key)
-        # the numerator sum over one inverse of the common denominator; the
-        # sum starts at prec + v(den) so that the quotient keeps O(t^prec)
-        field = self.curve.field
-        den = poly_at_series(f.den, self.x_series)
-        acc = TruncSeries.zero(field, self.key, prec + den.valuation())
+        return f
+
+    def _series(self, f, n):
+        """f (a function or a Differential) from the coordinates cut to
+        O(t^n), with the precision the series rules give; None while the
+        denominator shows no term."""
+        if isinstance(f, Differential):
+            s = self._series(f.h, n)
+            return None if s is None else s * self._coords(n + 1)[0].derivative()
+        field, (xs, ys) = self.curve.field, self._coords(n)
+        den = poly_at_series(f.den, xs)
+        if not den.coeffs:
+            return None
+        acc = TruncSeries.zero(field, self.key)
         ypow = TruncSeries.const(field, self.key, 1)
         last = max((k for k, c in enumerate(f.num) if c), default=-1)
         for k, c in enumerate(f.num[: last + 1]):
             if c:
-                acc = acc + poly_at_series(UPoly(field, c), self.x_series) * ypow
+                acc = acc + poly_at_series(UPoly(field, c), xs) * ypow
             if k < last:
-                ypow = ypow * self.y_series
-        return acc * den.inverse(prec_hint=prec)
+                ypow = ypow * ys
+        return acc * den.inverse(prec_hint=n)
+
+    def expand(self, f, prec=None) -> TruncSeries:
+        """Laurent expansion of f, a function or a Differential, to exactly
+        O(t^prec) (the branch's length by default).  The coordinates are cut
+        to n = prec first; n grows by each shortfall of the result."""
+        if prec is None:
+            prec = self.prec
+        if not isinstance(f, Differential):
+            f = self._elem(f)
+        n = max(prec, 1)
+        while (s := self._series(f, n)) is None or s.prec < prec:
+            n = 2 * n if s is None else n + prec - s.prec
+        return s.truncate(prec) if s.prec > prec else s
 
     def valuation_of(self, f) -> int:
-        if getattr(f, "is_zero", False):
+        """v(f), from expansions that start at the branch's length and
+        double until a term shows.  A truncated series never shows a wrong
+        valuation; one still zero past the degree bound is an error."""
+        f = self._elem(f)
+        if f.is_zero:
             raise ZeroElement("valuation of 0")
-        return self.expand(f).valuation()
-
-    def dx_series(self, prec=None) -> TruncSeries:
-        return self.x_series.derivative()
+        n, bound = self.prec, _degree_bound(f)
+        while (s := self._series(f, n)) is None or not s.coeffs:
+            if s is not None and s.prec > bound:
+                raise InsufficientPrecision(
+                    f"curves: the expansion at place {self.key} is 0 to O(t^{s.prec}), "
+                    f"past the degree bound {bound} on |v|")
+            n *= 2
+        return s.ord_low
 
     def dx_valuation(self) -> int:
-        return self.dx_series().valuation()
+        """v(dx/dt); x is no constant, so some rung shows a term."""
+        n = self.prec
+        while not (s := self._coords(n)[0].derivative()).coeffs:
+            n *= 2
+        return s.ord_low
 
     def form_valuation(self, h) -> int:
         """Valuation of the differential h*dx at the branch."""
         return self.valuation_of(h) + self.dx_valuation()
-
-    def form_residue(self, h) -> int:
-        s = self.expand(h) * self.dx_series()
-        return s.coeff(-1)
 
     def __repr__(self):
         return f"Branch({self.key}, prec={self.prec})"
@@ -916,105 +965,79 @@ def z0_places(curve: RaynaudPlane):
     return curve._memo("z0_places", build)
 
 
-def branch_at(curve, point, prec: int) -> SeriesBranch:
-    """Branch with coordinate expansions at a rational point; see module doc."""
+def branch_at(curve, point, prec=None) -> SeriesBranch:
+    """The curve's one branch at a rational point, lengthened to at least
+    prec; it lengthens itself when an expansion asks for more."""
+    p = curve.p
+    if curve.model == "p1":
+        point = point if point == INF else int(point) % p
+    elif point != INF:
+        point = (int(point[0]) % p, int(point[1]) % p)
+    br = curve._memo(("branch", point), lambda: _branch(curve, point))
+    if prec is not None:
+        br.lengthen(prec)
+    return br
+
+
+def _branch(curve, point) -> SeriesBranch:
     field = curve.field
-    p = field.p
-    if isinstance(curve, P1Marked) or curve.model == "p1":
-        if point == INF:
-            key = ("p1", curve.p, INF)
-            x_series = TruncSeries.t_power(field, key, -1)
-            return SeriesBranch(curve, key, INF, "1/x", x_series, None, prec)
-        a = int(point) % p
-        key = ("p1", curve.p, a)
-        x_series = TruncSeries(field, key, 0, (a, 1), float("inf"))
-        return SeriesBranch(curve, key, a, f"x-{a}", x_series, None, prec)
+    if curve.model == "p1":
+        key, name = ("p1", curve.p, point), "1/x" if point == INF else f"x-{point}"
+        x = TruncSeries.t_power(field, key, -1) if point == INF else _exact(field, key, point)
+        return SeriesBranch(curve, key, point, name, lambda n: (x, None))
+    if point != INF:
+        return _branch_affine(curve, point)
+    if curve.model != "ell":
+        raise CurveMismatch(f"no point at infinity in the chart of {curve!r}")
+    # t = x/y; x = 1/u with u = t^2 (1 + a u^2 + b u^3)
+    key = ("ell", curve.key(), INF)
+    table, sol = {0: [0, 0, -1], 1: [1], 2: [0, 0, -curve.a], 3: [0, 0, -curve.b]}, [0]
 
-    if isinstance(curve, Weierstrass):
-        return _branch_weierstrass(curve, point, prec)
-    if isinstance(curve, RaynaudPlane):
-        return _branch_raynaud(curve, point, prec)
-    raise CurveMismatch(f"no branches on {curve!r}")
+    def solve(n):
+        unit = _newton_series(field, table, sol, n + 5)[2:]
+        xs = TruncSeries(field, key, -2, _series_inv(unit, n + 3, curve.p), n + 1)
+        return xs, xs * TruncSeries.t_power(field, key, -1)
+    return SeriesBranch(curve, key, INF, "x/y", solve)
 
 
-def _branch_weierstrass(curve: Weierstrass, point, prec: int) -> SeriesBranch:
-    field = curve.field
-    p = field.p
-    c = curve.c_poly()
-    if point == INF:
-        # t = x/y; x = 1/u with u = t^2 (1 + a u^2 + b u^3)
-        key = ("ell", curve.key(), INF)
-        a, b = curve.a, curve.b
-        pr = prec + 8
-        table = {0: [0, 0, -1], 1: [1], 2: [0, 0, -a], 3: [0, 0, -b]}
-        unit = _newton_series(field, table, 0, pr)[2:]
-        xs = _series_inv(unit, pr - 2, p)
-        x_series = TruncSeries(field, key, -2, xs, pr - 4)
-        y_series = x_series * TruncSeries.t_power(field, key, -1)
-        return SeriesBranch(curve, key, INF, "x/y", x_series, y_series, prec)
-    x0, y0 = int(point[0]) % p, int(point[1]) % p
-    if (y0 * y0 - c.evaluate(x0)) % p != 0:
+def _exact(field, key, c):
+    """c + t, exactly."""
+    return TruncSeries(field, key, 0, (c, 1), inf)
+
+
+def _branch_affine(curve, point) -> SeriesBranch:
+    """The branch at an affine point (x0, y0) of G(x, Y) = 0, G the cleared
+    minpoly.  Where dG/dY != 0 the uniformizer is x - x0 and Newton solves
+    G(x0 + t, Y) = 0 for Y; else, where dG/dx != 0, it is y - y0 and Newton
+    solves G(X, y0 + t) = 0 for X."""
+    field, p = curve.field, curve.p
+    (x0, y0), m = point, curve.cleared_minpoly()
+    vals = [UPoly(field, c).evaluate(x0) for c in m]
+    if sum(v * pow(y0, k, p) for k, v in enumerate(vals)) % p:
         raise ValueError(f"({x0},{y0}) is not on the curve")
-    key = ("ell", curve.key(), (x0, y0))
-    if y0 != 0:
-        table = {0: [-v for v in c.taylor_shift(x0).coeffs], 2: [1]}
-        ys = _newton_series(field, table, y0, prec)
-        x_series = TruncSeries(field, key, 0, (x0, 1), float("inf"))
-        y_series = TruncSeries(field, key, 0, ys, prec)
-        return SeriesBranch(curve, key, (x0, y0), f"x-{x0}", x_series, y_series, prec)
-    # 2-torsion: uniformizer is y, solve x(t) from c(x) = t^2
-    if c.derivative().evaluate(x0) == 0:
+    key = (curve.model, curve.key(), point)
+    by_x = sum(k * v * pow(y0, k - 1, p) for k, v in enumerate(vals) if k) % p != 0
+    if by_x:
+        table = {k: list(UPoly(field, c).taylor_shift(x0).coeffs) for k, c in enumerate(m) if c}
+    elif not sum(UPoly(field, _deriv(c, p)).evaluate(x0) * pow(y0, k, p)
+                 for k, c in enumerate(m)) % p:
         raise SingularPoint(f"both partials vanish at ({x0},{y0})")
-    shifted = c.taylor_shift(x0)
-    table = {}
-    for k, coeff in enumerate(shifted.coeffs):
-        if coeff:
-            table[k] = [coeff]
-    table[0] = _list_add(table.get(0, []), [0, 0, -1], p)
-    xs = _newton_series(field, table, 0, prec)
-    x_series = TruncSeries(field, key, 0, _list_add([x0], xs, p), prec)
-    y_series = TruncSeries.t_power(field, key, 1)
-    return SeriesBranch(curve, key, (x0, y0), "y", x_series, y_series, prec)
+    else:  # G(X, y0 + t) = sum_i X^i sum_k m_k[i] (y0 + t)^k
+        table, power = {}, [1]
+        for c in m:
+            for i, a in enumerate(c):
+                if a:
+                    table[i] = _list_add(table.get(i, []), [a * b for b in power], p)
+            power = _mul(power, [y0, 1], p)
+    sol = [y0 if by_x else x0]
+
+    def solve(n):
+        s = TruncSeries(field, key, 0, _newton_series(field, table, sol, n), n)
+        return (_exact(field, key, x0), s) if by_x else (s, _exact(field, key, y0))
+    return SeriesBranch(curve, key, point, f"x-{x0}" if by_x else f"y-{y0}" if y0 else "y", solve)
 
 
-def _branch_raynaud(curve: RaynaudPlane, point, prec: int) -> SeriesBranch:
-    field = curve.field
-    p, q = curve.p, curve.q
-    x0, y0 = int(point[0]) % p, int(point[1]) % p
-    g_val = (pow(x0, q, p) - x0 * pow(y0, q - 1, p) - y0) % p
-    if g_val != 0:
-        raise ValueError(f"({x0},{y0}) is not on the curve")
-    gy = (x0 * pow(y0, q - 2, p) - 1) % p
-    gx = (-pow(y0, q - 1, p)) % p
-    key = ("raynaud", curve.key(), (x0, y0))
-    if gy != 0:
-        # uniformizer x - x0; G(x0 + t, Y) = (x0+t)^q - (x0+t) Y^(q-1) - Y
-        xq = UPoly.monomial(field, q).taylor_shift(x0)
-        table = {
-            0: list(xq.coeffs),
-            1: [-1],
-            q - 1: [(-x0) % p, p - 1],
-        }
-        ys = _newton_series(field, table, y0, prec)
-        x_series = TruncSeries(field, key, 0, (x0, 1), float("inf"))
-        y_series = TruncSeries(field, key, 0, ys, prec)
-        return SeriesBranch(curve, key, (x0, y0), f"x-{x0}", x_series, y_series, prec)
-    if gx == 0:
-        raise SingularPoint(f"both partials vanish at ({x0},{y0})")
-    # uniformizer y - y0; G(X, y0 + t) = X^q - X (y0+t)^(q-1) - (y0+t)
-    yq1 = UPoly.monomial(field, q - 1).taylor_shift(y0)
-    table = {
-        0: [(-v) % p for v in UPoly(field, (y0, 1)).coeffs],
-        1: [(-v) % p for v in yq1.coeffs],
-        q: [1],
-    }
-    xs = _newton_series(field, table, x0, prec)
-    x_series = TruncSeries(field, key, 0, xs, prec)
-    y_series = TruncSeries(field, key, 0, (y0, 1), float("inf"))
-    return SeriesBranch(curve, key, (x0, y0), f"y-{y0}", x_series, y_series, prec)
-
-
-def raynaud_p_inf(curve: RaynaudPlane, prec: int) -> SeriesBranch:
+def raynaud_p_inf(curve: RaynaudPlane, prec=None) -> SeriesBranch:
     """The distinguished point P_inf = [0:0:1], i.e. (0,0) in the chart z = 1."""
     return branch_at(curve, (0, 0), prec)
 

@@ -377,11 +377,9 @@ class UPoly(_Ring):
     def __eq__(self, other):
         if isinstance(other, int):
             other = UPoly(self.field, (other,))
-        return (
-            isinstance(other, UPoly)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
+        if not isinstance(other, UPoly):
+            return NotImplemented  # RatFunc and FFElem compare themselves
+        return other.field == self.field and other.coeffs == self.coeffs
 
     def __hash__(self):
         return hash((self.field.p, self.coeffs))
@@ -654,10 +652,9 @@ class RatFunc(_Ring):
             raise ZeroElement("valuation of 0")
         return self.den.degree - self.num.degree
 
-    def series_at(self, a: int, prec, center=None) -> "TruncSeries":
+    def series_at(self, a: int, prec) -> "TruncSeries":
         """Laurent expansion in t = x - a with coefficients on [ord, prec)."""
-        if center is None:
-            center = ("aff", a)
+        center = ("aff", a)
         if self.is_zero:
             return TruncSeries(self.field, center, prec, (), prec)
         p = self.field.p
@@ -673,8 +670,9 @@ class RatFunc(_Ring):
         cs = _mul(n[k:], inv, p, count)
         return TruncSeries(self.field, center, ord_low, cs, prec)
 
-    def series_at_infinity(self, prec, center=("inf",)) -> "TruncSeries":
+    def series_at_infinity(self, prec) -> "TruncSeries":
         """Expansion in t = 1/x."""
+        center = ("inf",)
         if self.is_zero:
             return TruncSeries(self.field, center, prec, (), prec)
         p = self.field.p
@@ -719,6 +717,8 @@ class RatFunc(_Ring):
         return o.num == self.num and o.den == self.den
 
     def __hash__(self):
+        if self.den.coeffs == (1,):  # as the UPoly it equals
+            return hash(self.num)
         return hash((self.field.p, self.num.coeffs, self.den.coeffs))
 
     def __repr__(self):

@@ -22,6 +22,7 @@ from .errors import (
 from .curves import (
     FFElem,
     branch_at,
+    d_of,
     raynaud_p_inf,
     z0_places,
 )
@@ -98,7 +99,7 @@ def default_covering(gtc: GeneralizedTango) -> list:
     if curve.model != "raynaud":
         raise UnsupportedCurve("default covering lives on the one-point model")
     n = gtc.N.degree()
-    pinf_key = raynaud_p_inf(curve, 24).key
+    pinf_key = raynaud_p_inf(curve).key
     for place, coeff in gtc.N.items():
         if place.key != pinf_key:
             raise UnsupportedCurve("default covering wants N concentrated at P_inf")
@@ -123,15 +124,14 @@ def _clear_pole(curve, w: FFElem, place) -> FFElem:
         )
     x = curve.x_elem()
     while True:
-        s = place.expand(w)
-        v = s.valuation()
+        v = place.valuation_of(w)
         if v >= 0:
             return w
         if v % p != 0:
             raise NotExactOnChart(
                 f"polar exponent {v} at P_inf is not divisible by {p}"
             )
-        a = s.coeff(v)
+        a = place.expand(w, v + 1).coeff(v)
         # (a x^(v/p))^p = a x^v for a in the prime field
         w = w - (curve.ff_const(a) * x ** (v // p)) ** p
 
@@ -328,16 +328,13 @@ class SmoothnessReport:
 def _chart_value(data: SurfaceGluingData, ci: int, base) -> tuple:
     """(t value, dt/duniformizer value) at an affine rational base point."""
     curve = data.curve
-    br = branch_at(curve, base, 16)
+    br = branch_at(curve, base)
     if not data.charts[ci].contains(br):
         raise ValueError(f"base point {base} is outside chart {ci}")
-    s = br.expand(data.t[ci])
+    s = br.expand(data.t[ci], 1)
     if not s.is_zero_to_prec and s.valuation() < 0:
         raise ValueError(f"chart function has a pole over {base}")
-    tval = 0 if s.is_zero_to_prec else s.coeff(0)
-    ds = br.expand(data.t[ci].derivative()) * br.dx_series()
-    dval = 0 if ds.is_zero_to_prec else ds.coeff(0)
-    return tval % curve.field.p, dval % curve.field.p
+    return s.coeff(0), br.expand(d_of(data.t[ci]), 1).coeff(0)
 
 
 def fiber_points(data: SurfaceGluingData, ci: int, base) -> list:
@@ -395,7 +392,7 @@ def random_fiber_samples(data: SurfaceGluingData, count: int, seed: int = 0) -> 
     rng = random.Random(seed)
     bases = []
     for pt in curve.affine_points():
-        br = branch_at(curve, pt, 8)
+        br = branch_at(curve, pt)
         bases += [(ci, pt) for ci, chart in enumerate(data.charts) if chart.contains(br)]
     fibers = cache(lambda ci, base: fiber_points(data, ci, base))
     samples = []
@@ -436,7 +433,7 @@ def pathology_witness(gtc: GeneralizedTango) -> PathologyWitness:
     curve = gtc.curve
     if curve.model != "raynaud":
         raise UnsupportedCurve("witness search lives on the one-point model")
-    pinf_key = raynaud_p_inf(curve, 24).key
+    pinf_key = raynaud_p_inf(curve).key
     for place, coeff in gtc.N.items():
         if place.key != pinf_key:
             raise UnsupportedCurve("witness search wants N concentrated at P_inf")

@@ -38,37 +38,19 @@ def floor_div_divisor(divisor: Divisor, n: int) -> Divisor:
     return divisor.floor_div(n)
 
 
-def default_precision(curve) -> int:
-    """Starting series precision of the candidate places on the curve."""
-    return max(6 * curve.genus() + 10, 24)
-
-
 def default_places(curve, prec: Optional[int] = None) -> list:
     """Candidate places rich enough for the divisors this module meets.
 
     Rational points on the small models, plus the places over z = 0 and
-    the point at infinity on the one-point models.  prec overrides the
-    starting series precision.  The places are built once per curve and
-    precision; each call returns a fresh list of them.
+    the point at infinity on the one-point models.  The branches are the
+    curve's own; prec lengthens them to at least that first rung.
     """
-    if prec is None:
-        prec = default_precision(curve)
-    return list(curve._memo(("default_places", prec), lambda: _places(curve, prec)))
-
-
-def _places(curve, prec: int) -> list:
     if curve.model == "p1":
-        pts: list = list(range(curve.field.p))
-        pts.append(INF)
-        return [branch_at(curve, pt, prec) for pt in pts]
+        return [branch_at(curve, pt, prec) for pt in [*range(curve.field.p), INF]]
     if curve.model == "ell":
         return [branch_at(curve, pt, prec) for pt in curve.rational_points()]
-    places = [raynaud_p_inf(curve, prec)]
-    places.extend(z0_places(curve))
-    for pt in curve.affine_points():
-        if pt != (0, 0):
-            places.append(branch_at(curve, pt, prec))
-    return places
+    return [raynaud_p_inf(curve, prec), *z0_places(curve),
+            *(branch_at(curve, pt, prec) for pt in curve.affine_points() if pt != (0, 0))]
 
 
 def _coerce(curve, f) -> FFElem:

@@ -365,8 +365,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("prec", ["4", "8"])
     def test_low_precision_is_a_floor(self, monkeypatch, prec):
-        # the README job; a starting precision below the default must not
-        # make its valuations undecidable
+        # the README job; a first rung below what a valuation needs only
+        # makes that valuation double further
         monkeypatch.setenv("DORMANT_PRECISION", prec)
         job = (
             "cmd=tango-certify\nraynaud p=5 l=1\n"

@@ -29,8 +29,9 @@ from dormant.curves import (
     xz_components,
     z0_places,
 )
-from dormant.errors import SemanticError, ZeroElement
-from dormant.field import PrimeField, RatFunc, UPoly
+from dormant.errors import InsufficientPrecision, SemanticError, ZeroElement
+from dormant.field import PrimeField, RatFunc, TruncSeries, UPoly
+from dormant.tango import default_places
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -368,10 +369,10 @@ class TestP1Branches:
     def test_form_residue(self):
         curve = line(7, 0, 1, INF)
         x = RatFunc.x(F7)
-        h = curve.ff(3 / x + 2 / (x - 1))
-        assert branch_at(curve, 0, 8).form_residue(h) == 3
-        assert branch_at(curve, 1, 8).form_residue(h) == 2
-        assert branch_at(curve, INF, 8).form_residue(h) == 2
+        omega = Differential(curve, curve.ff(3 / x + 2 / (x - 1)))
+        assert branch_at(curve, 0).expand(omega, 0).coeff(-1) == 3
+        assert branch_at(curve, 1).expand(omega, 0).coeff(-1) == 2
+        assert branch_at(curve, INF).expand(omega, 0).coeff(-1) == 2
 
     def test_log_form_divisor(self):
         curve = line(5, 0, 1, INF)
@@ -829,3 +830,94 @@ def test_y_from_z_on_raynaud(p, l):
     av = value(a)
     assert not av.is_zero
     assert av * y + value(b) == z
+
+
+def _det(rows):
+    """Determinant over F_p(x) by Gaussian elimination on RatFunc entries."""
+    rows, det = [list(r) for r in rows], 1
+    for k in range(len(rows)):
+        piv = next(i for i in range(k, len(rows)) if not rows[i][k].is_zero)
+        if piv != k:
+            rows[k], rows[piv], det = rows[piv], rows[k], -det
+        det = det * rows[k][k]
+        for r in rows[k + 1 :]:
+            c = r[k] / rows[k][k]
+            r[k:] = [u - c * v for u, v in zip(r[k:], rows[k][k:])]
+    return det
+
+
+@pytest.mark.parametrize("name", ORACLE_IDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_inverse_determinant_is_the_norm(name, data):
+    """The det of the fraction-free solve is the determinant of the
+    multiplication-by-a matrix, up to a constant and a power of x: the
+    Bareiss divisions leave no extra factor of earlier pivots."""
+    curve = ORACLE_CURVES[name]
+    d, field = curve.ext_degree, curve.field
+    a = data.draw(oracle_elements(curve, nonzero=True))
+    num = a * a.den  # the integral vector a.num as an element
+    _, det = curves._inverse(num.num, curve.algebra())
+    cols = [num]
+    while len(cols) < d:
+        cols.append(cols[-1] * curve.y_elem())
+    ratio = RatFunc(field, UPoly(field, det)) / _det([[c.comps[i] for c in cols] for i in range(d)])
+    assert all(sum(1 for c in u.coeffs if c) == 1 for u in (ratio.num, ratio.den))
+
+
+FRESH = {
+    "p1-5": lambda: line(5, 0, 1, INF),
+    "ell-5,1,2": lambda: Weierstrass(F5, 1, 2),
+    "ray-3,2": lambda: RaynaudPlane(F3, 2),
+    "ray-5,1": lambda: RaynaudPlane(F5, 1),
+}
+
+
+def _complete_candidates(curve):
+    """Functions f whose df has its divisor on the rational candidate places."""
+    x = curve.x_elem()
+    if curve.model == "p1":  # df has one finite zero besides 0 and 1
+        fs = [x ** a * (x - 1) ** b for a in range(-2, 3) for b in range(-2, 3)]
+        return [f for f in fs if not f.derivative().is_zero]
+    y = curve.y_elem()
+    if curve.model == "ell":
+        return [y ** -1, x ** 3 * y ** -2, x ** -2 * y, x ** -2 * y ** 3]
+    return [y ** b for b in (-2, -1, 1, 2)] + [x / y, y / x, x ** 2 / y ** 2]
+
+
+class TestPrecisionRule:
+    """Valuations double from the branch's length, so where they start (the
+    first rung, which DORMANT_PRECISION pre-lengthens) changes no answer."""
+
+    @pytest.mark.parametrize("name", sorted(FRESH))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_first_rung_changes_no_valuation(self, name, data):
+        base = ORACLE_CURVES[name]
+        f = data.draw(st.sampled_from(_complete_candidates(base)))
+        f = data.draw(st.integers(1, base.p - 1)) * f + data.draw(st.integers(0, base.p - 1))
+        g = data.draw(oracle_elements(base, nonzero=True))
+        rung = data.draw(st.integers(4, 1200))
+        seen = []
+        for prec in (None, rung):
+            curve = FRESH[name]()
+            places = default_places(curve, prec)
+            div, complete = divisor_of_differential(d_of(FFElem(curve, f.comps)), places)
+            assert complete and div.degree() == 2 * curve.genus() - 2
+            seen.append((div, [valuation(FFElem(curve, g.comps), pl) for pl in places]))
+        assert seen[0] == seen[1]
+        if curve.model == "p1":
+            r = g.comps[0]
+            assert seen[0][1] == [r.valuation_at_infinity() if pl.point == INF
+                                  else r.valuation_at(pl.point) for pl in places]
+
+    def test_forced_zero_expansion_hits_the_cap(self, monkeypatch):
+        # B(x) = 4 * 1 + 3 * 5 = 19 on (5, 1): the rungs 8, 16 and 32
+        curve = RaynaudPlane(F5, 1)
+        pinf = raynaud_p_inf(curve)
+        monkeypatch.setattr(SeriesBranch, "_series",
+                            lambda br, f, n: TruncSeries.zero(curve.field, br.key, n))
+        with pytest.raises(InsufficientPrecision) as err:
+            pinf.valuation_of(curve.x_elem())
+        msg = str(err.value)
+        assert msg.startswith("curves:") and str(pinf.key) in msg and "O(t^32)" in msg

@@ -686,3 +686,15 @@ class TestMixedFields:
             assert x != other and other != x and not x == other
             assert x not in [other] and other not in [x]
         assert x == UPoly.x(F5)
+
+    def test_equality_is_symmetric(self):
+        # UPoly hands a foreign type back, so both orders agree
+        from dormant.curves import INF, P1Marked
+
+        poly, rat = UPoly.x(F5), RatFunc.x(F5)
+        elem = P1Marked(F5, (0, 1, INF)).x_elem()
+        for a, b in ((poly, rat), (poly, elem), (rat, elem)):
+            assert a == b and b == a
+        assert poly != RatFunc.x(F7) and RatFunc.x(F7) != poly
+        assert hash(rat) == hash(poly) and len({rat, poly}) == 1
+        assert poly != "x" and (poly == object()) is False

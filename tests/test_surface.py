@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from dormant import surface
+from dormant import curves, surface
 from dormant.curves import (
     Divisor,
     P1Marked,
@@ -381,3 +381,17 @@ class TestChartValueOnce:
         rep = fiber_smoothness_probe(data, samples)
         assert rep.all_smooth and len(rep.entries) == 100
         assert len(seen) == len(set(seen)) == len({(ci, b) for ci, b, _ in samples})
+
+
+class TestPlacesByDemand:
+    def test_branches_lengthen_only_where_asked(self):
+        # div(df) = 180 P_inf on (5, 3), genus 91: P_inf doubles only as far
+        # as that asks, short of the fixed 6g + 10 = 556 of old, and every
+        # other affine place decides its valuations at the first rung
+        curve = RaynaudPlane(PrimeField(5), 3)
+        pinf = raynaud_p_inf(curve)
+        gtc = build_generalized_tango(curve, -(curve.y_elem() ** -1), Divisor([(pinf, 9)]))
+        assert validate_cocycle(build_surface(gtc)).ok
+        others = [pt for pt in curve.affine_points() if pt != (0, 0)]
+        assert others and all(branch_at(curve, pt).prec == curves._FIRST_RUNG for pt in others)
+        assert pinf.prec < 556
