@@ -29,6 +29,7 @@ from .curves import (
     RaynaudPlane,
     Weierstrass,
     _Memo,
+    _factor_linear_and_rest,
     _over_lcm,
     _vadd,
     _vmul,
@@ -212,7 +213,8 @@ def _validate_p1_log(conn: LogConnection) -> None:
     k times the dlog of the local coordinate on the diagonal, so at an
     unmarked point the apparent residue must agree with the correction mod p
     and the pole must stay simple.  At infinity the same comparison reads
-    off the valuation of cell + corr/x in the coordinate 1/x.
+    off the valuation of cell + corr/x in the coordinate 1/x.  The rational
+    poles and the finite corrections are checked in ascending order.
     """
     curve = conn.curve
     field = curve.field
@@ -222,13 +224,11 @@ def _validate_p1_log(conn: LogConnection) -> None:
         for j, cell in enumerate(row):
             red = cell.as_ratfunc()
             corr = conn.label.corrections if i == j else {}
-            den = red.den
-            for c in range(field.p):
-                lin = UPoly(field, (-c, 1))
-                order = 0
-                while den.evaluate(c) == 0:
-                    den = den // lin
-                    order += 1
+            roots, rest = _factor_linear_and_rest(red.den)
+            poles = dict(roots)
+            finite = {c for c in corr if isinstance(c, int) and 0 <= c < field.p}
+            for c in sorted(poles.keys() | finite):
+                order = poles.get(c, 0)
                 if order > 1:
                     raise UndeclaredPoleDetected(f"pole of order {order} at {c}")
                 if c not in marks:
@@ -237,7 +237,7 @@ def _validate_p1_log(conn: LogConnection) -> None:
                         raise UndeclaredPoleDetected(
                             f"residue at the unmarked point {c} is off the frame"
                         )
-            if den.degree > 0:
+            if rest.degree > 0:
                 raise UndeclaredPoleDetected("non-rational pole in a matrix entry")
             ci = corr.get(INF, 0) % field.p
             tail = red + RatFunc.const(field, ci) / x if ci else red
@@ -472,15 +472,13 @@ def canonical_connection(curve, unit=1) -> LogConnection:
 
 
 def _divisor_points_p1(u: FFElem):
-    """Valuations of a rational u at its rational zeros and poles, plus inf."""
+    """Valuations of a rational u at its rational zeros and poles, in
+    ascending order, then at inf."""
     if u.curve.ext_degree != 1:
         return {}
     r = u.as_ratfunc()
-    corr = {}
-    for c in range(u.curve.p):
-        v = r.valuation_at(c)
-        if v:
-            corr[c] = v
+    zeros, poles = _factor_linear_and_rest(r.num)[0], _factor_linear_and_rest(r.den)[0]
+    corr = dict(sorted(zeros + [(c, -m) for c, m in poles]))
     v_inf = r.valuation_at_infinity()
     if v_inf:
         corr[INF] = v_inf
@@ -507,7 +505,7 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
     if curve.ext_degree == 1:
         r = g.as_ratfunc()
         u = UPoly.one(field)
-        for c in range(p):
+        for c, _ in _factor_linear_and_rest(r.den)[0]:
             e = r.residue_at(c)
             if e:
                 u = u * UPoly(field, (-c, 1)) ** e
@@ -623,17 +621,10 @@ def frobenius_descent(conn: LogConnection) -> DescentClass:
     mono_map = dict(zip(mono.marks, mono.values))
     if curve.ext_degree != 1:
         return DescentClass(curve, True, Divisor(), u)
-    r = u.as_ratfunc()
+    div = _divisor_points_p1(u)
     items = []
-    support = set(conn.marks) | set(conn.label.corrections)
-    for c in range(p):
-        if r.valuation_at(c):
-            support.add(c)
-    if r.valuation_at_infinity():
-        support.add(INF)
-    for pt in sorted(support, key=str):
-        v = r.valuation_at_infinity() if pt == INF else r.valuation_at(pt)
-        total = v + conn.label.correction_at(pt) + (mono_map.get(pt, 0) % p)
+    for pt in sorted(set(conn.marks) | set(conn.label.corrections) | set(div), key=str):
+        total = div.get(pt, 0) + conn.label.correction_at(pt) + (mono_map.get(pt, 0) % p)
         if total % p:
             raise NotDivisibleByP(
                 f"descent weight {total} at {pt} is not divisible by {p}",

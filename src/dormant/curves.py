@@ -2,11 +2,13 @@
 
 Three models are shipped: the marked projective line, short Weierstrass
 elliptic curves y^2 = x^3 + ax + b, and the Raynaud plane curves
-x^q - x y^(q-1) - y z^(q-1) = 0 with q = l*p.  Function-field elements are
-vectors over F_p(x) in the y-power basis of the fixed affine chart (z = 1
-for Raynaud).  Places are either rational branches with stored series
-expansions or, on the Raynaud curves, the points on the line z = 0 handled
-through the second chart.
+x^q - x y^(q-1) - y z^(q-1) = 0 with q = l*p.  A function-field element
+is one integral y-power vector over F_p[x] over one monic denominator, in
+the fixed affine chart (z = 1 for Raynaud).  Places are either rational
+branches, whose coordinate series lengthen on demand, or, on the Raynaud
+curves, the points on the line z = 0, read through the second chart from
+an integral Z-power vector.  Every order of vanishing of a polynomial at
+a point of the line or at a factor of X^q - X is one field._order.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .field import (
     _frac_sum,
     _list_add,
     _mul,
+    _order,
     _series_inv,
     _shift,
     _trim,
@@ -361,7 +364,7 @@ class FFElem(_Ring):
     curve's field; comps gives them back as reduced RatFuncs.
     """
 
-    # _xz: the Z-chart vector (xz_components), set by Z0Place on first use
+    # _xz: the Z-chart pair (xz_components), set by Z0Place on first use
     __slots__ = ("curve", "num", "den", "_xz")
 
     def __init__(self, curve, comps):
@@ -708,13 +711,6 @@ class SeriesBranch:
         return [s if s is None or s.prec <= n or (s.prec == inf and len(s.coeffs) == 1)
                 else s.truncate(n) for s in (self.x_series, self.y_series)]
 
-    def _elem(self, f):
-        if isinstance(f, RatFunc):
-            f = FFElem(self.curve, (f,))
-        if f.curve != self.curve:
-            raise CurveMismatch("expansion on the wrong curve")
-        return f
-
     def _series(self, f, n):
         """f (a function or a Differential) from the coordinates cut to
         O(t^n), with the precision the series rules give; None while the
@@ -743,7 +739,7 @@ class SeriesBranch:
         if prec is None:
             prec = self.prec
         if not isinstance(f, Differential):
-            f = self._elem(f)
+            f = _on_curve(self.curve, f)
         n = max(prec, 1)
         while (s := self._series(f, n)) is None or s.prec < prec:
             n = 2 * n if s is None else n + prec - s.prec
@@ -753,7 +749,7 @@ class SeriesBranch:
         """v(f), from expansions that start at the branch's length and
         double until a term shows.  A truncated series never shows a wrong
         valuation; one still zero past the degree bound is an error."""
-        f = self._elem(f)
+        f = _on_curve(self.curve, f)
         if f.is_zero:
             raise ZeroElement("valuation of 0")
         n, bound = self.prec, _degree_bound(f)
@@ -804,24 +800,17 @@ class Z0Place:
     def point(self):
         return self.key
 
-    def _zval(self, comps) -> int:
-        """min over k of (q - 1) ord_phi(c_k) + k, Z having valuation 1."""
-        def ordp(poly):
-            m = 0
-            while True:
-                quo, rem = divmod(poly, self.phi)
-                if not rem.is_zero:
-                    return m
-                m, poly = m + 1, quo
-        vals = [(self.curve.q - 1) * (ordp(c.num) - ordp(c.den)) + k
-                for k, c in enumerate(comps) if not c.is_zero]
+    def _zval(self, xz) -> int:
+        """min over k of (q - 1) (ord_phi g_k - ord_phi den) + k for
+        f = sum_k g_k Z^k / den, Z having valuation 1."""
+        (g, den), p, q1, phi = xz, self.curve.p, self.curve.q - 1, self.phi.coeffs
+        vals = [q1 * _order(c, phi, p)[0] + k for k, c in enumerate(g) if c]
         if not vals:
             raise ZeroElement("valuation of 0")
-        return min(vals)
+        return min(vals) - q1 * _order(den, phi, p)[0]
 
     def valuation_of(self, f) -> int:
-        if isinstance(f, RatFunc):
-            f = FFElem(self.curve, (f,))
+        f = _on_curve(self.curve, f)
         if getattr(f, "_xz", None) is None:  # the same at every z = 0 place
             f._xz = xz_components(self.curve, f)
         return self._zval(f._xz)
@@ -844,13 +833,15 @@ def _w(curve: RaynaudPlane) -> UPoly:
 
 
 def xz_components(curve: RaynaudPlane, f: FFElem):
-    """Rewrite f in the chart y = 1 as a Z-power vector over F_p(X).
+    """Rewrite f in the chart y = 1 as the integral pair (g, den): q - 1
+    coefficient lists over F_p[X] and one denominator list, with
+    f = sum_k g_k Z^k / den.  The pair is not reduced by a gcd.
 
     Uses x = X/Z, y = 1/Z and the radical relation Z^(q-1) = X^q - X = w:
     with M = max(deg N_k + k), f = G Z^(deg D - M) / H for the polynomials
     G = sum_k Z^(M - k) N_k(X/Z) and H = Z^(deg D) D(X/Z) in X and Z.
     """
-    q, field, w = curve.q, curve.field, _w(curve)
+    q, w = curve.q, _w(curve)
     alg = curve._memo("xzalg", lambda: _Algebra(curve.p, [(-w).coeffs] + [[]] * (q - 2) + [[1]]))
     terms = [(k, c) for k, c in enumerate(f.num) if c]
     top = max((len(c) - 1 + k for k, c in terms), default=0)
@@ -870,22 +861,22 @@ def xz_components(curve: RaynaudPlane, f: FFElem):
     if len(h) > 1:
         inv, den = _inverse(h, alg)
         g, _ = _vmul(g, inv, alg)
-    den = UPoly(field, den) * w ** n
-    return [RatFunc(field, UPoly(field, c), den) for c in g + [[]] * (q - 1 - len(g))]
+    return g + [[]] * (q - 1 - len(g)), _mul(den, (w ** n).coeffs, curve.p)
 
 
 def _factor_linear_and_rest(poly: UPoly):
-    """Split off rational roots; return (list of (root, mult), cofactor)."""
-    field = poly.field
-    out = []
-    for a in range(field.p):
-        m = 0
-        lin = UPoly(field, (-a, 1))
-        while poly.evaluate(a) == 0:
-            poly = poly // lin
-            m += 1
-        if m:
+    """The rational roots of poly != 0 on the line, ascending, with their
+    multiplicities, and the cofactor free of them: ([(root, mult), ...],
+    cofactor).  The one scan of F_p: a root shows by evaluation, its
+    multiplicity by exact division."""
+    p, out = poly.field.p, []
+    for a in range(p):
+        if poly.degree < 1:
+            break
+        if poly.evaluate(a) == 0:
+            m, rest = _order(poly.coeffs, (-a % p, 1), p)
             out.append((a, m))
+            poly = UPoly(poly.field, rest)
     return out, poly
 
 
@@ -953,13 +944,10 @@ def _equal_degree_split(poly: UPoly, d: int, rng) -> list:
 
 
 def z0_places(curve: RaynaudPlane):
-    """All places of the curve on z = 0, one per irreducible factor of X^q - X."""
+    """All places of the curve on z = 0, one per irreducible factor of
+    X^q - X; w' = -1, so w = X^q - X is squarefree."""
     def build():
-        linear, rest = _factor_linear_and_rest(_w(curve))
-        places = [Z0Place(curve, UPoly(curve.field, (-a, 1))) for a, _ in linear]
-        if rest.degree > 0:
-            for f in _factor_squarefree(rest):
-                places.append(Z0Place(curve, f))
+        places = [Z0Place(curve, f) for f in _factor_squarefree(_w(curve))]
         places.sort(key=lambda pl: (pl.weight, pl.phi.coeffs))
         return places
     return curve._memo("z0_places", build)
@@ -1055,6 +1043,17 @@ def is_ordinary(curve: Weierstrass):
     return (h != 0, h)
 
 
+def _on_curve(curve, f) -> FFElem:
+    """f as an element of the curve's function field, the one coercion of
+    the places: an int, UPoly or RatFunc is lifted, and an element of an
+    unequal curve is refused."""
+    if not isinstance(f, FFElem):
+        return FFElem(curve, (f,))
+    if f.curve != curve:
+        raise CurveMismatch("element of a different curve")
+    return f
+
+
 def valuation(f, place) -> int:
     """v_place(f) for a function, or of the form h*dx for a Differential."""
     if isinstance(f, Differential):
@@ -1068,12 +1067,8 @@ class Differential:
     __slots__ = ("curve", "h")
 
     def __init__(self, curve, h):
-        if isinstance(h, RatFunc):
-            h = FFElem(curve, (h,))
-        if h.curve != curve:
-            raise CurveMismatch("form on the wrong curve")
         self.curve = curve
-        self.h = h
+        self.h = _on_curve(curve, h)
 
     @property
     def is_zero(self):

@@ -361,13 +361,8 @@ class UPoly(_Ring):
 
     def valuation_at(self, a: int) -> int:
         """Multiplicity of x = a as a root; ZeroElement on the zero poly."""
-        if self.is_zero:
-            raise ZeroElement("valuation of 0")
-        shifted = self.taylor_shift(a)
-        v = 0
-        while shifted.coeffs[v] == 0:
-            v += 1
-        return v
+        p = self.field.p
+        return _order(self.coeffs, (-a % p, 1), p)[0]
 
     def render(self) -> str:
         if self.is_zero:
@@ -414,6 +409,20 @@ def _divmod(a, b, p):
             q = quo[i - db] = c * inv % p
             r[i - db : i] = [u - q * v for u, v in zip(r[i - db : i], low)]
     return quo, _trim([c % p for c in r[:db]])
+
+
+def _order(a, b, p):
+    """(m, a / b^m) for the largest m with b^m | a: how often the
+    coefficient list b of degree >= 1 divides a != 0 over F_p, by exact
+    division until a remainder shows."""
+    if not a:
+        raise ZeroElement("valuation of 0")
+    m = 0
+    while True:
+        quo, rem = _divmod(a, b, p)
+        if rem:
+            return m, a
+        m, a = m + 1, quo
 
 
 def _gcd(a, b, p):

@@ -22,8 +22,8 @@ from .errors import (
     NotDormant,
     NotPreTango,
 )
-from .field import UPoly
-from .curves import FFElem
+from .field import _order
+from .curves import INF, FFElem
 from .connections import (
     OMEGA_FRAMES,
     LogConnection,
@@ -248,14 +248,11 @@ def specialize(general: LogConnection):
     if g.is_zero:
         raise DegenerateKS("the Kodaira-Spencer entry vanishes identically")
     if curve.model == "p1":
-        num = g.as_ratfunc().num
+        num, p = g.as_ratfunc().num.coeffs, curve.p
         for mark in curve.marks:
-            if mark == "inf":
-                continue
-            lin = UPoly(curve.field, (-mark, 1))
-            while num.degree > 0 and num.evaluate(mark) == 0:
-                num = num // lin
-        if num.degree > 0:
+            if mark != INF:
+                num = _order(num, (-mark % p, 1), p)[1]
+        if len(num) > 1:
             raise DegenerateKS("the Kodaira-Spencer entry vanishes on the chart")
     a0 = general.entry(0, 0)
     a1 = general.entry(1, 1) + g.dlog()

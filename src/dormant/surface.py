@@ -5,7 +5,8 @@ one affine fiber equation per chart plus the unit and shift gluing the
 fibers over every overlap.  All identities are verified exactly in the
 function field; regularity statements are certified on the rational
 place inventory of the base curve, which carries every divisor the
-shipped covers can produce.
+shipped covers can produce.  F* is the pullback along Frobenius of a
+function living on the twist: its p-th power, FFElem.pth_power.
 """
 from __future__ import annotations
 
@@ -27,11 +28,6 @@ from .curves import (
     z0_places,
 )
 from .tango import GeneralizedTango, default_places
-
-
-def _frob(w: FFElem) -> FFElem:
-    # pullback along Frobenius of a function living on the twist
-    return w.pth_power()
 
 
 def _val(place, f: FFElem):
@@ -145,7 +141,7 @@ def _solve_chart_function(gtc: GeneralizedTango, chart: Chart, places, df: FFEle
     """
     curve = gtc.curve
     p = curve.field.p
-    unit = _frob(chart.gen ** (p - 1))
+    unit = (chart.gen ** (p - 1)).pth_power()
     w = unit * gtc.f
     for place in places:
         if not chart.contains(place):
@@ -206,7 +202,7 @@ def build_surface(gtc: GeneralizedTango, covering: Optional[Sequence[Chart]] = N
                         raise UnitFailure(
                             f"u_{i}{j} is not a unit at {place.key}"
                         )
-            rhs = _frob(u ** (p - 1)) * t[j] - t[i]
+            rhs = (u ** (p - 1)).pth_power() * t[j] - t[i]
             if rhs.is_zero:
                 r = curve.ff_const(0)
             else:
@@ -274,13 +270,13 @@ def validate_cocycle(data: SurfaceGluingData) -> CocycleReport:
                 vr = _val(place, r)
                 if vr is not None and vr < 0:
                     out.append(f"r_{i}{j} has a pole at {place.key}")
-        fu = _frob(u ** (p - 1))
-        if data.t[i] != fu * data.t[j] - _frob(r):
+        fu = (u ** (p - 1)).pth_power()
+        if data.t[i] != fu * data.t[j] - r.pth_power():
             out.append(f"transition t_{i} = F*(u^(p-1)) t_{j} - F*(r) fails")
         if dt[i] != fu * dt[j]:
             out.append(f"differential relation dt_{i} = F*(u^(p-1)) dt_{j} fails")
         if not r.is_zero:
-            rr = _frob(r).pth_root()
+            rr = r.pth_power().pth_root()
             if rr is None or rr != r:
                 out.append(f"r_{i}{j} breaks the Frobenius pullback discipline")
     n = len(data.charts)

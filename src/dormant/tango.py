@@ -23,6 +23,7 @@ from .curves import (
     Differential,
     Divisor,
     FFElem,
+    _on_curve,
     branch_at,
     d_of,
     divisor_of_differential,
@@ -53,17 +54,9 @@ def default_places(curve, prec: Optional[int] = None) -> list:
             *(branch_at(curve, pt, prec) for pt in curve.affine_points() if pt != (0, 0))]
 
 
-def _coerce(curve, f) -> FFElem:
-    if isinstance(f, FFElem):
-        if f.curve is not curve:
-            raise ValueError("candidate lives on a different curve")
-        return f
-    return FFElem(curve, (f,))
-
-
 def _df_divisor(curve, f, places):
     """(f as an element, the certified divisor of df on the places)."""
-    cand = _coerce(curve, f)
+    cand = _on_curve(curve, f)
     df = cand.derivative()
     if df.is_zero:
         raise CandidateIsPthPower("df = 0, the candidate is a p-th power")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from dormant.connections import (
     solve_dlog,
     tensor,
     trivial_label,
+    _divisor_points_p1,
     _least_solution,
 )
 from dormant.curves import (
@@ -564,6 +566,37 @@ class TestDescent:
         )
         assert dc.divisor == want
         assert dc.divisor.degree() == 0
+
+    def test_large_p_descent_is_not_cubic(self):
+        # the horizontal generator has degree near 2p; its support and
+        # valuations come from one root scan, not p Taylor shifts
+        field = PrimeField(101)
+        curve, x = P1Marked(field, (0, 1, INF)), RatFunc.x(field)
+        u = x ** 2 * (x - 1) / ((x - 3) ** 3 * (x - 5))
+        conn = canonical_connection(curve, curve.ff(u))
+        start = time.perf_counter()
+        dc = frobenius_descent(conn)
+        assert time.perf_counter() - start < 0.25
+        assert repr(dc) == "DescentClass(principal, -2*inf + 1*0 + 1*1)"
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_divisor_points_match_valuations(self, p, data):
+        field = PrimeField(p)
+        curve, x = line(p, 0, 1, INF), RatFunc.x(field)
+        cell = st.integers(0, p - 1)
+        u = RatFunc.const(field, data.draw(st.integers(1, p - 1)))
+        for c, e in data.draw(st.lists(st.tuples(cell, st.integers(-3, 3)), max_size=4)):
+            u = u * (x - c) ** e
+        u = u * rat(field, [1] + data.draw(st.lists(cell, max_size=3)),
+                    [1] + data.draw(st.lists(cell, max_size=3)))
+        vals = {c: u.valuation_at(c) for c in range(p)}
+        want = {c: v for c, v in vals.items() if v}
+        if u.valuation_at_infinity():
+            want[INF] = u.valuation_at_infinity()
+        got = _divisor_points_p1(curve.ff(u))
+        assert list(got.items()) == list(want.items())
 
     def test_degree_bookkeeping(self):
         # p deg D' = deg div(u) + frame degree + sum of lifted residues

@@ -29,7 +29,7 @@ from dormant.curves import (
     xz_components,
     z0_places,
 )
-from dormant.errors import InsufficientPrecision, SemanticError, ZeroElement
+from dormant.errors import CurveMismatch, InsufficientPrecision, SemanticError, ZeroElement
 from dormant.field import PrimeField, RatFunc, TruncSeries, UPoly
 from dormant.tango import default_places
 
@@ -40,6 +40,13 @@ F7 = PrimeField(7)
 
 def line(p, *marks):
     return P1Marked(PrimeField(p), marks)
+
+
+def xz_ratfuncs(curve, f):
+    """The integral pair of xz_components as reduced rational functions."""
+    g, den = xz_components(curve, f)
+    den = UPoly(curve.field, den)
+    return [RatFunc(curve.field, UPoly(curve.field, c), den) for c in g]
 
 
 class TestConstructors:
@@ -304,7 +311,7 @@ class TestRaynaudBranches:
 
     def test_xz_components_of_y(self):
         curve = RaynaudPlane(F5, 1)
-        comps = xz_components(curve, curve.y_elem())
+        comps = xz_ratfuncs(curve, curve.y_elem())
         # y = 1/Z = Z^(q-2) / (X^q - X)
         w = UPoly(F5, [0, -1, 0, 0, 0, 1])
         nonzero = [(k, c) for k, c in enumerate(comps) if not c.is_zero]
@@ -312,6 +319,32 @@ class TestRaynaudBranches:
         k, c = nonzero[0]
         assert k == curve.q - 2
         assert c == RatFunc(F5, UPoly.one(F5), w)
+
+
+class TestPlaceCoercion:
+    """Both kinds of place lift ints, UPolys and RatFuncs, and refuse the
+    elements of an unequal curve."""
+
+    def test_places_refuse_another_curve(self):
+        curve = RaynaudPlane(F3, 2)
+        for place in (z0_places(curve)[0], raynaud_p_inf(curve)):
+            with pytest.raises(CurveMismatch):
+                valuation(RaynaudPlane(F3, 3).y_elem(), place)
+        # an equal curve is the same curve
+        assert valuation(RaynaudPlane(F3, 2).y_elem(), z0_places(curve)[0]) == -1
+
+    @pytest.mark.parametrize("curve", [RaynaudPlane(F3, 2), line(3, 0, 1, INF)],
+                             ids=["raynaud", "p1"])
+    def test_places_lift_ints_and_polynomials(self, curve):
+        x, xe = UPoly.x(F3), curve.x_elem()
+        places = default_places(curve)
+        assert any(isinstance(pl, SeriesBranch) for pl in places)
+        for place in places:
+            assert valuation(2, place) == 0
+            assert valuation(x, place) == valuation(xe, place)
+            assert valuation(x ** 2 + 1, place) == valuation(xe ** 2 + 1, place)
+            with pytest.raises(ZeroElement):
+                valuation(3, place)
 
 
 class TestCertificateDifferentials:
@@ -749,7 +782,7 @@ class TestIntegralRepresentationOracle:
     def test_xz_components(self, name, data):
         curve, o = ORACLE_CURVES[name], ORACLES[name]
         a = data.draw(oracle_elements(curve))
-        assert xz_components(curve, a) == o.xz(a.comps)
+        assert xz_ratfuncs(curve, a) == o.xz(a.comps)
 
     @pytest.mark.parametrize("name", ORACLE_IDS)
     @settings(max_examples=25, deadline=None)
@@ -763,6 +796,33 @@ class TestIntegralRepresentationOracle:
         assert rebuilt == a * b and hash(rebuilt) == hash(a * b)
         assert rebuilt.render() == (b * a).render()
         assert (a + 1 != a) and a == FFElem(curve, a.comps)
+
+
+def _z0_reference(place, comps):
+    """v at a z = 0 place by the old route: the Z-chart components over
+    F_p(X), reduced by gcd, and the orders of phi by repeated divmod."""
+    def ordp(poly):
+        m = 0
+        while True:
+            quo, rem = divmod(poly, place.phi)
+            if not rem.is_zero:
+                return m
+            m, poly = m + 1, quo
+    return min((place.curve.q - 1) * (ordp(c.num) - ordp(c.den)) + k
+               for k, c in enumerate(comps) if not c.is_zero)
+
+
+@pytest.mark.parametrize("name", [n for n in ORACLE_IDS if n.startswith("ray")])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_z0_valuations_match_the_divmod_reference(name, data):
+    curve, o = ORACLE_CURVES[name], ORACLES[name]
+    x, y = curve.x_elem(), curve.y_elem()
+    a = data.draw(oracle_elements(curve, nonzero=True))
+    a = a * x ** data.draw(st.integers(-2, 3)) * y ** data.draw(st.integers(-2, 2))
+    comps = o.xz(a.comps)
+    places = z0_places(curve)
+    assert [valuation(a, pl) for pl in places] == [_z0_reference(pl, comps) for pl in places]
 
 
 @pytest.mark.parametrize("name", ORACLE_IDS)

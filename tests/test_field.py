@@ -153,6 +153,20 @@ class TestUPoly:
             for t in range(field.p):
                 assert shifted.evaluate(t) == f.evaluate((a + t) % field.p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 101]), data=st.data())
+    def test_valuation_at_matches_the_taylor_shift(self, p, data):
+        # the old definition: the index of the first nonzero coefficient of
+        # f(x + b); f carries a planted root a of multiplicity m
+        field = PrimeField(p)
+        a, m = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, 6))
+        cof = UPoly(field, data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6)))
+        f = (cof if not cof.is_zero else UPoly.one(field)) * UPoly(field, (-a, 1)) ** m
+        for b in (a, a + p, data.draw(st.integers(-2 * p, 2 * p))):
+            shifted = f.taylor_shift(b).coeffs
+            assert f.valuation_at(b) == next(i for i, c in enumerate(shifted) if c)
+        assert f.valuation_at(a) >= m
+
 
 class TestRatFunc:
     def test_normalize_cancels_common_factor(self):

@@ -14,6 +14,7 @@ from dormant.curves import (
 )
 from dormant.errors import (
     CandidateIsPthPower,
+    CurveMismatch,
     IncompleteDivisor,
     InvalidCertificate,
     NotDivisibleByP,
@@ -82,6 +83,16 @@ class TestRaynaudCertificates:
         c2 = certify_tango_structure(curve, f2)
         assert c1.divisor == c2.divisor
         assert c1.value == c2.value == 2
+
+    def test_candidate_on_an_equal_curve(self):
+        # curves compare by equality, not identity; unequal ones are refused
+        f = -(RaynaudPlane(PrimeField(5), 1).y_elem() ** -1)
+        curve = RaynaudPlane(PrimeField(5), 1)
+        cert = certify_tango_structure(curve, f)
+        assert cert.value == 2 and cert.is_exact
+        assert cert.divisor == certify_tango_structure(f.curve, f).divisor
+        with pytest.raises(CurveMismatch):
+            certify_tango_structure(RaynaudPlane(PrimeField(5), 2), f)
 
     def test_scaling_preserves_divisor(self):
         curve = RaynaudPlane(PrimeField(5), 1)
