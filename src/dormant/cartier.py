@@ -231,7 +231,7 @@ def _formal_pre_tango(conn: LogConnection, eta: Differential) -> bool:
     field = curve.field
     p = curve.p
     g = curve.genus()
-    r = len(getattr(curve, "marks", ()))
+    r = len(curve.marks)
     if curve.model == "ell":
         dstar = 2 * p
     else:

@@ -413,18 +413,19 @@ def _value(spec: JobSpec, kind: str) -> FFElem:
     raise SemanticError(f"{spec.command} needs a {kind} payload")
 
 
-def _env_places(curve):
+def _env_places(curve) -> None:
+    """Lengthen the curve's own places to the first rung DORMANT_PRECISION
+    names; results never depend on it."""
     raw = os.environ.get("DORMANT_PRECISION")
     if not raw:
-        return None
+        return
     try:
         prec = int(raw)
     except ValueError:
         raise SemanticError("DORMANT_PRECISION must be an integer")
     if not 4 <= prec <= PRECISION_CAP:
         raise SemanticError(f"DORMANT_PRECISION must lie in [4, {PRECISION_CAP}]")
-    # the first rung of every valuation; results never depend on it
-    return default_places(curve, prec)
+    default_places(curve, prec)
 
 
 def _run_pcurv(spec: JobSpec) -> str:
@@ -479,7 +480,8 @@ def _run_enumerate(spec: JobSpec) -> str:
 
 def _run_tango_certify(spec: JobSpec) -> str:
     f = _value(spec, "f")
-    cert = certify_tango_structure(spec.curve, f, _env_places(spec.curve))
+    _env_places(spec.curve)
+    cert = certify_tango_structure(spec.curve, f)
     if spec.machine:
         lines = [f"tango value={cert.value} exact={_bool(cert.is_exact)}"]
     else:
@@ -492,9 +494,8 @@ def _run_tango_certify(spec: JobSpec) -> str:
 def _run_tango_search(spec: JobSpec) -> str:
     if "height" not in spec.options:
         raise SemanticError("tango-search needs height=<H>")
-    rep = search_tango_candidates(
-        spec.curve, spec.options["height"], _env_places(spec.curve)
-    )
+    _env_places(spec.curve)
+    rep = search_tango_candidates(spec.curve, spec.options["height"])
     if spec.machine:
         best = "none" if rep.best_value is None else rep.best_value
         return f"search best={best} tried={rep.tried} skipped={rep.skipped}"
@@ -572,9 +573,8 @@ def _run_raynaud(spec: JobSpec) -> tuple:
         raise SemanticError("raynaud needs N=<degree at P_inf>")
     f = _value(spec, "f")
     pinf = raynaud_p_inf(curve)
-    gtc = build_generalized_tango(
-        curve, f, Divisor([(pinf, spec.options["N"])]), _env_places(curve)
-    )
+    _env_places(curve)
+    gtc = build_generalized_tango(curve, f, Divisor([(pinf, spec.options["N"])]))
     data = build_surface(gtc)
     if action == "build":
         return data.render(), 0

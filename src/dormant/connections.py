@@ -31,6 +31,7 @@ from .curves import (
     _Memo,
     _factor_linear_and_rest,
     _over_lcm,
+    _point,
     _vadd,
     _vmul,
     branch_at,
@@ -40,9 +41,12 @@ from .curves import (
 class BundleLabel:
     """Name of a framed bundle plus the section divisor of the frame.
 
-    corrections maps a point (a finite value, "inf", or a place key) to the
-    valuation of the frame section there; apparent residues of a connection
-    matrix exceed intrinsic ones by exactly that coefficient.
+    corrections maps a rational point of the curve to the valuation of the
+    frame section there; apparent residues of a connection matrix exceed
+    intrinsic ones by exactly that coefficient.  The keys are normalized as
+    branch_at normalizes points (so 7 is the point 2 on the line over F_5),
+    and the coefficients of keys that land on one point add up.  corrections
+    is a mapping or an iterable of (point, coefficient) pairs.
     """
 
     __slots__ = ("curve", "name", "corrections")
@@ -50,7 +54,11 @@ class BundleLabel:
     def __init__(self, curve, name: str, corrections=None):
         self.curve = curve
         self.name = name
-        self.corrections = dict(corrections or {})
+        self.corrections = {}
+        pairs = corrections.items() if isinstance(corrections, dict) else corrections or ()
+        for pt, v in pairs:
+            pt = _point(curve, pt)
+            self.corrections[pt] = self.corrections.get(pt, 0) + v
 
     def degree(self) -> int:
         return sum(self.corrections.values())
@@ -66,10 +74,8 @@ class BundleLabel:
         )
 
     def tensor(self, other: "BundleLabel") -> "BundleLabel":
-        corr = dict(self.corrections)
-        for pt, v in other.corrections.items():
-            corr[pt] = corr.get(pt, 0) + v
-        return BundleLabel(self.curve, f"{self.name}*{other.name}", corr)
+        return BundleLabel(self.curve, f"{self.name}*{other.name}",
+                           [*self.corrections.items(), *other.corrections.items()])
 
     def __eq__(self, other):
         return (
@@ -129,21 +135,25 @@ def omega_label(curve, name: str | None = None) -> BundleLabel:
 
 
 def omega_frame_differential(label: BundleLabel) -> Differential:
-    """The differential that the omega-type frame names."""
-    curve = label.curve
-    if label.name == "omega_log":
-        den = UPoly.one(curve.field)
-        for m in curve.marks:
-            if m != INF:
-                den = den * UPoly(curve.field, (-m, 1))
-        return Differential(curve, FFElem(curve, (RatFunc(curve.field, UPoly.one(curve.field), den),)))
-    if label.name == "omega_ell":
-        return Differential(curve, curve.y_elem().inverse())
-    if label.name == "ray_omega":
-        return Differential(curve, (-curve.y_elem().inverse()).derivative())
-    from .errors import NotOmegaBundle
+    """The differential that the omega-type frame names, built once per
+    curve and frame name."""
+    curve, name = label.curve, label.name
 
-    raise NotOmegaBundle(f"{label.name} does not name a differential frame")
+    def build():
+        if name == "omega_log":
+            den = UPoly.one(curve.field)
+            for m in curve.marks:
+                if m != INF:
+                    den = den * UPoly(curve.field, (-m, 1))
+            return Differential(curve, FFElem(curve, (RatFunc(curve.field, UPoly.one(curve.field), den),)))
+        if name == "omega_ell":
+            return Differential(curve, curve.y_elem().inverse())
+        return Differential(curve, (-curve.y_elem().inverse()).derivative())
+    if name not in OMEGA_FRAMES:
+        from .errors import NotOmegaBundle
+
+        raise NotOmegaBundle(f"{name} does not name a differential frame")
+    return curve._memo(("omega_frame", name), build)
 
 
 class LogConnection(_Memo):
@@ -178,10 +188,6 @@ class LogConnection(_Memo):
         # validated at their use sites
         if validate and curve.model == "p1":
             _validate_p1_log(self)
-
-    @property
-    def marks(self):
-        return getattr(self.curve, "marks", ())
 
     def entry(self, i: int, j: int) -> FFElem:
         return self.matrix[i][j]
@@ -218,7 +224,7 @@ def _validate_p1_log(conn: LogConnection) -> None:
     """
     curve = conn.curve
     field = curve.field
-    marks = set(conn.marks)
+    marks = set(conn.curve.marks)
     x = RatFunc.x(field)
     for i, row in enumerate(conn.matrix):
         for j, cell in enumerate(row):
@@ -226,7 +232,7 @@ def _validate_p1_log(conn: LogConnection) -> None:
             corr = conn.label.corrections if i == j else {}
             roots, rest = _factor_linear_and_rest(red.den)
             poles = dict(roots)
-            finite = {c for c in corr if isinstance(c, int) and 0 <= c < field.p}
+            finite = {c for c in corr if c != INF}
             for c in sorted(poles.keys() | finite):
                 order = poles.get(c, 0)
                 if order > 1:
@@ -381,9 +387,9 @@ def monodromy(conn: LogConnection) -> MonodromyVector:
         a = conn.scalar().as_ratfunc()
         vals = [
             _apparent_residue_p1(a, m) - conn.label.correction_at(m)
-            for m in conn.marks
+            for m in conn.curve.marks
         ]
-    return MonodromyVector(conn.curve, conn.marks, vals)
+    return MonodromyVector(conn.curve, conn.curve.marks, vals)
 
 
 def residue_pcurvature_identity(conn: LogConnection):
@@ -398,7 +404,7 @@ def residue_pcurvature_identity(conn: LogConnection):
     p = curve.p
     psi = p_curvature(conn)
     report = []
-    for mark in conn.marks:
+    for mark in conn.curve.marks:
         n = conn.rank
         rmat = [
             [_apparent_residue_p1(conn.entry(i, j).as_ratfunc(), mark) % p
@@ -623,7 +629,7 @@ def frobenius_descent(conn: LogConnection) -> DescentClass:
         return DescentClass(curve, True, Divisor(), u)
     div = _divisor_points_p1(u)
     items = []
-    for pt in sorted(set(conn.marks) | set(conn.label.corrections) | set(div), key=str):
+    for pt in sorted(set(conn.curve.marks) | set(conn.label.corrections) | set(div), key=str):
         total = div.get(pt, 0) + conn.label.correction_at(pt) + (mono_map.get(pt, 0) % p)
         if total % p:
             raise NotDivisibleByP(

@@ -6,9 +6,11 @@ x^q - x y^(q-1) - y z^(q-1) = 0 with q = l*p.  A function-field element
 is one integral y-power vector over F_p[x] over one monic denominator, in
 the fixed affine chart (z = 1 for Raynaud).  Places are either rational
 branches, whose coordinate series lengthen on demand, or, on the Raynaud
-curves, the points on the line z = 0, read through the second chart from
-an integral Z-power vector.  Every order of vanishing of a polynomial at
-a point of the line or at a factor of X^q - X is one field._order.
+curves, the points on the line z = 0, read through the second chart as
+f = Z^shift G / H from two integral Z-power vectors.  Both kinds read
+v(N / D) = v(N) - v(D) and v(h dx) = v(h) + v(dx).  Every order of
+vanishing of a polynomial at a point of the line or at a factor of
+X^q - X is one field._order.
 """
 from __future__ import annotations
 
@@ -170,10 +172,22 @@ class _Memo:
             return value
 
 
+def _point(curve, pt):
+    """The normal form of a rational point of the curve: INF, an int mod p
+    on the line, or an affine pair mod p on the other models."""
+    if pt == INF:
+        return INF
+    p = curve.p
+    if curve.model == "p1":
+        return int(pt) % p
+    return (int(pt[0]) % p, int(pt[1]) % p)
+
+
 class _CurveBase(_Memo):
     __slots__ = ("field",)
 
     model = "?"
+    marks = ()
 
     @property
     def p(self) -> int:
@@ -236,12 +250,7 @@ class P1Marked(_CurveBase):
     def __init__(self, field: PrimeField, marks):
         self.field = field
         self._cache = {}
-        norm = []
-        for m in marks:
-            if m == INF:
-                norm.append(INF)
-            else:
-                norm.append(int(m) % field.p)
+        norm = [_point(self, m) for m in marks]
         if len(set(norm)) != len(norm):
             raise SemanticError(f"marks must be pairwise distinct, got {norm}")
         self.marks = tuple(norm)
@@ -267,7 +276,6 @@ class Weierstrass(_CurveBase):
     __slots__ = ("a", "b")
     model = "ell"
     ext_degree = 2
-    marks = ()
 
     def __init__(self, field: PrimeField, a: int, b: int):
         self.field = field
@@ -288,12 +296,13 @@ class Weierstrass(_CurveBase):
     def c_poly(self) -> UPoly:
         return UPoly(self.field, (self.b, self.a, 0, 1))
 
+    def _c_half(self) -> UPoly:
+        """(x^3 + ax + b)^((p-1)/2), built once per curve."""
+        return self._memo("c_half", lambda: self.c_poly() ** ((self.p - 1) // 2))
+
     def hasse(self) -> int:
         """Coefficient of x^(p-1) in (x^3 + ax + b)^((p-1)/2)."""
-        def build():
-            h = self.c_poly() ** ((self.p - 1) // 2)
-            return h.coeff(self.p - 1)
-        return self._memo("hasse", build)
+        return self._c_half().coeff(self.p - 1)
 
     def cleared_minpoly(self):
         return [(-self.c_poly()).coeffs, [], [1]]  # Y^2 - c(x)
@@ -364,7 +373,7 @@ class FFElem(_Ring):
     curve's field; comps gives them back as reduced RatFuncs.
     """
 
-    # _xz: the Z-chart pair (xz_components), set by Z0Place on first use
+    # _xz: the Z-chart triple (xz_components), set by Z0Place on first use
     __slots__ = ("curve", "num", "den", "_xz")
 
     def __init__(self, curve, comps):
@@ -511,7 +520,7 @@ class FFElem(_Ring):
         curve, p = self.curve, self.curve.p
         num, den = [list(c) for c in self.num], list(self.den.coeffs)
         if curve.model == "ell":  # y = z / c^((p-1)/2)
-            h = (curve.c_poly() ** ((p - 1) // 2)).coeffs
+            h = curve._c_half().coeffs
             return _canon([_mul(num[0], h, p), num[1]], _mul(den, h, p), p)
         if curve.model == "raynaud":
             return _zbasis_raynaud(curve, num, den)
@@ -681,7 +690,23 @@ def _degree_bound(f) -> int:
     return d * (max(map(len, f.num)) - 1 + f.den.degree) + (d - 1) * gx
 
 
-class SeriesBranch:
+class _Place:
+    """What both kinds of place share: the one valuation rule."""
+
+    __slots__ = ()
+
+    def valuation_of(self, f) -> int:
+        """v(f) of a function f = N / D, read as v(N) - v(D), or of a
+        Differential h dx, read as v(h) + v(dx)."""
+        if isinstance(f, Differential):
+            return self.valuation_of(f.h) + self._dx_valuation()
+        f = _on_curve(self.curve, f)
+        if f.is_zero:
+            raise ZeroElement("valuation of 0")
+        return self._valuation(f)
+
+
+class SeriesBranch(_Place):
     """A rational place with coordinate expansions in a uniformizer t.
 
     x_series and y_series (None on the line) are known to at least
@@ -711,17 +736,10 @@ class SeriesBranch:
         return [s if s is None or s.prec <= n or (s.prec == inf and len(s.coeffs) == 1)
                 else s.truncate(n) for s in (self.x_series, self.y_series)]
 
-    def _series(self, f, n):
-        """f (a function or a Differential) from the coordinates cut to
-        O(t^n), with the precision the series rules give; None while the
-        denominator shows no term."""
-        if isinstance(f, Differential):
-            s = self._series(f.h, n)
-            return None if s is None else s * self._coords(n + 1)[0].derivative()
+    def _parts(self, f, n):
+        """(N(x(t), y(t)), D(x(t))) for the function f = N / D, from the
+        coordinates cut to O(t^n), with the precision the series rules give."""
         field, (xs, ys) = self.curve.field, self._coords(n)
-        den = poly_at_series(f.den, xs)
-        if not den.coeffs:
-            return None
         acc = TruncSeries.zero(field, self.key)
         ypow = TruncSeries.const(field, self.key, 1)
         last = max((k for k, c in enumerate(f.num) if c), default=-1)
@@ -730,7 +748,16 @@ class SeriesBranch:
                 acc = acc + poly_at_series(UPoly(field, c), xs) * ypow
             if k < last:
                 ypow = ypow * ys
-        return acc * den.inverse(prec_hint=n)
+        return acc, poly_at_series(f.den, xs)
+
+    def _series(self, f, n):
+        """f (a function or a Differential) from the coordinates cut to
+        O(t^n); None while the denominator shows no term."""
+        if isinstance(f, Differential):
+            s = self._series(f.h, n)
+            return None if s is None else s * self._coords(n + 1)[0].derivative()
+        num, den = self._parts(f, n)
+        return num * den.inverse(prec_hint=n) if den.coeffs else None
 
     def expand(self, f, prec=None) -> TruncSeries:
         """Laurent expansion of f, a function or a Differential, to exactly
@@ -745,38 +772,33 @@ class SeriesBranch:
             n = 2 * n if s is None else n + prec - s.prec
         return s.truncate(prec) if s.prec > prec else s
 
-    def valuation_of(self, f) -> int:
-        """v(f), from expansions that start at the branch's length and
-        double until a term shows.  A truncated series never shows a wrong
-        valuation; one still zero past the degree bound is an error."""
-        f = _on_curve(self.curve, f)
-        if f.is_zero:
-            raise ZeroElement("valuation of 0")
+    def _valuation(self, f) -> int:
+        """v(N) - v(D), from expansions that start at the branch's length
+        and double until both show a term.  A truncated series never shows
+        a wrong order; f still zero past the degree bound is an error."""
         n, bound = self.prec, _degree_bound(f)
-        while (s := self._series(f, n)) is None or not s.coeffs:
-            if s is not None and s.prec > bound:
+        while True:
+            num, den = self._parts(f, n)
+            if num.coeffs and den.coeffs:
+                return num.ord_low - den.ord_low
+            if den.coeffs and num.prec - den.ord_low > bound:
                 raise InsufficientPrecision(
-                    f"curves: the expansion at place {self.key} is 0 to O(t^{s.prec}), "
-                    f"past the degree bound {bound} on |v|")
+                    f"curves: the expansion at place {self.key} is 0 to "
+                    f"O(t^{num.prec - den.ord_low}), past the degree bound {bound} on |v|")
             n *= 2
-        return s.ord_low
 
-    def dx_valuation(self) -> int:
+    def _dx_valuation(self) -> int:
         """v(dx/dt); x is no constant, so some rung shows a term."""
         n = self.prec
         while not (s := self._coords(n)[0].derivative()).coeffs:
             n *= 2
         return s.ord_low
 
-    def form_valuation(self, h) -> int:
-        """Valuation of the differential h*dx at the branch."""
-        return self.valuation_of(h) + self.dx_valuation()
-
     def __repr__(self):
         return f"Branch({self.key}, prec={self.prec})"
 
 
-class Z0Place:
+class Z0Place(_Place):
     """A place of a Raynaud curve on the line z = 0.
 
     Handled through the chart y = 1 with coordinates X = x/y, Z = z/y, where
@@ -796,32 +818,24 @@ class Z0Place:
     def weight(self) -> int:
         return self.phi.degree
 
-    @property
-    def point(self):
-        return self.key
+    def _zval(self, vec) -> int:
+        """v(sum_k c_k Z^k) for a nonzero reduced Z-power vector: the terms
+        have distinct valuations (q - 1) ord_phi c_k + k, Z having
+        valuation 1, so the least of them is the valuation."""
+        p, q1, phi = self.curve.p, self.curve.q - 1, self.phi.coeffs
+        return min(q1 * _order(c, phi, p)[0] + k for k, c in enumerate(vec) if c)
 
-    def _zval(self, xz) -> int:
-        """min over k of (q - 1) (ord_phi g_k - ord_phi den) + k for
-        f = sum_k g_k Z^k / den, Z having valuation 1."""
-        (g, den), p, q1, phi = xz, self.curve.p, self.curve.q - 1, self.phi.coeffs
-        vals = [q1 * _order(c, phi, p)[0] + k for k, c in enumerate(g) if c]
-        if not vals:
-            raise ZeroElement("valuation of 0")
-        return min(vals) - q1 * _order(den, phi, p)[0]
-
-    def valuation_of(self, f) -> int:
-        f = _on_curve(self.curve, f)
+    def _valuation(self, f) -> int:
+        """v(Z^shift G / H) = shift + v(G) - v(H)."""
         if getattr(f, "_xz", None) is None:  # the same at every z = 0 place
             f._xz = xz_components(self.curve, f)
-        return self._zval(f._xz)
+        g, h, shift = f._xz
+        return shift + self._zval(g) - self._zval(h)
 
-    def dx_cofactor_valuation(self) -> int:
+    def _dx_valuation(self) -> int:
         # dx = (Z^(q-1) - X) Z^(-2) dZ on the curve, dZ a unit at z = 0, and
         # Z^(q-1) - X = X^q - 2X vanishes there only at X = 0, simply
         return self.curve.q - 3 if self.phi.coeffs == (0, 1) else -2
-
-    def form_valuation(self, h) -> int:
-        return self.valuation_of(h) + self.dx_cofactor_valuation()
 
     def __repr__(self):
         return f"Z0Place(phi={list(self.phi.coeffs)}, p={self.curve.p})"
@@ -833,35 +847,27 @@ def _w(curve: RaynaudPlane) -> UPoly:
 
 
 def xz_components(curve: RaynaudPlane, f: FFElem):
-    """Rewrite f in the chart y = 1 as the integral pair (g, den): q - 1
-    coefficient lists over F_p[X] and one denominator list, with
-    f = sum_k g_k Z^k / den.  The pair is not reduced by a gcd.
+    """Rewrite f in the chart y = 1 as (g, h, shift) with f = Z^shift G / H:
+    g and h are the Z-power vectors over F_p[X] of the polynomials G and H
+    in X and Z, reduced by the radical relation Z^(q-1) = X^q - X = w.
 
-    Uses x = X/Z, y = 1/Z and the radical relation Z^(q-1) = X^q - X = w:
-    with M = max(deg N_k + k), f = G Z^(deg D - M) / H for the polynomials
-    G = sum_k Z^(M - k) N_k(X/Z) and H = Z^(deg D) D(X/Z) in X and Z.
+    Uses x = X/Z and y = 1/Z: with M = max(deg N_k + k), G is
+    sum_k Z^(M - k) N_k(X/Z), H is Z^(deg D) D(X/Z) and shift = deg D - M.
     """
     q, w = curve.q, _w(curve)
     alg = curve._memo("xzalg", lambda: _Algebra(curve.p, [(-w).coeffs] + [[]] * (q - 2) + [[1]]))
     terms = [(k, c) for k, c in enumerate(f.num) if c]
     top = max((len(c) - 1 + k for k, c in terms), default=0)
-    dc = f.den.coeffs
-    # w^n Z^(deg D - M) is a nonnegative power of Z
-    n = max(0, (top - len(dc) + q - 1) // (q - 1))
-    g = [[] for _ in range(len(dc) + n * (q - 1))]
+    g = [[] for _ in range(top + 1)]
     for k, c in terms:
         for i, a in enumerate(c):  # a x^i y^k = a X^i Z^(M - i - k) / Z^M
             if a:  # one k per (Z, X) exponent pair, so nothing adds up
-                row = g[len(dc) - 1 + n * (q - 1) - i - k]
+                row = g[top - i - k]
                 row += [0] * (i + 1 - len(row))
                 row[i] = a
+    dc = f.den.coeffs
     h = [[0] * i + [a] if a else [] for i, a in reversed(list(enumerate(dc)))]
-    (g, _), (h, _) = _reduce(g, alg), _reduce(h, alg)
-    den = h[0]
-    if len(h) > 1:
-        inv, den = _inverse(h, alg)
-        g, _ = _vmul(g, inv, alg)
-    return g + [[]] * (q - 1 - len(g)), _mul(den, (w ** n).coeffs, curve.p)
+    return _reduce(g, alg)[0], _reduce(h, alg)[0], len(dc) - 1 - top
 
 
 def _factor_linear_and_rest(poly: UPoly):
@@ -894,8 +900,9 @@ def _poly_powmod(base: UPoly, e: int, mod: UPoly) -> UPoly:
 def _factor_squarefree(poly: UPoly):
     """Irreducible factors of a squarefree monic polynomial (no multiplicity).
 
-    Distinct-degree splitting, then seeded Cantor-Zassenhaus for equal-degree
-    pieces; deterministic because the RNG seed is fixed.
+    Distinct-degree splitting; the linear part splits by the root scan, the
+    equal-degree pieces of degree d >= 2 by seeded Cantor-Zassenhaus,
+    deterministic because the RNG seed is fixed.
     """
     p = poly.field.p
     x = UPoly.x(poly.field)
@@ -913,14 +920,19 @@ def _factor_squarefree(poly: UPoly):
         frob = _poly_powmod(frob, p, work)
         g = (frob - x).gcd(work)
         if g.degree > 0:
-            factors.extend(_equal_degree_split(g, d, rng))
+            if d == 1:  # the rational roots, by the one scan of F_p
+                factors.extend(UPoly(poly.field, (-a % p, 1))
+                               for a, _ in _factor_linear_and_rest(g)[0])
+            else:
+                factors.extend(_equal_degree_split(g, d, rng))
             work = work // g
             frob = frob % work
     return factors
 
 
 def _equal_degree_split(poly: UPoly, d: int, rng) -> list:
-    """Cantor-Zassenhaus on a product of irreducibles of the same degree d."""
+    """Cantor-Zassenhaus on a product of irreducibles of the same degree
+    d >= 2."""
     if poly.degree == d:
         return [poly.monic()]
     field = poly.field
@@ -956,11 +968,7 @@ def z0_places(curve: RaynaudPlane):
 def branch_at(curve, point, prec=None) -> SeriesBranch:
     """The curve's one branch at a rational point, lengthened to at least
     prec; it lengthens itself when an expansion asks for more."""
-    p = curve.p
-    if curve.model == "p1":
-        point = point if point == INF else int(point) % p
-    elif point != INF:
-        point = (int(point[0]) % p, int(point[1]) % p)
+    point = _point(curve, point)
     br = curve._memo(("branch", point), lambda: _branch(curve, point))
     if prec is not None:
         br.lengthen(prec)
@@ -1056,8 +1064,6 @@ def _on_curve(curve, f) -> FFElem:
 
 def valuation(f, place) -> int:
     """v_place(f) for a function, or of the form h*dx for a Differential."""
-    if isinstance(f, Differential):
-        return place.form_valuation(f.h)
     return place.valuation_of(f)
 
 
@@ -1070,22 +1076,10 @@ class Differential:
         self.curve = curve
         self.h = _on_curve(curve, h)
 
-    @property
-    def is_zero(self):
-        return self.h.is_zero
-
     def __add__(self, other):
         if not isinstance(other, Differential):
             return NotImplemented
         return Differential(self.curve, self.h + other.h)
-
-    def __sub__(self, other):
-        if not isinstance(other, Differential):
-            return NotImplemented
-        return Differential(self.curve, self.h - other.h)
-
-    def __neg__(self):
-        return Differential(self.curve, -self.h)
 
     def scale(self, f) -> "Differential":
         return Differential(self.curve, self.h * f)

@@ -73,9 +73,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -221,7 +221,7 @@ def miura_from_cartan(c: CartanConnection) -> MiuraGL2Oper:
 
 def exponent_of(m: MiuraGL2Oper) -> ExponentVector:
     """Per-mark residue vectors of the graded components."""
-    marks = getattr(m.curve, "marks", ())
+    marks = m.curve.marks
     monos = [monodromy(comp) for comp in m.cartan.components]
     vectors = [tuple(mono[i] for mono in monos) for i in range(len(marks))]
     return ExponentVector(m.curve.field.p, marks, vectors)

@@ -4,7 +4,8 @@ The invariant of a curve is the largest degree of floor(div(df)/p) over
 rational functions f outside the p-th powers.  A candidate realizing the
 maximum (2g - 2)/p with an exactly divisible divisor is a Tango structure.
 Everything here works with explicitly certified divisors: the divisor of df
-must be complete over the supplied places or the computation refuses.
+must be complete over the curve's own places (default_places) or the
+computation refuses.
 """
 from __future__ import annotations
 
@@ -54,14 +55,13 @@ def default_places(curve, prec: Optional[int] = None) -> list:
             *(branch_at(curve, pt, prec) for pt in curve.affine_points() if pt != (0, 0))]
 
 
-def _df_divisor(curve, f, places):
-    """(f as an element, the certified divisor of df on the places)."""
+def _df_divisor(curve, f):
+    """(f as an element, the certified divisor of df on the curve's places)."""
     cand = _on_curve(curve, f)
     df = cand.derivative()
     if df.is_zero:
         raise CandidateIsPthPower("df = 0, the candidate is a p-th power")
-    places = places if places is not None else default_places(curve)
-    return cand, _certified_divisor(curve, Differential(curve, df), places)
+    return cand, _certified_divisor(curve, Differential(curve, df), default_places(curve))
 
 
 def _certified_divisor(curve, omega: Differential, places) -> Divisor:
@@ -110,12 +110,12 @@ class TangoCertificate:
         return f"{tag} value={self.value} divisor={self.divisor.render()}"
 
 
-def tango_invariant_lower_bound(curve, f, places: Optional[Sequence] = None) -> int:
+def tango_invariant_lower_bound(curve, f) -> int:
     """deg floor(div(df)/p) for one candidate; a lower bound for the curve."""
-    return _df_divisor(curve, f, places)[1].floor_div(curve.field.p).degree()
+    return _df_divisor(curve, f)[1].floor_div(curve.field.p).degree()
 
 
-def certify_tango_structure(curve, f, places: Optional[Sequence] = None) -> TangoCertificate:
+def certify_tango_structure(curve, f) -> TangoCertificate:
     """Certificate that div(df) = p E with deg E = (2g - 2)/p.
 
     Raises PNotDividing2gMinus2 when no such structure can exist on the
@@ -126,7 +126,7 @@ def certify_tango_structure(curve, f, places: Optional[Sequence] = None) -> Tang
     chi = 2 * curve.genus() - 2
     if chi % p:
         raise PNotDividing2gMinus2(f"2g - 2 = {chi} is not divisible by p = {p}")
-    cand, div = _df_divisor(curve, f, places)
+    cand, div = _df_divisor(curve, f)
     for place, coeff in div.items():
         if coeff % p:
             err = NotDivisibleByP(
@@ -154,7 +154,7 @@ class GeneralizedTango:
         return f"generalized tango deg(N)={self.N.degree()} divisor={self.divisor.render()}"
 
 
-def build_generalized_tango(curve, f, N: Divisor, places: Optional[Sequence] = None) -> GeneralizedTango:
+def build_generalized_tango(curve, f, N: Divisor) -> GeneralizedTango:
     """Check div(df) = p(p-1) N and package the result.
 
     The premise p(p-1) deg(N) = 2g - 2 is checked first; a curve whose
@@ -168,7 +168,7 @@ def build_generalized_tango(curve, f, N: Divisor, places: Optional[Sequence] = N
         raise PremiseViolated(
             f"p(p-1) deg(N) = {m * N.degree()} but 2g - 2 = {chi}"
         )
-    cand, div = _df_divisor(curve, f, places)
+    cand, div = _df_divisor(curve, f)
     if div != N.times(m):
         raise InvalidCertificate("div(df) is not p(p-1) N for the proposed N")
     return GeneralizedTango(curve, cand, N, div)
@@ -195,15 +195,13 @@ class TangoSearchReport:
         return f"search bound={self.bound}: best={self.best_value} at {pairs}"
 
 
-def search_tango_candidates(curve, bound: int, places: Optional[Sequence] = None) -> TangoSearchReport:
+def search_tango_candidates(curve, bound: int) -> TangoSearchReport:
     """Scan monomials x^a y^b with |a|, |b| <= bound for the best lower bound.
 
     Deterministic order, p-th powers and incomplete divisors skipped.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if places is None:
-        places = default_places(curve)
     has_y = curve.ext_degree > 1
     x = curve.x_elem()
     y = curve.y_elem() if has_y else None
@@ -220,7 +218,7 @@ def search_tango_candidates(curve, bound: int, places: Optional[Sequence] = None
                 cand = cand * y ** b
             tried += 1
             try:
-                value = tango_invariant_lower_bound(curve, cand, places)
+                value = tango_invariant_lower_bound(curve, cand)
             except (CandidateIsPthPower, IncompleteDivisor):
                 skipped += 1
                 continue

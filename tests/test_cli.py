@@ -465,3 +465,84 @@ class TestPretangoOnce:
         text, code = run_job(parse_job(job))
         assert code == 0 and text.splitlines()[0] == first
         assert len(steps) == len(scans) == 1
+
+
+_ACTIONS = {"miura": ("from-pretango", "exponent", "dormant"),
+            "raynaud": ("build", "validate")}
+_READS = {"miura": ("action",), "raynaud": ("action", "N"), "tango-search": ("height",),
+          "enumerate": ("monodromy", "pretango")}
+_BLOCK = {"pcurv": "conn", "pretango": "conn", "miura": "conn", "cartier": "form",
+          "tango-certify": "f", "raynaud": "f"}
+
+
+def _grammar_job(rng):
+    """A job drawn from the job grammar: an optional command, one curve line
+    at p in {3, 5, 7}, options, rank 1-2 conn blocks under every bundle
+    name, payloads with '/' and ';', special= lines and value blocks."""
+    p = rng.choice((3, 5, 7))
+    l = 2 if p == 3 else 1
+    points = [str(rng.randrange(2 * p)) for _ in range(4)] + ["inf"]
+    curve, d = rng.choice((
+        (f"p1 p={p} marks={','.join(rng.sample(points, rng.randint(2, 4)))}", 1),
+        (f"ell p={p} a={rng.randrange(p)} b={rng.randrange(p)}", 2),
+        (f"raynaud p={p} l={l}", l * p - 1),
+    ))
+
+    def payload():
+        # one component too many now and then
+        n = d + 1 if rng.random() < 0.05 else rng.randint(1, min(d, 3))
+        comps = []
+        for _ in range(n):
+            num = " ".join(str(rng.randrange(-1, p + 2)) for _ in range(rng.randint(1, 4)))
+            den = " ".join(str(rng.randrange(p)) for _ in range(rng.randint(1, 3)))
+            comps.append(f"{num} / {den}" if rng.random() < 0.6 else num)
+        return " ; ".join(comps)
+
+    cmd = rng.choice(cli.COMMANDS)
+    lines = [f"cmd={cmd}"] if rng.random() < 0.95 else []
+    lines.append(curve)
+    options = {
+        "action": lambda: rng.choice(_ACTIONS.get(cmd, ("none",))),
+        "monodromy": lambda: ",".join(str(rng.randrange(p)) for _ in range(rng.randint(1, 4))),
+        "pretango": lambda: rng.choice(("true", "false")),
+        "height": lambda: str(rng.randint(0, 1)),
+        "N": lambda: str(rng.randint(0, 4)),
+        "mode": lambda: rng.choice(("machine", "human")),
+        "threads": lambda: rng.choice(("1", "8")),
+    }
+    # mostly the options the command reads, and now and then any others
+    keys = {k for k in _READS.get(cmd, ()) if rng.random() < 0.8}
+    for key in sorted(keys | set(rng.sample(sorted(options), rng.randint(0, 2)))):
+        lines.append(f"{key}={options[key]()}")
+    # mostly the block the command reads, and now and then any others
+    kinds = [_BLOCK[cmd]] if cmd in _BLOCK and rng.random() < 0.8 else []
+    for kind in kinds + rng.sample(("conn", "form", "f"), rng.randint(0, 1)):
+        if kind == "conn":
+            rank = rng.randint(1, 2)
+            bundle = rng.choice(("triv", "omega") + cli.OMEGA_FRAMES)
+            lines.append(f"conn rank={rank} bundle={bundle}")
+            lines += [payload() for _ in range(rank * rank)]
+            if rng.random() < 0.5:
+                lines.append(f"special={rng.choice(('true', 'false'))}")
+        else:
+            lines.append(f"{kind} {payload()}")
+    return "\n".join(lines) + "\n"
+
+
+class TestGrammarFuzz:
+    def test_generated_jobs_exit_with_a_code(self):
+        # every job the grammar generates either fails to parse with an
+        # input error, or runs to an exit code 0, 1 or 2 and raises nothing
+        rng = random.Random(2)
+        parsed = ran = 0
+        for _ in range(1000):
+            text = _grammar_job(rng)
+            try:
+                spec = parse_job(text)
+            except (SyntaxError, SemanticError):
+                continue
+            parsed += 1
+            report, code = run_job(spec)
+            assert code in (0, 1, 2) and isinstance(report, str), text
+            ran += code == 0
+        assert parsed > 500 and ran > 100

@@ -567,6 +567,22 @@ class TestDescent:
         assert dc.divisor == want
         assert dc.divisor.degree() == 0
 
+    def test_frame_keys_are_points_mod_p(self):
+        # a correction keyed 7 is the correction at the point 2 over F_5,
+        # and keys that land on one point add up
+        curve = line(5, 0, INF)
+        a = rat(F5, (1,), (-2, 1))
+        descents = []
+        for key in (2, 7):
+            conn = LogConnection(curve, [[a]], BundleLabel(curve, "shifted", {key: 1}))
+            assert conn.label.corrections == {2: 1}
+            descents.append(repr(frobenius_descent(conn)))
+        assert descents == ["DescentClass(principal, 1*2)"] * 2
+        label = BundleLabel(curve, "shifted", {2: 1, 7: 1})
+        assert label.correction_at(2) == 2 and label.corrections == {2: 2}
+        with pytest.raises(UndeclaredPoleDetected):
+            LogConnection(curve, [[a]], label)
+
     def test_large_p_descent_is_not_cubic(self):
         # the horizontal generator has degree near 2p; its support and
         # valuations come from one root scan, not p Taylor shifts

@@ -43,10 +43,20 @@ def line(p, *marks):
 
 
 def xz_ratfuncs(curve, f):
-    """The integral pair of xz_components as reduced rational functions."""
-    g, den = xz_components(curve, f)
-    den = UPoly(curve.field, den)
-    return [RatFunc(curve.field, UPoly(curve.field, c), den) for c in g]
+    """Z^shift G / H of xz_components as q - 1 Z-power components over
+    F_p(X), put together by the oracle's own product and inverse."""
+    g, h, shift = xz_components(curve, f)
+    field, q = curve.field, curve.q
+    zero, one = RatFunc.zero(field), RatFunc.one(field)
+    w = RatFunc.from_poly(UPoly(field, [0, -1] + [0] * (q - 2) + [1]))
+    zmin = [-w] + [zero] * (q - 2) + [one]
+    g, h = ([RatFunc.from_poly(UPoly(field, c)) for c in v] for v in (g, h))
+    quo = _o_mul(_o_trim(g), _o_inv_mod(h, zmin, field), field)
+    out = [zero] * (q - 1)
+    for k, c in enumerate(_o_divmod(quo, zmin, field)[1]):
+        a, b = divmod(k + shift, q - 1)  # Z^(k + shift) = w^a Z^b
+        out[b] = out[b] + c * (w ** a if a >= 0 else 1 / w ** -a)
+    return out
 
 
 class TestConstructors:
@@ -826,6 +836,21 @@ def test_z0_valuations_match_the_divmod_reference(name, data):
 
 
 @pytest.mark.parametrize("name", ORACLE_IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_valuation_of_a_quotient_is_a_difference(name, data):
+    """v(a / b) = v(a) - v(b) at every default place of all three models,
+    for functions and for forms: a / b is read from its own N and D, and
+    a form adds the same v(dx) on both sides."""
+    curve = ORACLE_CURVES[name]
+    a, b = (data.draw(oracle_elements(curve, nonzero=True)) for _ in range(2))
+    for place in default_places(curve):
+        assert valuation(a / b, place) == valuation(a, place) - valuation(b, place)
+        assert (valuation(Differential(curve, a / b), place)
+                == valuation(Differential(curve, a), place) - valuation(b, place))
+
+
+@pytest.mark.parametrize("name", ORACLE_IDS)
 def test_cancellation_leaves_canonical_form(name):
     # numerators longer than the denominator that share a factor with it
     curve, o = ORACLE_CURVES[name], ORACLES[name]
@@ -975,8 +1000,10 @@ class TestPrecisionRule:
         # B(x) = 4 * 1 + 3 * 5 = 19 on (5, 1): the rungs 8, 16 and 32
         curve = RaynaudPlane(F5, 1)
         pinf = raynaud_p_inf(curve)
-        monkeypatch.setattr(SeriesBranch, "_series",
-                            lambda br, f, n: TruncSeries.zero(curve.field, br.key, n))
+        # the numerator is 0 to O(t^n) at every rung, over a unit denominator
+        monkeypatch.setattr(SeriesBranch, "_parts",
+                            lambda br, f, n: (TruncSeries.zero(curve.field, br.key, n),
+                                              TruncSeries.const(curve.field, br.key, 1)))
         with pytest.raises(InsufficientPrecision) as err:
             pinf.valuation_of(curve.x_elem())
         msg = str(err.value)
