@@ -14,7 +14,6 @@ from .errors import (
     NoRationalGenerator,
     NotExactOnChart,
     NotFlat,
-    NotOmegaBundle,
     NotPreTango,
     ReconstructionFailure,
     UndeclaredPoleDetected,
@@ -24,11 +23,11 @@ from .curves import (
     INF,
     Differential,
     FFElem,
+    _on_curve,
     branch_at,
     raynaud_p_inf,
 )
 from .connections import (
-    OMEGA_FRAMES,
     BundleLabel,
     LogConnection,
     omega_frame_differential,
@@ -148,19 +147,14 @@ def cartier_series(s: TruncSeries, p: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 # pre-Tango structures
 
-def _require_omega(label: BundleLabel) -> None:
-    if label.name not in OMEGA_FRAMES:
-        raise NotOmegaBundle(f"{label.name} does not frame the differentials")
-
-
 def _horizontal_cartier(conn: LogConnection) -> CartierOutput:
     """Cartier data of the horizontal differential u * eta of a flat
     connection on the omega bundle: eta is the frame differential and u the
     rational horizontal generator.  Raises NoRationalGenerator without one.
     """
+    eta = omega_frame_differential(conn.label)
     if not p_curvature(conn).is_zero:
         raise NotFlat("pre-Tango structures are flat")
-    eta = omega_frame_differential(conn.label)
     u = solve_dlog(conn.curve, -conn.scalar())
     return cartier_curve(eta.scale(u))
 
@@ -185,18 +179,17 @@ def decide_pre_tango(conn: LogConnection):
     """
     if conn.rank != 1:
         raise ValueError("pre-Tango test is a rank-one notion")
-    _require_omega(conn.label)
+    eta = omega_frame_differential(conn.label)
     try:
         out = _horizontal_cartier(conn)
     except NoRationalGenerator:
-        return _formal_pre_tango(conn, omega_frame_differential(conn.label)), None
+        return _formal_pre_tango(conn, eta), None
     return out.is_exact, out
 
 
 def tango_from_pretango(conn: LogConnection) -> FFElem:
     """Rational f with df spanning the horizontal line of a pre-Tango
     structure; needs a rational horizontal generator."""
-    _require_omega(conn.label)
     out = _horizontal_cartier(conn)
     if not out.is_exact:
         raise NotPreTango("horizontal differential has a Cartier obstruction")
@@ -205,14 +198,12 @@ def tango_from_pretango(conn: LogConnection) -> FFElem:
 
 def pretango_from_tango(label: BundleLabel, f: FFElem) -> LogConnection:
     """The connection on the omega bundle whose horizontal line is df."""
-    _require_omega(label)
+    eta = omega_frame_differential(label)
     curve = label.curve
-    if not isinstance(f, FFElem):
-        f = FFElem(curve, (f,))
-    df = f.derivative()
+    df = _on_curve(curve, f).derivative()
     if df.is_zero:
         raise CandidateIsPthPower("df = 0, the candidate is a p-th power")
-    u = df / omega_frame_differential(label).h
+    u = df / eta.h
     return LogConnection(curve, [[-u.dlog()]], label)
 
 

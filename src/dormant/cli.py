@@ -20,8 +20,8 @@ from .connections import (
     OMEGA_FRAMES,
     LogConnection,
     canonical_connection,
+    frame_shift,
     monodromy,
-    omega_frame_differential,
     omega_label,
     omega_log_label,
     p_curvature,
@@ -50,6 +50,7 @@ from .miura import (
     MiuraGL2Oper,
     exponent_of,
     is_dormant,
+    miura_from_cartan,
     miura_from_tango,
     pretango_of,
     specialize,
@@ -399,10 +400,6 @@ def _connection(spec: JobSpec, rank: Optional[int] = None) -> LogConnection:
     block = _first_block(spec, ConnBlock, "connection")
     if rank is not None and block.rank != rank:
         raise SemanticError(f"{spec.command} wants rank {rank}, got {block.rank}")
-    if block.bundle == "omega_ell" and spec.curve.model != "ell":
-        raise SemanticError("omega_ell lives on the elliptic model")
-    if block.bundle == "ray_omega" and spec.curve.model != "raynaud":
-        raise SemanticError("ray_omega lives on the one-point model")
     return LogConnection(spec.curve, block.matrix, _label_for(spec.curve, block.bundle))
 
 
@@ -502,9 +499,7 @@ def _run_tango_search(spec: JobSpec) -> str:
     return rep.render()
 
 
-def _serialize_oper(m: MiuraGL2Oper) -> str:
-    src = m.cartan.components[-1].label.name
-    bundle = src[5:-1] if src.startswith("dual(") and src[5:-1] in OMEGA_FRAMES else "triv"
+def _serialize_oper(m: MiuraGL2Oper, bundle: str) -> str:
     lines = [f"conn rank=2 bundle={bundle}"]
     for i in range(2):
         for j in range(2):
@@ -520,29 +515,23 @@ def _oper_from_block(spec: JobSpec) -> MiuraGL2Oper:
     if not block.special:
         raise SemanticError("oper blocks carry a special=true line")
     curve = spec.curve
+    label = _label_for(curve, block.bundle)
     rebuilt = LogConnection(curve, block.matrix, trivial_label(curve), validate=False)
     oper, _ = specialize(rebuilt)
-    if block.bundle == "omega" or block.bundle in OMEGA_FRAMES:
-        # the serialized matrix is written in the coordinate frame; undo
-        # the frame shift to recover the graded line on dual(omega)
-        label = _label_for(curve, block.bundle)
-        h = omega_frame_differential(label).h
-        comp1 = LogConnection(
-            curve, [[oper.a1 - h.dlog()]], label.dual(), validate=False
-        )
-        comp0 = LogConnection(curve, [[curve.ff_const(0)]], trivial_label(curve))
-        return MiuraGL2Oper(
-            curve, CartanConnection(curve, (comp0, comp1)), oper.connection
-        )
-    return oper
+    if not label.omega:
+        return oper
+    # the serialized matrix is written in the coordinate frame; the graded
+    # line sits on dual(omega), in the frame (h dx)^-1
+    comp1 = LogConnection(curve, [[frame_shift(curve, oper.a1, -1)]], label.dual(),
+                          validate=False)
+    return miura_from_cartan(CartanConnection(curve, (oper.cartan.components[0], comp1)))
 
 
 def _run_miura(spec: JobSpec) -> str:
     action = spec.options.get("action")
     if action == "from-pretango":
         conn = _connection(spec, rank=1)
-        m = miura_from_tango(conn)
-        block = _serialize_oper(m)
+        block = _serialize_oper(miura_from_tango(conn), conn.label.name)
         if spec.machine:
             return block
         return "dormant miura operator\n" + block

@@ -17,6 +17,7 @@ from .errors import (
     NoRationalGenerator,
     NotDivisibleByP,
     NotFlat,
+    NotOmegaBundle,
     UndeclaredPoleDetected,
 )
 from .field import RatFunc, UPoly, _deriv, _list_add, _mul, _shift, _trim
@@ -30,6 +31,7 @@ from .curves import (
     Weierstrass,
     _Memo,
     _factor_linear_and_rest,
+    _on_curve,
     _over_lcm,
     _point,
     _vadd,
@@ -46,14 +48,18 @@ class BundleLabel:
     intrinsic ones by exactly that coefficient.  The keys are normalized as
     branch_at normalizes points (so 7 is the point 2 on the line over F_5),
     and the coefficients of keys that land on one point add up.  corrections
-    is a mapping or an iterable of (point, coefficient) pairs.
+    is a mapping or an iterable of (point, coefficient) pairs.  omega is k
+    when the frame is (h dx)^k for the curve's omega frame h dx, and 0 for
+    the coordinate frame or a hand-made one; only omega_label, dual and
+    tensor set it.
     """
 
-    __slots__ = ("curve", "name", "corrections")
+    __slots__ = ("curve", "name", "corrections", "omega")
 
-    def __init__(self, curve, name: str, corrections=None):
+    def __init__(self, curve, name: str, corrections=None, omega: int = 0):
         self.curve = curve
         self.name = name
+        self.omega = omega
         self.corrections = {}
         pairs = corrections.items() if isinstance(corrections, dict) else corrections or ()
         for pt, v in pairs:
@@ -71,16 +77,19 @@ class BundleLabel:
             self.curve,
             f"dual({self.name})",
             {pt: -v for pt, v in self.corrections.items()},
+            -self.omega,
         )
 
     def tensor(self, other: "BundleLabel") -> "BundleLabel":
         return BundleLabel(self.curve, f"{self.name}*{other.name}",
-                           [*self.corrections.items(), *other.corrections.items()])
+                           [*self.corrections.items(), *other.corrections.items()],
+                           self.omega + other.omega)
 
     def __eq__(self, other):
         return (
             isinstance(other, BundleLabel)
             and other.curve == self.curve
+            and other.omega == self.omega
             and other.corrections == self.corrections
         )
 
@@ -92,68 +101,83 @@ def trivial_label(curve) -> BundleLabel:
     return BundleLabel(curve, "triv")
 
 
-def omega_log_label(curve: P1Marked) -> BundleLabel:
-    """Log differentials on the marked line, framed by dx / prod(x - a_i).
+# the omega frame of each model: its name, and the model it lives on
+_FRAMES = {
+    "p1": ("omega_log", "the marked line"),
+    "ell": ("omega_ell", "the elliptic model"),
+    "raynaud": ("ray_omega", "the one-point model"),
+}
+OMEGA_FRAMES = tuple(name for name, _ in _FRAMES.values())
 
-    The frame is a global section vanishing to order r - 2 at the infinite
-    mark, which therefore must be present.
+
+def _omega_frame(curve):
+    """(label, h dx) of the curve's omega frame, built once per curve.
+
+    The line is framed by dx / prod(x - a_i) over the finite marks, a global
+    section vanishing to order r - 2 at the infinite mark, which therefore
+    must be present; an elliptic curve by dx/y (nowhere zero); a Raynaud
+    curve by d(-1/y) = dy/y^2.
     """
-    from .errors import NotOmegaBundle
-
-    if curve.model != "p1" or not curve.stable:
-        raise NotOmegaBundle("need a stable marked line")
-    if INF not in curve.marks:
-        raise NotOmegaBundle("the frame requires the infinite mark")
-    r = len(curve.marks)
-    return BundleLabel(curve, "omega_log", {INF: r - 2})
-
-
-def omega_ell_label(curve: Weierstrass) -> BundleLabel:
-    """Differentials on an elliptic curve, framed by dx/y (nowhere zero)."""
-    return BundleLabel(curve, "omega_ell")
-
-
-def raynaud_omega_label(curve: RaynaudPlane) -> BundleLabel:
-    """Differentials on a Raynaud curve framed by d(-1/y) = dy/y^2."""
-    return BundleLabel(curve, "ray_omega", {(0, 0): 2 * curve.genus() - 2})
-
-
-# names of the framed omega bundles, one per curve model
-OMEGA_FRAMES = ("omega_log", "omega_ell", "ray_omega")
-
-
-def omega_label(curve, name: str | None = None) -> BundleLabel:
-    """The omega bundle `name` (one of OMEGA_FRAMES) on the curve; by
-    default the one of the curve's model."""
-    if name is None:
-        name = {"p1": "omega_log", "ell": "omega_ell"}.get(curve.model, "ray_omega")
-    if name == "omega_log":
-        return omega_log_label(curve)
-    if name == "omega_ell":
-        return omega_ell_label(curve)
-    return raynaud_omega_label(curve)
-
-
-def omega_frame_differential(label: BundleLabel) -> Differential:
-    """The differential that the omega-type frame names, built once per
-    curve and frame name."""
-    curve, name = label.curve, label.name
-
     def build():
-        if name == "omega_log":
+        if curve.model == "p1":
+            if not curve.stable:
+                raise NotOmegaBundle("need a stable marked line")
+            if INF not in curve.marks:
+                raise NotOmegaBundle("the frame requires the infinite mark")
             den = UPoly.one(curve.field)
             for m in curve.marks:
                 if m != INF:
                     den = den * UPoly(curve.field, (-m, 1))
-            return Differential(curve, FFElem(curve, (RatFunc(curve.field, UPoly.one(curve.field), den),)))
-        if name == "omega_ell":
-            return Differential(curve, curve.y_elem().inverse())
-        return Differential(curve, (-curve.y_elem().inverse()).derivative())
-    if name not in OMEGA_FRAMES:
-        from .errors import NotOmegaBundle
+            h = FFElem(curve, (RatFunc(curve.field, UPoly.one(curve.field), den),))
+            corrections = {INF: len(curve.marks) - 2}
+        elif curve.model == "ell":
+            h, corrections = curve.y_elem().inverse(), None
+        else:
+            h = (-curve.y_elem().inverse()).derivative()
+            corrections = {(0, 0): 2 * curve.genus() - 2}
+        label = BundleLabel(curve, _FRAMES[curve.model][0], corrections, 1)
+        return label, Differential(curve, h)
+    return curve._memo("omega_frame", build)
 
-        raise NotOmegaBundle(f"{name} does not name a differential frame")
-    return curve._memo(("omega_frame", name), build)
+
+def omega_label(curve, name: str | None = None) -> BundleLabel:
+    """The omega bundle of the curve's model in its frame; a name (one of
+    OMEGA_FRAMES) of another model is an input error."""
+    if name is not None and name != _FRAMES[curve.model][0]:
+        raise ValueError(f"{name} lives on {dict(_FRAMES.values())[name]}")
+    return _omega_frame(curve)[0]
+
+
+def omega_log_label(curve: P1Marked) -> BundleLabel:
+    return omega_label(curve, "omega_log")
+
+
+def omega_ell_label(curve: Weierstrass) -> BundleLabel:
+    return omega_label(curve, "omega_ell")
+
+
+def raynaud_omega_label(curve: RaynaudPlane) -> BundleLabel:
+    return omega_label(curve, "ray_omega")
+
+
+def omega_frame_differential(label: BundleLabel) -> Differential:
+    """The differential h dx that frames the omega bundle, once the label
+    is checked to be that bundle in that frame."""
+    if label.omega == 1:
+        own, eta = _omega_frame(label.curve)
+        if label.corrections == own.corrections:
+            return eta
+    raise NotOmegaBundle(f"{label.name} does not frame the differentials")
+
+
+def frame_shift(curve, a: FFElem, k: int) -> FFElem:
+    """A rank-1 matrix a in the coordinate frame (dx)^k, rewritten in the
+    omega frame (h dx)^k: a + k dlog h; -k shifts back."""
+    if not k:
+        return a
+    dl = curve._memo("omega_dlog", lambda: _omega_frame(curve)[1].h.dlog())
+    # k = 1 and -1, the shifts of the bridge, cost one sum and no product
+    return a + dl if k == 1 else a - dl if k == -1 else a + k * dl
 
 
 class LogConnection(_Memo):
@@ -167,16 +191,7 @@ class LogConnection(_Memo):
 
     def __init__(self, curve, matrix, label: BundleLabel | None = None,
                  validate: bool = True):
-        rows = []
-        for row in matrix:
-            cells = []
-            for c in row:
-                if not isinstance(c, FFElem):
-                    c = FFElem(curve, (c,))
-                if c.curve != curve:
-                    raise CurveMismatch("matrix entry on the wrong curve")
-                cells.append(c)
-            rows.append(tuple(cells))
+        rows = [tuple(_on_curve(curve, c) for c in row) for row in matrix]
         self.curve = curve
         self._cache = {}
         self.rank = len(rows)
@@ -468,8 +483,7 @@ def canonical_connection(curve, unit=1) -> LogConnection:
     With the natural frame the matrix is zero; multiplying the frame by a
     rational unit u shifts the apparent matrix to dlog u.
     """
-    if not isinstance(unit, FFElem):
-        unit = FFElem(curve, (unit,))
+    unit = _on_curve(curve, unit)
     if unit.is_zero:
         raise ValueError("frame unit must be nonzero")
     a = unit.dlog()
@@ -503,8 +517,7 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
     form, which is the honest outcome because a formal certificate can
     still decide dormancy downstream.
     """
-    if isinstance(g, RatFunc):
-        g = FFElem(curve, (g,))
+    g = _on_curve(curve, g)
     if g.is_zero:
         return curve.ff_const(1)
     p, field = curve.p, curve.field

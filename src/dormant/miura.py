@@ -25,11 +25,10 @@ from .errors import (
 from .field import _order
 from .curves import INF, FFElem
 from .connections import (
-    OMEGA_FRAMES,
     LogConnection,
     dual,
+    frame_shift,
     monodromy,
-    omega_frame_differential,
     omega_label,
     p_curvature,
     tensor,
@@ -146,20 +145,6 @@ def cartan_from_connections(*nablas: LogConnection) -> CartanConnection:
     return CartanConnection(curve, comps)
 
 
-def _coordinate_scalar(comp: LogConnection) -> FFElem:
-    """Matrix of a rank-1 component rewritten in the coordinate frame.
-
-    A component on dual(omega) is framed by the inverse of the omega frame
-    h dx; passing to the coordinate vector field shifts the matrix by
-    dlog h.  Components on other labels are taken as written.
-    """
-    name = comp.label.name
-    if name.startswith("dual(") and name[5:-1] in OMEGA_FRAMES:
-        h = omega_frame_differential(omega_label(comp.curve)).h
-        return comp.scalar() + h.dlog()
-    return comp.scalar()
-
-
 class MiuraGL2Oper:
     """Rank-2 connection [[a0, 0], [1, a1]] plus its graded Cartan pair."""
 
@@ -204,12 +189,13 @@ class MiuraGL2Oper:
 
 
 def miura_from_cartan(c: CartanConnection) -> MiuraGL2Oper:
-    """The special Miura operator of a rank-2 Cartan pair."""
+    """The special Miura operator of a rank-2 Cartan pair, written in the
+    coordinate frame: a component framed by (h dx)^k is shifted back by
+    -k dlog h."""
     if c.n != 2:
         raise ValueError("only the rank-2 construction is executable")
     curve = c.curve
-    a0 = _coordinate_scalar(c.components[0])
-    a1 = _coordinate_scalar(c.components[1])
+    a0, a1 = (frame_shift(curve, comp.scalar(), -comp.label.omega) for comp in c.components)
     conn = LogConnection(
         curve,
         [[a0, curve.ff_const(0)], [curve.ff_const(1), a1]],
@@ -254,18 +240,9 @@ def specialize(general: LogConnection):
                 num = _order(num, (-mark % p, 1), p)[1]
         if len(num) > 1:
             raise DegenerateKS("the Kodaira-Spencer entry vanishes on the chart")
-    a0 = general.entry(0, 0)
-    a1 = general.entry(1, 1) + g.dlog()
-    comp0 = LogConnection(curve, [[a0]], trivial_label(curve), validate=False)
-    comp1 = LogConnection(curve, [[a1]], trivial_label(curve), validate=False)
-    cartan = CartanConnection(curve, (comp0, comp1))
-    conn = LogConnection(
-        curve,
-        [[a0, curve.ff_const(0)], [curve.ff_const(1), a1]],
-        trivial_label(curve),
-        validate=False,
-    )
-    return MiuraGL2Oper(curve, cartan, conn), g
+    comps = [LogConnection(curve, [[a]], trivial_label(curve), validate=False)
+             for a in (general.entry(0, 0), general.entry(1, 1) + g.dlog())]
+    return miura_from_cartan(CartanConnection(curve, comps)), g
 
 
 def miura_from_tango(conn: LogConnection) -> MiuraGL2Oper:
@@ -281,13 +258,7 @@ def pretango_of(m: MiuraGL2Oper) -> LogConnection:
         raise BadTrivialization("specialize the operator first")
     if not is_dormant(m):
         raise NotDormant("the operator has nonzero p-curvature")
-    curve = m.curve
-    label = omega_label(curve)
-    comp1 = m.cartan.components[1]
-    if comp1.label.name == f"dual({label.name})":
-        scalar = -comp1.scalar()
-    else:
-        # coordinate-frame component; undo the frame shift
-        h = omega_frame_differential(label).h
-        scalar = -(comp1.scalar() - h.dlog())
-    return LogConnection(curve, [[scalar]], label)
+    curve, comp1 = m.curve, m.cartan.components[1]
+    # the graded line rewritten in the frame (h dx)^-1 of dual(omega)
+    a = frame_shift(curve, comp1.scalar(), -1 - comp1.label.omega)
+    return LogConnection(curve, [[-a]], omega_label(curve))

@@ -7,7 +7,11 @@ import pytest
 
 from dormant import cartier, cli
 from dormant.cli import ConnBlock, JobSpec, main, parse_job, render_job, run_job
+from dormant.connections import LogConnection, omega_log_label, trivial_label
+from dormant.curves import INF, P1Marked
 from dormant.errors import SemanticError, SyntaxError
+from dormant.field import PrimeField
+from dormant.miura import CartanConnection, exponent_of, miura_from_cartan
 
 PRETANGO_P3 = (
     "cmd=pretango\n"
@@ -546,3 +550,105 @@ class TestGrammarFuzz:
             assert code in (0, 1, 2) and isinstance(report, str), text
             ran += code == 0
         assert parsed > 500 and ran > 100
+
+
+# every command that reads a conn block: its head lines and the block, a
+# zero rank-1 matrix or the special oper 0, 0, 1, 0
+_CONN_JOBS = {
+    "pcurv": ("cmd=pcurv", "conn rank=1 bundle={}\n0"),
+    "pretango": ("cmd=pretango", "conn rank=1 bundle={}\n0"),
+    "from-pretango": ("cmd=miura\naction=from-pretango", "conn rank=1 bundle={}\n0"),
+    "exponent": ("cmd=miura\naction=exponent", "conn rank=2 bundle={}\n0\n0\n1\n0\nspecial=true"),
+    "dormant": ("cmd=miura\naction=dormant", "conn rank=2 bundle={}\n0\n0\n1\n0\nspecial=true"),
+}
+_MODELS = {"p1": "p1 p=3 marks=0,1,inf", "ell": "ell p=5 a=1 b=2", "raynaud": "raynaud p=3 l=2"}
+# each omega frame name: the model it belongs to, as the error names it
+_HOMES = {"omega_log": ("p1", "the marked line"), "omega_ell": ("ell", "the elliptic model"),
+          "ray_omega": ("raynaud", "the one-point model")}
+
+
+def _dense(terms):
+    """The coefficient line c0 c1 ... of the polynomial {degree: c}."""
+    return " ".join(str(terms.get(n, 0)) for n in range(max(terms) + 1))
+
+
+def _ray_witness():
+    den = _dense({0: 1, 25: 1, 50: 1})
+    nums = ({19: 1, 44: 1}, {13: 2}, {7: 1}, {1: 1, 26: 1}, {20: 2, 45: 2})
+    return "witness f = " + " ; ".join(f"{_dense(n)} / {den}" for n in nums)
+
+
+def _ray_oper():
+    zero, den = " ; ".join(["0 / 1"] * 5), _dense({0: 2, 25: 1})
+    a1 = " ; ".join(["0 / 1" if n is None else f"{_dense(n)} / {den}"
+                     for n in ({24: 1}, None, {12: 2}, {6: 2}, None)])
+    return "\n".join(["conn rank=2 bundle=ray_omega", zero, zero,
+                      "1 / 1 ; " + " ; ".join(["0 / 1"] * 4), a1, "special=true"])
+
+
+_NOT_OMEGA = ("error: triv does not frame the differentials", 1)
+_OBSTRUCTED = ("pretango yes=false\nobstruction: nonzero Cartier image on the horizontal line", 0)
+_NOT_PRETANGO = ("error: the input connection is not pre-Tango", 1)
+_DORMANT = ("dormant yes=true", 0)
+# what each job printed before labels carried their frame power, under triv
+# and under the omega bundle of the curve's own model (named or "omega")
+_ANSWERS = {
+    "p1": {
+        "pcurv": (("pcurv rank=1 zero=true\n0 / 1", 0),) * 2,
+        "pretango": (_NOT_OMEGA, _OBSTRUCTED),
+        "from-pretango": (_NOT_OMEGA, _NOT_PRETANGO),
+        "exponent": (("exponent=0,0;0,0;0,0", 0), ("exponent=0,1;0,1;0,2", 0)),
+        "dormant": (_DORMANT,) * 2,
+    },
+    "ell": {
+        "pcurv": (("pcurv rank=1 zero=true\n0 / 1 ; 0 / 1", 0),) * 2,
+        "pretango": (_NOT_OMEGA, _OBSTRUCTED),
+        "from-pretango": (_NOT_OMEGA, _NOT_PRETANGO),
+        "exponent": (("exponent=", 0),) * 2,
+        "dormant": (_DORMANT,) * 2,
+    },
+    "raynaud": {
+        "pcurv": (("pcurv rank=1 zero=true\n" + " ; ".join(["0 / 1"] * 5), 0),) * 2,
+        "pretango": (_NOT_OMEGA, ("pretango yes=true\n" + _ray_witness(), 0)),
+        "from-pretango": (_NOT_OMEGA, (_ray_oper(), 0)),
+        "exponent": (("exponent=", 0),) * 2,
+        "dormant": (_DORMANT,) * 2,
+    },
+}
+
+
+class TestBundles:
+    @pytest.mark.parametrize("bundle", ("triv", "omega") + cli.OMEGA_FRAMES)
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_every_bundle_through_every_conn_command(self, model, bundle):
+        # a bundle of another model is an input error, the same one for
+        # every command; every other job prints what it always printed
+        home = _HOMES.get(bundle)
+        for command, (head, block) in _CONN_JOBS.items():
+            text = f"{head}\nmode=machine\n{_MODELS[model]}\n{block.format(bundle)}\n"
+            if home and home[0] != model:
+                want = (f"error: {bundle} lives on {home[1]}", 2)
+            else:
+                want = _ANSWERS[model][command][bundle != "triv"]
+            assert run_job(parse_job(text)) == want, command
+
+    def test_exponent_reads_a0(self):
+        # the oper [[1/x, 0], [1, 0]] under omega_log: the Cartan component
+        # 0 is d + dx/x, not d
+        text, code = run_job(parse_job(
+            "cmd=miura\naction=exponent\nmode=machine\np1 p=3 marks=0,1,inf\n"
+            "conn rank=2 bundle=omega_log\n1 / 0 1\n0\n1\n0\nspecial=true\n"))
+        assert (text, code) == ("exponent=1,1;0,1;2,2", 0)
+        # the same oper from its Cartan pair, without the job layer: a1 = 0
+        # in the coordinate frame is -dlog h = 1/x + 1/(x - 1) in the frame
+        # (h dx)^-1, h = 1/(x(x - 1))
+        curve = P1Marked(PrimeField(3), (0, 1, INF))
+        x = curve.x_elem()
+        comp0 = LogConnection(curve, [[x.inverse()]], trivial_label(curve))
+        comp1 = LogConnection(curve, [[x.inverse() + (x - 1).inverse()]],
+                              omega_log_label(curve).dual())
+        m = miura_from_cartan(CartanConnection(curve, (comp0, comp1)))
+        zero, one = curve.ff_const(0), curve.ff_const(1)
+        assert m.connection.matrix == ((x.inverse(), zero), (one, zero))
+        assert exponent_of(m).vectors == ((1, 1), (0, 1), (2, 2))
+

@@ -14,11 +14,13 @@ from dormant.connections import (
     LogConnection,
     canonical_connection,
     dual,
+    frame_shift,
     frobenius_descent,
     horizontal_generator,
     monodromy,
     omega_ell_label,
     omega_frame_differential,
+    omega_label,
     omega_log_label,
     p_curvature,
     rank1_p_curvature_closed,
@@ -689,3 +691,57 @@ class TestLabels:
         curve = Weierstrass(F5, 1, 2)
         omega = omega_frame_differential(omega_ell_label(curve))
         assert omega.h == curve.y_elem().inverse()
+
+
+def _frame_models():
+    """One curve of each model, with an element that is not a constant."""
+    ell = Weierstrass(F5, 1, 2)
+    ray = RaynaudPlane(F3, 2)
+    return [
+        (line(5, 0, 1, INF), line(5, 0, 1, INF).x_elem()),
+        (ell, ell.x_elem() + ell.y_elem().inverse()),
+        (ray, ray.y_elem()),
+    ]
+
+
+class TestFrames:
+    """The omega frame of each model, carried on a label as a power."""
+
+    @pytest.mark.parametrize("curve, a", _frame_models(), ids=["p1", "ell", "raynaud"])
+    def test_weights_add_under_tensor_and_negate_under_dual(self, curve, a):
+        omega, triv = omega_label(curve), trivial_label(curve)
+        assert (omega.omega, omega.dual().omega, triv.omega) == (1, -1, 0)
+        assert omega.tensor(omega).omega == 2
+        assert omega.tensor(omega.dual()).omega == 0
+        assert triv.tensor(omega.dual()).omega == -1
+
+    @pytest.mark.parametrize("curve, a", _frame_models(), ids=["p1", "ell", "raynaud"])
+    def test_shift_is_k_dlog_h_and_undoes_itself(self, curve, a):
+        h = omega_frame_differential(omega_label(curve)).h
+        assert frame_shift(curve, a, 1) == a + h.dlog()
+        assert frame_shift(curve, a, 0) is a
+        for k in range(-2, 3):
+            assert frame_shift(curve, frame_shift(curve, a, k), -k) == a
+
+    @pytest.mark.parametrize("curve, a", _frame_models(), ids=["p1", "ell", "raynaud"])
+    def test_labels_differ_by_frame_power(self, curve, a):
+        zero = curve.ff_const(0)
+        assert omega_label(curve) != trivial_label(curve)
+        assert (LogConnection(curve, [[zero]], trivial_label(curve), validate=False)
+                != LogConnection(curve, [[zero]], omega_label(curve), validate=False))
+        # a name is not a frame: only the power marks the omega bundle
+        named = BundleLabel(curve, omega_label(curve).name, omega_label(curve).corrections)
+        with pytest.raises(NotOmegaBundle, match="does not frame the differentials"):
+            omega_frame_differential(named)
+
+    def test_a_frame_of_another_model_is_an_input_error(self):
+        homes = {"omega_log": "the marked line", "omega_ell": "the elliptic model",
+                 "ray_omega": "the one-point model"}
+        for curve, _ in _frame_models():
+            own = omega_label(curve).name
+            assert omega_label(curve, own) is omega_label(curve)
+            for name, home in homes.items():
+                if name != own:
+                    with pytest.raises(ValueError, match=f"^{name} lives on {home}$"):
+                        omega_label(curve, name)
+

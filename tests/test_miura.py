@@ -366,3 +366,22 @@ class TestBridge:
         sp, rec = specialize(presented)
         assert rec == x
         assert is_dormant(sp)
+
+    @pytest.mark.parametrize("model", ["p1", "ell", "raynaud"])
+    def test_coordinate_frame_roundtrip(self, model):
+        # specialize writes both graded lines in the coordinate frame, so
+        # pretango_of must shift the second one back to dual(omega)
+        if model == "p1":
+            curve = line(5)
+            conn = LogConnection(curve, [[pole_sum(curve, (4, 4))]], omega_log_label(curve))
+            assert monodromy(conn) == (4, 4, 1)
+        elif model == "ell":
+            curve = Weierstrass(PrimeField(3), 1, 0)
+            conn = d_conn(curve, omega_ell_label(curve))
+        else:
+            curve = RaynaudPlane(PrimeField(5), 1)
+            conn = d_conn(curve, raynaud_omega_label(curve))
+        sp, _ = specialize(miura_from_tango(conn).connection)
+        assert all(comp.label.omega == 0 for comp in sp.cartan.components)
+        assert pretango_of(sp) == conn
+
