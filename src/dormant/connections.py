@@ -176,8 +176,7 @@ def frame_shift(curve, a: FFElem, k: int) -> FFElem:
     if not k:
         return a
     dl = curve._memo("omega_dlog", lambda: _omega_frame(curve)[1].h.dlog())
-    # k = 1 and -1, the shifts of the bridge, cost one sum and no product
-    return a + dl if k == 1 else a - dl if k == -1 else a + k * dl
+    return a + k * dl
 
 
 class LogConnection(_Memo):
@@ -227,46 +226,51 @@ class LogConnection(_Memo):
         return f"LogConnection[{self.rank}]({cells})"
 
 
-def _validate_p1_log(conn: LogConnection) -> None:
-    """Poles of the frame-corrected matrix must be simple and sit at marks.
+def _line_poles(f: FFElem):
+    """({place: (order, residue)}, cofactor) for the form f dx on the line:
+    its poles at the rational roots of den f, ascending, then at INF where
+    v(f) + v(dx) < 0 (v(dx) = -2 there), and the factor of den f with no
+    rational root.  The one scan of F_p; the residues are RatFunc's."""
+    r = f.as_ratfunc()
+    roots, rest = _factor_linear_and_rest(r.den)
+    poles = {c: (m, r.residue_at(c)) for c, m in roots}
+    if not r.is_zero and (k := r.num.degree - r.den.degree + 2) > 0:
+        poles[INF] = (k, r.residue_at_infinity())
+    return poles, rest
 
-    In a frame vanishing to order k at a point the apparent matrix picks up
-    k times the dlog of the local coordinate on the diagonal, so at an
-    unmarked point the apparent residue must agree with the correction mod p
-    and the pole must stay simple.  At infinity the same comparison reads
-    off the valuation of cell + corr/x in the coordinate 1/x.  The rational
-    poles and the finite corrections are checked in ascending order.
-    """
-    curve = conn.curve
-    field = curve.field
-    marks = set(conn.curve.marks)
-    x = RatFunc.x(field)
-    for i, row in enumerate(conn.matrix):
-        for j, cell in enumerate(row):
-            red = cell.as_ratfunc()
+
+def _entry_poles(conn: LogConnection, i: int, j: int):
+    """_line_poles of the entry (i, j), found once per connection."""
+    return conn._memo(("poles", i, j), lambda: _line_poles(conn.matrix[i][j]))
+
+
+def _residue(conn: LogConnection, i: int, j: int, place) -> int:
+    return _entry_poles(conn, i, j)[0].get(place, (0, 0))[1]
+
+
+def _validate_p1_log(conn: LogConnection) -> None:
+    """One rule at every rational place, infinity included: an entry has at
+    most a simple pole, and at an unmarked place its residue is 0, or on the
+    diagonal the frame correction mod p (a frame vanishing to order k adds k
+    dlog of the coordinate).  Order: finite places ascending, non-rational, INF."""
+    p, marks = conn.curve.p, conn.curve.marks
+    for i in range(conn.rank):
+        for j in range(conn.rank):
+            poles, rest = _entry_poles(conn, i, j)
             corr = conn.label.corrections if i == j else {}
-            roots, rest = _factor_linear_and_rest(red.den)
-            poles = dict(roots)
-            finite = {c for c in corr if c != INF}
-            for c in sorted(poles.keys() | finite):
-                order = poles.get(c, 0)
-                if order > 1:
+            for c in sorted((poles.keys() | corr.keys()) - {INF}) + [INF]:
+                order, res = poles.get(c, (0, 0))
+                off = c not in marks and res != corr.get(c, 0) % p
+                if c == INF:
+                    if rest.degree > 0:
+                        raise UndeclaredPoleDetected("non-rational pole in a matrix entry")
+                    if order > 1 or off:
+                        raise UndeclaredPoleDetected("pole at infinity beyond log order")
+                elif order > 1:
                     raise UndeclaredPoleDetected(f"pole of order {order} at {c}")
-                if c not in marks:
-                    have = red.residue_at(c) if order else 0
-                    if have != corr.get(c, 0) % field.p:
-                        raise UndeclaredPoleDetected(
-                            f"residue at the unmarked point {c} is off the frame"
-                        )
-            if rest.degree > 0:
-                raise UndeclaredPoleDetected("non-rational pole in a matrix entry")
-            ci = corr.get(INF, 0) % field.p
-            tail = red + RatFunc.const(field, ci) / x if ci else red
-            if tail.is_zero:
-                continue
-            v_inf = tail.valuation_at_infinity() - 2
-            if v_inf < (-1 if INF in marks else 0):
-                raise UndeclaredPoleDetected("pole at infinity beyond log order")
+                elif off:
+                    raise UndeclaredPoleDetected(
+                        f"residue at the unmarked point {c} is off the frame")
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +392,13 @@ class MonodromyVector:
         return f"MonodromyVector({dict(zip(self.marks, self.values))})"
 
 
-def _apparent_residue_p1(a: RatFunc, mark) -> int:
-    if mark == INF:
-        return a.residue_at_infinity()
-    return a.residue_at(mark)
-
-
 def monodromy(conn: LogConnection) -> MonodromyVector:
     if conn.rank != 1:
         raise ValueError("monodromy vector is a rank-one notion")
     vals = []
     if conn.curve.model == "p1":  # the other models carry no marks
-        a = conn.scalar().as_ratfunc()
-        vals = [
-            _apparent_residue_p1(a, m) - conn.label.correction_at(m)
-            for m in conn.curve.marks
-        ]
+        vals = [_residue(conn, 0, 0, m) - conn.label.correction_at(m)
+                for m in conn.curve.marks]
     return MonodromyVector(conn.curve, conn.curve.marks, vals)
 
 
@@ -421,16 +416,9 @@ def residue_pcurvature_identity(conn: LogConnection):
     report = []
     for mark in conn.curve.marks:
         n = conn.rank
-        rmat = [
-            [_apparent_residue_p1(conn.entry(i, j).as_ratfunc(), mark) % p
-             for j in range(n)]
-            for i in range(n)
-        ]
-        lhs = [
-            [_p_residue_p1(psi.entry(i, j).as_ratfunc(), mark, p) % p
-             for j in range(n)]
-            for i in range(n)
-        ]
+        rmat = [[_residue(conn, i, j, mark) for j in range(n)] for i in range(n)]
+        lhs = [[_p_residue_p1(psi.entry(i, j).as_ratfunc(), mark, p) % p for j in range(n)]
+               for i in range(n)]
         rhs = _int_mat_sub(_int_mat_pow(rmat, p, p), rmat, p)
         report.append({"mark": mark, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs})
     return report
@@ -524,9 +512,8 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
     if curve.ext_degree == 1:
         r = g.as_ratfunc()
         u = UPoly.one(field)
-        for c, _ in _factor_linear_and_rest(r.den)[0]:
-            e = r.residue_at(c)
-            if e:
+        for c, (_, e) in _line_poles(g)[0].items():
+            if e and c != INF:
                 u = u * UPoly(field, (-c, 1)) ** e
         if u.derivative() * r.den == r.num * u:
             return FFElem(curve, (u,))

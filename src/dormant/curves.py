@@ -444,6 +444,11 @@ class FFElem(_Ring):
                             list(self.den.coeffs), True)
 
     def __mul__(self, other):
+        if not isinstance(other, FFElem) and isinstance(other, int):
+            # the pair stays coprime; _canon reads only empty lists as zero
+            p, k = self.curve.p, other % self.curve.p
+            num = [[c * k % p for c in u] if k else [] for u in self.num]
+            return FFElem._make(self.curve, num, list(self.den.coeffs), True)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

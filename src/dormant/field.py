@@ -706,10 +706,16 @@ class RatFunc(_Ring):
         return self.series_at(a, 0).coeff(-1)
 
     def residue_at_infinity(self) -> int:
-        """Residue of self * dx at x = infinity (dx = -dt/t^2)."""
-        if self.is_zero:
+        """Residue of self * dx at x = infinity (dx = -dt/t^2).
+
+        0 when deg num < deg den - 1 and -lc(num) at a simple pole (den is
+        monic); only a pole of order >= 2 takes the expansion in t = 1/x.
+        """
+        gap = 2 if self.is_zero else self.den.degree - self.num.degree
+        if gap > 1:
             return 0
-        return self.field.neg(self.series_at_infinity(2).coeff(1))
+        lead = self.num.lc() if gap == 1 else self.series_at_infinity(2).coeff(1)
+        return self.field.neg(lead)
 
     def render(self) -> str:
         return f"{self.num.render()} / {self.den.render()}"

@@ -126,7 +126,7 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
         admissible = True
         label, yinv = omega_label(curve), curve.y_elem().inverse()
         candidates = (
-            LogConnection(curve, [[curve.ff_const(w) * yinv]], label) for w in range(p)
+            LogConnection(curve, [[w * yinv]], label) for w in range(p)
         )
         flat = [conn for conn in candidates if p_curvature(conn).is_zero]
     else:

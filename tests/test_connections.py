@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dormant import connections
 from dormant.connections import (
     BundleLabel,
     DescentClass,
@@ -33,6 +34,7 @@ from dormant.connections import (
 )
 from dormant.curves import (
     INF,
+    Differential,
     Divisor,
     FFElem,
     P1Marked,
@@ -69,6 +71,80 @@ def simple_poles(curve, coeffs):
     for m, c in zip(fin, coeffs):
         acc = acc + RatFunc.const(curve.field, c) / (x - m)
     return acc
+
+
+def local_pole(curve, f, place):
+    """(pole order, residue) of f dx at a rational place, read off the
+    curve's own branch there; kept free of the connection layer on purpose."""
+    if f.is_zero:
+        return 0, 0
+    br, form = branch_at(curve, place), Differential(curve, f)
+    return max(0, -br.valuation_of(form)), br.expand(form, 0).coeff(-1)
+
+
+def reference_verdict(curve, matrix, label):
+    """The first error text of the line's pole rule, or None: at each
+    rational place at most a simple pole, and at an unmarked one the
+    residue of a diagonal entry is its frame correction mod p (0 off the
+    diagonal); finite places ascending, then non-rational poles, then INF."""
+    p = curve.p
+    for i, row in enumerate(matrix):
+        for j, cell in enumerate(row):
+            f = curve.ff(cell)
+            corr = label.corrections if i == j else {}
+            rational = 0
+            for c in range(p):
+                order, res = local_pole(curve, f, c)
+                rational += order
+                if order > 1:
+                    return f"pole of order {order} at {c}"
+                if c not in curve.marks and res != corr.get(c, 0) % p:
+                    return f"residue at the unmarked point {c} is off the frame"
+            if not f.is_zero and f.den.degree > rational:
+                return "non-rational pole in a matrix entry"
+            order, res = local_pole(curve, f, INF)
+            if order > 1 or INF not in curve.marks and res != corr.get(INF, 0) % p:
+                return "pole at infinity beyond log order"
+    return None
+
+
+@st.composite
+def line_connections(draw):
+    """(curve, matrix, label) on a marked line: simple and double poles at
+    random points, frame corrections at marks, non-marks and INF, an
+    optional polynomial part and an optional pole at a non-rational point.
+    A balancing term at a mark can make the residue at INF the correction."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    field = PrimeField(p)
+    pts = [*range(p), INF]
+    curve = P1Marked(field, draw(st.lists(st.sampled_from(pts), min_size=3, max_size=4,
+                                          unique=True)))
+    corr = draw(st.dictionaries(st.sampled_from(pts), st.integers(-2, 2), max_size=3))
+    label = BundleLabel(curve, "drawn", corr)
+    x, rank = RatFunc.x(field), draw(st.integers(1, 2))
+    finite = [m for m in curve.marks if m != INF]
+    nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+    def entry(diag):
+        if draw(st.integers(0, 5 if diag else 1)) == 0:
+            return RatFunc.zero(field)
+        f, total = RatFunc.zero(field), 0
+        for a in draw(st.lists(st.integers(0, p - 1), max_size=3, unique=True)):
+            order = draw(st.sampled_from([1, 1, 2]))
+            want = corr.get(a, 0) if diag and a not in curve.marks else None
+            r = draw(st.sampled_from([want % p] if want is not None else range(p))
+                     if draw(st.booleans()) else st.integers(0, p - 1))
+            f = f + r / (x - a) ** order
+            total += r if order == 1 else 0
+        if finite and draw(st.booleans()):
+            target = corr.get(INF, 0) if diag else 0
+            f = f + (-target - total) / (x - draw(st.sampled_from(finite)))
+        if draw(st.integers(0, 4)) == 0:
+            f = f + 1 / (x * x - nonsquare)
+        return f + UPoly(field, draw(st.lists(st.integers(0, p - 1), max_size=2)))
+
+    matrix = [[entry(i == j) for j in range(rank)] for i in range(rank)]
+    return curve, matrix, label
 
 
 def trial_loop(curve, g):
@@ -349,6 +425,23 @@ class TestValidation:
         with pytest.raises(UndeclaredPoleDetected):
             LogConnection(curve, [[a]], label)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=line_connections())
+    def test_matches_the_curve_places(self, case):
+        # the verdict and first error text of validation, and the monodromy,
+        # agree with valuations and expansions at the curve's own places
+        curve, matrix, label = case
+        try:
+            conn, got = LogConnection(curve, matrix, label), None
+        except UndeclaredPoleDetected as e:
+            conn, got = LogConnection(curve, matrix, label, validate=False), str(e)
+        assert got == reference_verdict(curve, matrix, label)
+        if conn.rank == 1:
+            a = conn.scalar()
+            assert monodromy(conn) == tuple(
+                (local_pole(curve, a, m)[1] - label.correction_at(m)) % curve.p
+                for m in curve.marks)
+
     def test_pth_power_frame_twist_invisible(self):
         x = RatFunc.x(F5)
         curve = line(5, 1, INF)
@@ -396,6 +489,37 @@ class TestMonodromy:
         conn = LogConnection(curve, [[0, 0], [0, 0]])
         with pytest.raises(ValueError):
             monodromy(conn)
+
+    def test_poles_are_read_once(self, monkeypatch):
+        # validation finds each entry's poles and residues; monodromy and the
+        # residue matrix of the identity report only read them back (the
+        # (dt/t)^p coefficients of the p-curvature are another quantity)
+        curve = line(5, 0, 1, INF)
+        conn = LogConnection(curve, [[simple_poles(curve, (1, 3))]])
+        calls, watch = [], [True]
+
+        def spy(owner, name):
+            orig = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a: (watch and calls.append(name)) or orig(*a))
+
+        for name in ("residue_at", "residue_at_infinity", "series_at", "series_at_infinity"):
+            spy(RatFunc, name)
+        spy(connections, "_factor_linear_and_rest")
+        p_residue = connections._p_residue_p1
+
+        def unwatched(*a):
+            watch.clear()
+            try:
+                return p_residue(*a)
+            finally:
+                watch.append(True)
+
+        monkeypatch.setattr(connections, "_p_residue_p1", unwatched)
+        assert monodromy(conn) == (1, 3, 1)
+        report = residue_pcurvature_identity(conn)
+        assert [row["rhs"] for row in report] == [[[0]]] * 3
+        assert calls == []
 
 
 class TestResidueIdentity:

@@ -30,7 +30,7 @@ from dormant.curves import (
     z0_places,
 )
 from dormant.errors import CurveMismatch, InsufficientPrecision, SemanticError, ZeroElement
-from dormant.field import PrimeField, RatFunc, TruncSeries, UPoly
+from dormant.field import PrimeField, RatFunc, TruncSeries, UPoly, _gcd
 from dormant.tango import default_places
 
 F3 = PrimeField(3)
@@ -203,6 +203,21 @@ class TestFFElemArithmetic:
         f = curve.x_elem()
         g = curve.y_elem() + 2
         assert (f * g).dlog() == f.dlog() + g.dlog()
+
+    @pytest.mark.parametrize("curve", [line(5, 0, 1, INF), Weierstrass(F7, 1, 3),
+                                       RaynaudPlane(F3, 2)], ids=["p1", "ell", "raynaud"])
+    def test_scalar_product_scales_the_numerator(self, curve, monkeypatch):
+        x = curve.x_elem()
+        f = x / (x * x + 1) + (curve.y_elem() if curve.ext_degree > 1 else 2)
+        scalars = range(-curve.p, 2 * curve.p + 1)
+        for k in scalars:
+            assert f * k == k * f == f * curve.ff_const(k)
+        # no gcd: the scaled numerators stay coprime to the denominator
+        calls = []
+        monkeypatch.setattr("dormant.field._gcd", lambda *a: calls.append(a) or _gcd(*a))
+        for k in scalars:
+            k * f
+        assert calls == []
 
 
 class TestWeierstrassBranches:

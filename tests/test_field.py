@@ -287,17 +287,24 @@ class TestRatFunc:
         assert r.residue_at_infinity() == 7 - 5
 
     @settings(max_examples=300, deadline=None)
-    @given(p=st.sampled_from([3, 5, 7, 131]), a=st.integers(-400, 400),
+    @given(p=st.sampled_from([3, 5, 7, 131]),
+           a=st.one_of(st.none(), st.integers(-400, 400)),
            order=st.integers(0, 3), data=st.data())
     def test_residue_matches_series_oracle(self, p, a, order, data):
         # den = rest * (x - a)^order: a regular point, a simple pole or a
-        # pole of order 2 or 3, unless num or rest cancel or add to it
+        # pole of order 2 or 3, unless num or rest cancel or add to it;
+        # a = None is infinity, where num takes x^order instead
         field = PrimeField(p)
         coeffs = st.lists(st.integers(0, p - 1), min_size=1, max_size=5)
         num = UPoly(field, data.draw(coeffs))
         rest = UPoly(field, data.draw(coeffs))
         if rest.is_zero:
             rest = UPoly.one(field)
+        if a is None:  # dx = -dt/t^2 in t = 1/x
+            r = RatFunc(field, num * UPoly.monomial(field, order), rest)
+            want = 0 if r.is_zero else -r.series_at_infinity(2).coeff(1) % p
+            assert r.residue_at_infinity() == want
+            return
         r = RatFunc(field, num, rest * UPoly(field, (-a, 1)) ** order)
         want = 0 if r.is_zero else r.series_at(a, 0).coeff(-1)
         assert r.residue_at(a) == want

@@ -232,11 +232,12 @@ class TestProveOnce:
         assert [id(c) for c in decided] == [id(c) for c in rep.flat_list]
 
     def test_line_sweep_expands_no_series(self, monkeypatch):
-        # every residue the sweep reads sits at a simple pole, so none
-        # needs a Laurent expansion
+        # every residue the sweep reads sits at a simple pole, infinity
+        # included, so none needs a Laurent expansion
         calls = []
-        series_at = RatFunc.series_at
-        monkeypatch.setattr(RatFunc, "series_at",
-                            lambda f, *a: calls.append(a) or series_at(f, *a))
+        for name in ("series_at", "series_at_infinity"):
+            expand = getattr(RatFunc, name)
+            monkeypatch.setattr(RatFunc, name, lambda f, *a, expand=expand, name=name:
+                                calls.append((name, a)) or expand(f, *a))
         sweep_genus0(5, 4)
         assert calls == []
