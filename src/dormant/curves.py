@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from itertools import zip_longest
-from math import inf
+from math import comb, inf
 
 from .errors import (
     CurveMismatch,
@@ -113,11 +113,11 @@ def _vmul(a, b, alg):
     return _reduce([_trim(prod[k : k + stride]) for k in range(0, len(prod), stride)], alg)
 
 
-def _inverse(a, alg, rhs=([1],)):
-    """(v, det) with a * v = det * rhs in the algebra, v integral, det != 0.
+def _inverse(a, alg):
+    """(v, det) with a * v = det in the algebra, v integral, det != 0.
 
-    Fraction-free (Bareiss) solve of the multiplication system for the one
-    right-hand side: column k is a * Y^k cleared of its x^(s e_k), and the
+    Fraction-free (Bareiss) solve of the multiplication system for the
+    right-hand side 1: column k is a * Y^k cleared of its x^(s e_k), and the
     solution is scaled back by those powers.
     """
     d, p = alg.d, alg.p
@@ -126,8 +126,7 @@ def _inverse(a, alg, rhs=([1],)):
         cols.append((col + [[]] * d, e))
         col, de = _reduce([[]] + col, alg)
         e += de
-    rhs = list(rhs) + [[]] * d
-    rows = [[c[0][i] for c in cols] + [rhs[i]] for i in range(d)]
+    rows = [[c[0][i] for c in cols] + [[1] if i == 0 else []] for i in range(d)]
     prev = [1]
     for k in range(d):
         # the shortest pivot keeps the minors low in degree
@@ -592,27 +591,35 @@ def _zalg(curve) -> _Algebra:
 
 
 def _y_over_z(curve):
-    """y in the z-basis of a Raynaud curve, canonical (V, Delta).
+    """y in the z-basis of a Raynaud curve, canonical (V, Delta), in closed
+    form.
 
     Multiplying the curve equation by y and using y^q = z^l gives
-    y^2 - x^q y + x z^l = 0.  Reducing Y^p modulo that monic quadratic over
-    F_p[x, z] gives y^p = A y + B, so y = (z - B) / A.  A != 0: otherwise
-    both roots y and x^q - y of the quadratic would have the p-th power B,
-    and Frobenius is injective.
+    y^2 - x^q y + x z^l = 0, with roots y and x^q - y.  Their difference
+    s = 2y - x^q has s^2 = D = x^(2q) - 4x z^l and s^p = 2(z - r) with
+    r = x^(pq) / 2, so s = D^((p+1)/2) / (2(z - r)).  Synthetic division of
+    the z-minpoly m by Z - r gives m = (Z - r) Q + m(r), so 1 / (z - r) is
+    -Q(z) / m(r); m(r) != 0, its two terms having different degrees.  Hence
+    y = x^q / 2 - D^((p+1)/2) Q(z) / (4 m(r)).
     """
     def build():
         p, q, l = curve.p, curve.q, curve.l
-        alg = _zalg(curve)
-        # Y^(k+1) = (x^q A_k + B_k) Y - x z^l A_k, from Y^1 = 1 * Y + 0
-        a, b = [[1]], []
-        for _ in range(p - 1):
-            a, b = ([_list_add(_shift(u, q), v, p) for u, v in zip_longest(a, b, fillvalue=[])],
-                    [[]] * l + [_shift([-c % p for c in u], 1) for u in a])
-        (a, ea), (b, eb) = _reduce(a, alg), _reduce(b, alg)
-        zmb = [[-c % p for c in u] for u in b] + [[], []]
-        zmb[1] = _list_add(zmb[1], _shift([1], p * eb), p)  # x^(p eb) (z - B)
-        v, det = _inverse(a, alg, zmb)  # y = x^(p ea) v / (x^(p eb) det)
-        return _canon([_shift(c, p * ea) for c in v], _shift(det, p * eb), p)
+        alg, half = _zalg(curve), (p + 1) // 2
+        r, qz = _shift([half], p * q), []
+        for c in reversed(alg.m):  # qz collects m_d, m_(d-1) + r m_d, ...
+            qz.append(_list_add(c, _mul(qz[-1], r, p), p) if qz else c)
+        m_r, qz = qz.pop(), qz[::-1]
+        # D^half Q, D^half = sum_j C(half, j) x^(2q(half-j)) (-4x)^j Z^(lj)
+        w = [[] for _ in range(alg.d + l * half)]
+        for j in range(half + 1):
+            c, sh = comb(half, j) * pow(-4, j, p) % p, 2 * q * (half - j) + j
+            for k, u in enumerate(qz, l * j):
+                w[k] = _list_add(w[k], _shift(_mul(u, [c], p), sh), p)
+        w, e = _reduce(w, alg)
+        den = _shift(_mul(m_r, [4], p), alg.s * e)
+        num = [[-c % p for c in u] for u in w] + [[] for _ in range(alg.d - len(w))]
+        num[0] = _list_add(num[0], _shift(_mul(den, [half], p), q), p)
+        return _canon(num, den, p)
     return curve._memo("y_over_z", build)
 
 
@@ -937,27 +944,23 @@ def _factor_squarefree(poly: UPoly):
 
 def _equal_degree_split(poly: UPoly, d: int, rng) -> list:
     """Cantor-Zassenhaus on a product of irreducibles of the same degree
-    d >= 2."""
-    if poly.degree == d:
-        return [poly.monic()]
-    field = poly.field
-    p = field.p
+    d >= 2.  A splitter r cuts a piece by gcd(r^((p^d-1)/2) - 1, piece):
+    first the fixed r = X + a for a = 0, 1, ..., p - 1, each piece going on
+    from the a that cut it out, then seeded random draws."""
+    field, p = poly.field, poly.field.p
     e = (p**d - 1) // 2
-    while True:
-        r = UPoly(field, [rng.randrange(p) for _ in range(poly.degree)])
-        if r.degree < 1:
-            continue
-        g = r.gcd(poly)
-        if 0 < g.degree < poly.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(
-                poly // g, d, rng
-            )
-        h = _poly_powmod(r, e, poly) - 1
-        g = h.gcd(poly)
-        if 0 < g.degree < poly.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(
-                poly // g, d, rng
-            )
+    work, out = [(poly.monic(), 0)], []
+    while work:
+        piece, a = work.pop()
+        while piece.degree > d:
+            r = UPoly(field, [a, 1] if a < p else [rng.randrange(p) for _ in range(piece.degree)])
+            a += 1
+            g = (_poly_powmod(r, e, piece) - 1).gcd(piece)
+            if 0 < g.degree < piece.degree:
+                work.append((g, a))
+                piece = piece // g
+        out.append(piece)
+    return out
 
 
 def z0_places(curve: RaynaudPlane):

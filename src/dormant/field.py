@@ -909,13 +909,25 @@ def poly_at_series(poly: UPoly, s: TruncSeries) -> TruncSeries:
     """Evaluate a polynomial at a series by Horner; precision via min-rules.
 
     The accumulator t^lo * cs + O(t^prec) is a list in TruncSeries normal
-    form, and each step acc * s + c follows the TruncSeries rules.
+    form, and each step acc * s + c follows the TruncSeries rules.  Only the
+    terms the result keeps are read: an exact monomial s = c t^k spreads the
+    coefficients, sum a_i c^i t^(k i); and at s = s0 + O(t) known to O(t^n),
+    (s - s0)^n = O(t^n), so N(s) = (N mod (x - s0)^n)(s) + O(t^n).
     """
-    p = poly.field.p
+    p, coeffs, cut = poly.field.p, poly.coeffs, inf
     sl, sc, sp = s.ord_low, s.coeffs, s.prec
+    if sp == inf and len(sc) == 1 and sl:
+        lo = min(0, sl * (len(coeffs) - 1))
+        out = [0] * (abs(sl) * len(coeffs))
+        for i, a in enumerate(coeffs):
+            out[sl * i - lo] = a * pow(sc[0], i, p)
+        return TruncSeries(poly.field, s.center, lo, out, inf)
+    if sl == 0 and sc and len(coeffs) > sp:
+        mod = UPoly(poly.field, [-sc[0], 1]) ** sp
+        coeffs, cut = _divmod(coeffs, mod.coeffs, p)[1], sp
     lo = prec = inf
     cs = []
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         prec = min(prec + sl, sp + lo)
         lo += sl
         cs = _mul(cs, sc, p, None if prec == inf else prec - lo)
@@ -934,5 +946,5 @@ def poly_at_series(poly: UPoly, s: TruncSeries) -> TruncSeries:
             cs, lo = cs[lead:], lo + lead
         if not cs:
             lo = prec
-    return TruncSeries(poly.field, s.center, lo, cs, prec)
+    return TruncSeries(poly.field, s.center, lo, cs, min(prec, cut))
 

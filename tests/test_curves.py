@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import operator
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from dormant.curves import (
     z0_places,
 )
 from dormant.errors import CurveMismatch, InsufficientPrecision, SemanticError, ZeroElement
-from dormant.field import PrimeField, RatFunc, TruncSeries, UPoly, _gcd
+from dormant.field import PrimeField, RatFunc, TruncSeries, UPoly, _canon, _gcd, _list_add, _shift
 from dormant.tango import default_places
 
 F3 = PrimeField(3)
@@ -930,6 +931,82 @@ def test_y_from_z_on_raynaud(p, l):
     av = value(a)
     assert not av.is_zero
     assert av * y + value(b) == z
+
+
+def _y_over_z_by_solve(curve):
+    """The oracle for the closed form: Y^p = A Y + B modulo
+    Y^2 - x^q Y + x z^l by the (p - 1)-step recurrence, then y = (z - B) / A
+    by the Bareiss solve of the z-algebra."""
+    p, q, l = curve.p, curve.q, curve.l
+    alg = curves._zalg(curve)
+    a, b = [[1]], []
+    for _ in range(p - 1):
+        a, b = ([_list_add(_shift(u, q), v, p) for u, v in zip_longest(a, b, fillvalue=[])],
+                [[]] * l + [_shift([-c % p for c in u], 1) for u in a])
+    (a, ea), (b, eb) = curves._reduce(a, alg), curves._reduce(b, alg)
+    zmb = [[-c % p for c in u] for u in b] + [[], []]
+    zmb[1] = _list_add(zmb[1], _shift([1], p * eb), p)  # x^(p eb) (z - B)
+    v, det = curves._inverse(a, alg)  # a v = det
+    w, ew = curves._vmul(zmb, v, alg)  # y = x^(p ea) w / (x^(p (eb + ew)) det)
+    return _canon([_shift(c, p * ea) for c in w], _shift(det, p * (eb + ew)), p)
+
+
+@pytest.mark.parametrize("p,l", [(3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1)])
+def test_y_over_z_closed_form_matches_the_solve(p, l):
+    field = PrimeField(p)
+    curve = RaynaudPlane(field, l)
+    v, delta = curves._y_over_z(curve)
+    assert (v, delta) == _y_over_z_by_solve(RaynaudPlane(field, l))
+    # sum_j V_j z^j = Delta y with z = y^p, in FFElem arithmetic
+    y = curve.y_elem()
+    z, acc = y.pth_power(), curve.ff_const(0)
+    for c in reversed(v):
+        acc = acc * z + curve.ff(UPoly(field, c))
+    assert acc == curve.ff(UPoly(field, delta)) * y
+
+
+def test_y_over_z_solves_no_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a linear solve behind y over z")
+    monkeypatch.setattr(curves, "_inverse", refuse)
+    curve = RaynaudPlane(F5, 3)
+    v, delta = curves._y_over_z(curve)
+    assert len(v) == curve.q - 1 and delta[-1] == 1
+
+
+def _cz_random_split(poly, d, rng):
+    """The oracle for the fixed splitters: Cantor-Zassenhaus by seeded
+    random draws only."""
+    if poly.degree == d:
+        return [poly.monic()]
+    e = (poly.field.p ** d - 1) // 2
+    while True:
+        r = UPoly(poly.field, [rng.randrange(poly.field.p) for _ in range(poly.degree)])
+        for g in (r.gcd(poly), (curves._poly_powmod(r, e, poly) - 1).gcd(poly)):
+            if 0 < g.degree < poly.degree:
+                return _cz_random_split(g, d, rng) + _cz_random_split(poly // g, d, rng)
+
+
+@pytest.mark.parametrize("p,l", [(3, 2), (3, 3), (5, 3), (7, 3)])
+def test_fixed_splitters_keep_the_z0_factors(p, l, monkeypatch):
+    field = PrimeField(p)
+    got = [pl.phi for pl in z0_places(RaynaudPlane(field, l))]
+    prod = UPoly.one(field)
+    for f in got:
+        prod = prod * f
+    assert prod == curves._w(RaynaudPlane(field, l))
+    monkeypatch.setattr(curves, "_equal_degree_split", _cz_random_split)
+    assert got == [pl.phi for pl in z0_places(RaynaudPlane(field, l))]
+
+
+def test_random_draws_split_what_no_fixed_splitter_does():
+    # every X + a has one quadratic character at the roots of both cubics
+    f, g = UPoly(F5, [1, 0, 1, 1]), UPoly(F5, [4, 1, 2, 1])
+    for a in range(5):
+        h = curves._poly_powmod(UPoly(F5, [a, 1]), (5**3 - 1) // 2, f * g) - 1
+        assert h.gcd(f * g).degree in (0, 6)
+    out = curves._equal_degree_split(f * g, 3, random.Random(0))
+    assert sorted(h.coeffs for h in out) == sorted([f.coeffs, g.coeffs])
 
 
 def _det(rows):

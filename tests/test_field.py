@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dormant import field as field_module
 from dormant.errors import InsufficientPrecision, ZeroDenominator, ZeroElement
 from dormant.field import (
     NEG_INF,
@@ -592,6 +593,52 @@ class TestPolyAtSeries:
         got = poly_at_series(UPoly(F5, [-2, 1]), s)
         assert series_state(got) == (3, (), 3, "c")
         assert series_state(got) == series_state(horner_oracle(UPoly(F5, [-2, 1]), s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from((3, 5, 131)),
+        poly=st.lists(st.integers(0, 130), max_size=80),
+        lead=st.integers(1, 130),
+        coeffs=st.lists(st.integers(0, 130), max_size=12),
+        prec=st.integers(1, 12),
+    )
+    def test_long_poly_at_short_unit(self, p, poly, lead, coeffs, prec):
+        # ord_low 0 and len(poly) > prec: the remainder mod (x - s0)^prec
+        field = PrimeField(p)
+        s = TruncSeries(field, "c", 0, [1 + lead % (p - 1)] + coeffs, prec)
+        f = UPoly(field, poly)
+        got, want = poly_at_series(f, s), horner_oracle(f, s)
+        assert series_state(got) == series_state(want)
+        assert type(got.prec) is type(want.prec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from((3, 5, 131)),
+        poly=st.lists(st.integers(0, 130), max_size=40),
+        c=st.integers(1, 130),
+        k=st.integers(-4, 4).filter(bool),
+    )
+    def test_exact_monomial(self, p, poly, c, k):
+        # s = c t^k exactly: the coefficients spread, with no products
+        field = PrimeField(p)
+        s = TruncSeries.t_power(field, "c", k, 1 + c % (p - 1))
+        f = UPoly(field, poly)
+        got, want = poly_at_series(f, s), horner_oracle(f, s)
+        assert series_state(got) == series_state(want)
+        assert type(got.prec) is type(want.prec)
+
+    def test_reads_the_kept_terms_once(self, monkeypatch):
+        # a degree-200 polynomial at 2 + t + O(t^8) is read through its
+        # remainder mod (x - 2)^8, not by 200 Horner products
+        calls = []
+        real = field_module._mul
+        monkeypatch.setattr(field_module, "_mul", lambda *a, **k: calls.append(1) or real(*a, **k))
+        f = rand_poly(random.Random(5), F5, 200)
+        s = TruncSeries(F5, "c", 0, [2, 1], 8)
+        got = poly_at_series(f, s)
+        assert len(calls) < 20
+        monkeypatch.undo()
+        assert series_state(got) == series_state(horner_oracle(f, s))
 
 
 # ---------------------------------------------------------------------------
