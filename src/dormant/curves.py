@@ -24,6 +24,7 @@ from .errors import (
     NewtonStall,
     SemanticError,
     SingularPoint,
+    ZeroDenominator,
     ZeroElement,
 )
 from .field import (
@@ -31,11 +32,10 @@ from .field import (
     RatFunc,
     TruncSeries,
     UPoly,
-    _Ring,
+    _Frac,
     _canon,
     _deriv,
     _div_exact,
-    _frac_sum,
     _list_add,
     _mul,
     _order,
@@ -139,11 +139,9 @@ def _inverse(a, alg):
         for ri in rows[k + 1 :]:
             ri[k + 1 :] = [_list_add(_mul(pk, t, p), [-c for c in _mul(ri[k], u, p)], p)
                            for t, u in zip(ri[k + 1 :], rk[k + 1 :])]
-        n = max((len(t) for ri in rows[k + 1 :] for t in ri[k + 1 :]), default=0)
-        if len(prev) > 1 and n >= len(prev):  # the step's divisions share prev
-            inv = _series_inv(prev[::-1], n - len(prev) + 1, p)
+        if len(prev) > 1:  # exact, by long division
             for ri in rows[k + 1 :]:
-                ri[k + 1 :] = [_div_exact(t, prev, p, inv) for t in ri[k + 1 :]]
+                ri[k + 1 :] = [_div_exact(t, prev, p) for t in ri[k + 1 :]]
         prev = pk
     sol = [None] * d
     for i in range(d - 1, -1, -1):
@@ -363,13 +361,14 @@ class RaynaudPlane(_CurveBase):
 # ---------------------------------------------------------------------------
 # function-field elements
 
-class FFElem(_Ring):
+class FFElem(_Frac):
     """Element of the function field: num / den.
 
     num is a y-basis vector over F_p[x] (d coefficient tuples) and den a
     monic UPoly, in canonical form: gcd(den, every numerator entry) = 1.
-    The constructor takes RatFunc, UPoly or int components over the
-    curve's field; comps gives them back as reduced RatFuncs.
+    It is the vector case of field._Frac.  The constructor takes RatFunc,
+    UPoly or int components over the curve's field; comps gives them back
+    as reduced RatFuncs.
     """
 
     # _xz: the Z-chart triple (xz_components), set by Z0Place on first use
@@ -415,9 +414,11 @@ class FFElem(_Ring):
             return (RatFunc._reduced(UPoly(field, self.num[0]), den),)
         return tuple(RatFunc(field, UPoly(field, c), den) for c in self.num)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.num)
+    def _integral(self):
+        return self.num, self.den.coeffs, self.curve.p
+
+    def _like(self, num, den, coprime=False):
+        return FFElem._make(self.curve, num, den, coprime)
 
     def _coerce(self, other):
         if isinstance(other, FFElem):
@@ -427,20 +428,6 @@ class FFElem(_Ring):
         if isinstance(other, (int, UPoly, RatFunc)):
             return FFElem(self.curve, (other,))
         return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FFElem._make(self.curve, *_frac_sum(
-            self.num, self.den.coeffs, o.num, o.den.coeffs, self.curve.p))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.curve.p
-        return FFElem._make(self.curve, [[-c % p for c in u] for u in self.num],
-                            list(self.den.coeffs), True)
 
     def __mul__(self, other):
         if not isinstance(other, FFElem) and isinstance(other, int):
@@ -460,25 +447,13 @@ class FFElem(_Ring):
 
     def inverse(self) -> "FFElem":
         if self.is_zero:
-            raise ZeroDivisionError("inverse of zero function")
+            raise ZeroDenominator("inverse of zero function")
         den = list(self.den.coeffs)
         if not any(self.num[1:]):  # in F_p(x): swap, already coprime
             return FFElem._make(self.curve, [den], list(self.num[0]), True)
         alg = self.curve.algebra()
         v, det = _inverse(self.num, alg)
         return FFElem._make(self.curve, [_mul(c, den, alg.p) for c in v], det)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def derivative(self) -> "FFElem":
         """d/dx by implicit differentiation: with y' = Y / E,
@@ -497,11 +472,6 @@ class FFElem(_Ring):
                    for u, c in zip_longest(num, w, fillvalue=[])]
             den[1] = _mul(den[1], scale, p)
         return FFElem._make(curve, num, den[1])
-
-    def dlog(self) -> "FFElem":
-        if self.is_zero:
-            raise ZeroElement("dlog of 0")
-        return self.derivative() / self
 
     def pth_power(self) -> "FFElem":
         """self**p: the Frobenius spread of the numerator entries, put
@@ -529,17 +499,6 @@ class FFElem(_Ring):
         if curve.model == "raynaud":
             return _zbasis_raynaud(curve, num, den)
         return num, den
-
-    def pth_root(self):
-        """g with g^p = self, or None when self is not a p-th power: in
-        canonical form, when the z-basis denominator or a numerator is not
-        a p-th power in F_p[x]."""
-        s, e = self._zvec()
-        roots = [UPoly(self.curve.field, c).pth_root() for c in s + [e]]
-        if None in roots:
-            return None
-        return FFElem._make(self.curve, [r.coeffs for r in roots[:-1]],
-                            list(roots[-1].coeffs), True)
 
     def evaluate(self, point):
         """Value at an affine rational point (x0, y0), or x0 alone for P^1."""

@@ -22,10 +22,10 @@ class ZeroElement(DormantError):
 
 
 class InsufficientPrecision(DormantError):
-    """A truncated series was too short to decide the question asked.
-
-    Callers with a retry budget should re-derive at doubled precision.
-    """
+    """A question the available precision cannot decide: a read past a
+    series' precision, a function still zero past the degree bound B(f),
+    or the formal certificate stopping short.  Places lengthen themselves,
+    so no caller retries at a higher precision."""
 
 
 # curve layer

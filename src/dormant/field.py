@@ -12,9 +12,10 @@ loop; above, it packs each list into one int with slots wide enough for any
 product coefficient (Kronecker substitution) and does one big-int multiply.
 Series inverses are Newton iterations on the same kernel.
 
-A fraction has one normal form, _canon: numerators over one monic
-denominator, coprime.  A RatFunc is its one-numerator case and a
-function-field element (curves.FFElem) its vector case.
+A fraction has one normal form, _canon, and one implementation, _Frac:
+numerators over one monic denominator, coprime.  A RatFunc is its
+one-numerator case and curves.FFElem its vector case.  Exact division,
+in the Bareiss steps of curves._inverse too, is long division.
 """
 from __future__ import annotations
 
@@ -259,13 +260,7 @@ class UPoly(_Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UPoly(self.field, out)
+        return UPoly(self.field, _list_add(self.coeffs, o.coeffs, self.field.p))
 
     __radd__ = __add__
 
@@ -304,7 +299,7 @@ class UPoly(_Ring):
         return UPoly(self.field, _gcd(self.coeffs, self._coerce(other).coeffs, self.field.p))
 
     def derivative(self) -> "UPoly":
-        return UPoly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return UPoly(self.field, _deriv(self.coeffs, self.field.p))
 
     def evaluate(self, a: int) -> int:
         p = self.field.p
@@ -313,17 +308,19 @@ class UPoly(_Ring):
             acc = (acc * a + c) % p
         return acc
 
-    def compose(self, other: "UPoly") -> "UPoly":
-        acc = UPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * other + c
-        return acc
-
     def taylor_shift(self, a: int) -> "UPoly":
-        """self(x + a)."""
-        if a % self.field.p == 0:
+        """self(x + a): its coefficients are the remainders of repeated
+        synthetic division by x - a, pass i dividing the quotient held in
+        cs[i:] and leaving the remainder in cs[i]."""
+        p, cs = self.field.p, list(self.coeffs)
+        a %= p
+        if not a:
             return self
-        return self.compose(UPoly(self.field, (a, 1)))
+        for i in range(len(cs) - 1):
+            acc = cs[-1]
+            for j in range(len(cs) - 2, i - 1, -1):
+                acc = cs[j] = (cs[j] + a * acc) % p
+        return UPoly(self.field, cs)
 
     def pth_power(self) -> "UPoly":
         """self**p via the Frobenius coefficient spread (c^p = c in F_p)."""
@@ -433,20 +430,14 @@ def _gcd(a, b, p):
     return [c * inv % p for c in a]
 
 
-def _div_exact(a, b, p, inv=None):
-    """a / b over F_p when b divides a.  With inv, the series inverse of
-    reversed b to at least len(a) - len(b) + 1 terms, the reversed quotient
-    is one truncated product, so many dividends of one b share it; without
-    inv it is long division."""
-    n = len(a) - len(b) + 1
-    if n <= 0:
+def _div_exact(a, b, p):
+    """a / b over F_p when b divides a, by long division."""
+    if len(a) < len(b):
         return []
     if len(b) == 1:
         c = pow(b[0], p - 2, p)
         return [v * c % p for v in a]
-    if inv is None:
-        return _divmod(a, b, p)[0]
-    return _mul(a[::-1][:n], inv, p, n)[::-1]
+    return _divmod(a, b, p)[0]
 
 
 def _trim(a):
@@ -468,17 +459,6 @@ def _list_add(a, b, p):
 
 def _deriv(a, p):
     return _trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def _frac_sum(u, a, v, b, p):
-    """u/a + v/b for numerator vectors u, v over canonical monic a, b, as
-    (numerators, den, coprime) for _canon.  No gcd is owed when a or b is 1:
-    gcd(a, u b + v a) = gcd(a, u) = 1 when b = 1, and symmetrically."""
-    coprime = 1 in (len(a), len(b))
-    if a == b:
-        return [_list_add(s, t, p) for s, t in zip(u, v)], list(a), coprime
-    num = [_list_add(_mul(s, b, p), _mul(t, a, p), p) for s, t in zip(u, v)]
-    return num, _mul(a, b, p), coprime
 
 
 def _canon(num, den, p, coprime=False):
@@ -507,11 +487,68 @@ def _canon(num, den, p, coprime=False):
     return [[c * inv % p for c in e] for e in num], [c * inv % p for c in den]
 
 
-class RatFunc(_Ring):
+class _Frac(_Ring):
+    """One fraction implementation: numerators over one monic den in
+    _canon's normal form.  A subclass gives _integral() (numerator vector,
+    den coefficients, p), _zvec() (its numerators over z = y^p),
+    _like(num, den, coprime) (its own kind from integral data, through
+    _canon), *, inverse and derivative."""
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self._integral()[0])
+
+    def __add__(self, other):
+        """No gcd is owed when a denominator is 1: gcd(a, u b + v a) =
+        gcd(a, u) = 1 when b = 1, and symmetrically."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        (u, a, p), (v, b, _) = self._integral(), o._integral()
+        if a == b:
+            num, den = [_list_add(s, t, p) for s, t in zip(u, v)], a
+        else:
+            num = [_list_add(_mul(s, b, p), _mul(t, a, p), p) for s, t in zip(u, v)]
+            den = _mul(a, b, p)
+        return self._like(num, den, 1 in (len(a), len(b)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        u, den, p = self._integral()
+        return self._like([[-c % p for c in e] for e in u], den, True)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inverse()
+
+    def dlog(self):
+        if self.is_zero:
+            raise ZeroElement("dlog of 0")
+        return self.derivative() / self
+
+    def pth_root(self):
+        """g with g^p = self, or None when self is not a p-th power: in
+        canonical form, when the z-basis denominator or a numerator is not
+        a p-th power in F_p[x]."""
+        s, e = self._zvec()
+        p = self._integral()[2]
+        if any(c for u in [*s, e] for i, c in enumerate(u) if i % p):
+            return None
+        return self._like([u[::p] for u in s], e[::p], True)
+
+
+class RatFunc(_Frac):
     """Reduced rational function num/den over F_p; den monic, gcd 1.
 
-    The normal form is _canon's, the one every function-field element
-    shares.  Operations that keep the pair coprime skip the gcd.
+    The one-numerator case of _Frac, kept as a pair of UPolys.  Operations
+    that keep the pair coprime skip the gcd.
     """
 
     __slots__ = ("field", "num", "den")
@@ -559,9 +596,16 @@ class RatFunc(_Ring):
     def x(cls, field):
         return cls(field, UPoly.x(field))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
+    def _integral(self):
+        return (self.num.coeffs,), self.den.coeffs, self.field.p
+
+    def _zvec(self):
+        return [self.num.coeffs], self.den.coeffs
+
+    def _like(self, num, den, coprime=False):
+        field = self.field
+        (n,), d = _canon(num, den, field.p, coprime)
+        return RatFunc._reduced(UPoly(field, n), UPoly(field, d))
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -574,21 +618,6 @@ class RatFunc(_Ring):
             return RatFunc.const(self.field, other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        field = self.field
-        (num,), den, coprime = _frac_sum(
-            [self.num.coeffs], self.den.coeffs, [o.num.coeffs], o.den.coeffs, field.p)
-        num, den = UPoly(field, num), UPoly(field, den)
-        return RatFunc._reduced(num, den) if coprime else RatFunc(field, num, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc._reduced(-self.num, self.den)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -597,26 +626,18 @@ class RatFunc(_Ring):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
+    def inverse(self) -> "RatFunc":
+        """den / num, already coprime: only the new den is made monic."""
+        if self.is_zero:
             raise ZeroDenominator("division by zero rational function")
-        return RatFunc(self.field, self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        c = self.field.inv(self.num.lc())
+        return RatFunc._reduced(self.den * c, self.num * c)
 
     def __pow__(self, n: int):
         if n < 0:
             if self.is_zero:
                 raise ZeroDenominator("negative power of 0")
-            c = self.field.inv(self.num.lc())
-            return RatFunc._reduced(self.den * c, self.num * c) ** -n
+            return self.inverse() ** -n
         return RatFunc._reduced(self.num**n, self.den**n)
 
     def derivative(self) -> "RatFunc":
@@ -625,22 +646,9 @@ class RatFunc(_Ring):
             self.field, n.derivative() * d - n * d.derivative(), d * d
         )
 
-    def dlog(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroElement("dlog of 0")
-        return self.derivative() / self
-
     def pth_power(self) -> "RatFunc":
         """Frobenius keeps the pair coprime and den monic."""
         return RatFunc._reduced(self.num.pth_power(), self.den.pth_power())
-
-    def pth_root(self):
-        """g with g^p = self, or None.  Canonical form makes this exact."""
-        rn = self.num.pth_root()
-        rd = self.den.pth_root()
-        if rn is None or rd is None:
-            return None
-        return RatFunc._reduced(rn, rd)
 
     def evaluate(self, a: int) -> int:
         d = self.den.evaluate(a)

@@ -89,16 +89,22 @@ class SurfaceGluingData:
 # ---------------------------------------------------------------------------
 # construction
 
-def default_covering(gtc: GeneralizedTango) -> list:
-    """Two charts: complement of P_inf, and the affine chart z != 0."""
+def _one_point(gtc: GeneralizedTango, what: str):
+    """(curve, key of P_inf) when gtc lives on the one-point model with N
+    concentrated at P_inf; else UnsupportedCurve, naming what wants it."""
     curve = gtc.curve
     if curve.model != "raynaud":
-        raise UnsupportedCurve("default covering lives on the one-point model")
-    n = gtc.N.degree()
+        raise UnsupportedCurve(f"{what} lives on the one-point model")
     pinf_key = raynaud_p_inf(curve).key
-    for place, coeff in gtc.N.items():
-        if place.key != pinf_key:
-            raise UnsupportedCurve("default covering wants N concentrated at P_inf")
+    if any(place.key != pinf_key for place, _ in gtc.N.items()):
+        raise UnsupportedCurve(f"{what} wants N concentrated at P_inf")
+    return curve, pinf_key
+
+
+def default_covering(gtc: GeneralizedTango) -> list:
+    """Two charts: complement of P_inf, and the affine chart z != 0."""
+    curve, pinf_key = _one_point(gtc, "default covering")
+    n = gtc.N.degree()
     x = curve.x_elem()
     return [
         Chart("minus-pinf", (pinf_key,), curve.ff_const(1)),
@@ -426,13 +432,7 @@ def pathology_witness(gtc: GeneralizedTango) -> PathologyWitness:
     deg N, and every counted element is certified here by an explicit
     section checked at the whole place inventory.
     """
-    curve = gtc.curve
-    if curve.model != "raynaud":
-        raise UnsupportedCurve("witness search lives on the one-point model")
-    pinf_key = raynaud_p_inf(curve).key
-    for place, coeff in gtc.N.items():
-        if place.key != pinf_key:
-            raise UnsupportedCurve("witness search wants N concentrated at P_inf")
+    curve, pinf_key = _one_point(gtc, "witness search")
     n = gtc.N.degree()
     if n < 0:
         return PathologyWitness(0)

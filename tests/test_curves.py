@@ -30,7 +30,13 @@ from dormant.curves import (
     xz_components,
     z0_places,
 )
-from dormant.errors import CurveMismatch, InsufficientPrecision, SemanticError, ZeroElement
+from dormant.errors import (
+    CurveMismatch,
+    InsufficientPrecision,
+    SemanticError,
+    ZeroDenominator,
+    ZeroElement,
+)
 from dormant.field import PrimeField, RatFunc, TruncSeries, UPoly, _canon, _gcd, _list_add, _shift
 from dormant.tango import default_places
 
@@ -219,6 +225,16 @@ class TestFFElemArithmetic:
         for k in scalars:
             k * f
         assert calls == []
+
+    @pytest.mark.parametrize("curve", [line(5, 0, 1, INF), Weierstrass(F7, 1, 3),
+                                       RaynaudPlane(F3, 2)], ids=["p1", "ell", "raynaud"])
+    def test_zero_division_is_a_zero_denominator(self, curve):
+        # the error RatFunc raises, inside the DormantError contract
+        zero, x = curve.ff_const(0), curve.x_elem()
+        for op in (zero.inverse, lambda: x / zero, lambda: x / 0, lambda: 1 / zero,
+                   lambda: zero ** -2):
+            with pytest.raises(ZeroDenominator):
+                op()
 
 
 class TestWeierstrassBranches:

@@ -730,6 +730,58 @@ class TestReferenceNormalForm:
             assert (fa * RatFunc.x(field)).pth_root() is None
 
 
+# ---------------------------------------------------------------------------
+# one fraction core: RatFunc and the line's FFElem are its two cases, so they
+# must agree value for value and error for error
+
+def outcome(op, *args):
+    """The result of op as a RatFunc state, None, or the type it raised."""
+    try:
+        r = op(*args)
+    except Exception as exc:
+        return type(exc)
+    if r is None:
+        return None
+    return state(r.as_ratfunc() if hasattr(r, "as_ratfunc") else r)
+
+
+PARITY_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "truediv": operator.truediv,
+    "int over": lambda a, b: 3 / a,
+    "poly over": lambda a, b: UPoly.x(a.den.field) / a,
+    "times int": lambda a, b: a * b,  # b an int here
+    "derivative": lambda a, b: a.derivative(),
+    "dlog": lambda a, b: a.dlog(),
+    "pth_power": lambda a, b: a.pth_power(),
+    "pth_root": lambda a, b: a.pth_root(),
+    "root of a power": lambda a, b: a.pth_power().pth_root(),
+    "inverse": lambda a, b: a.inverse(),
+    **{f"pow {n}": (lambda n: lambda a, b: a**n)(n) for n in range(-3, 4)},
+}
+
+
+class TestLineParity:
+    @pytest.mark.parametrize("p", REF_PRIMES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_ratfunc_and_line_ffelem_agree(self, p, data):
+        from dormant.curves import INF, P1Marked
+
+        field = PrimeField(p)
+        curve = P1Marked(field, (0, 1, INF))
+        a, b = (RatFunc(field, *data.draw(planted_pairs(field))) for _ in range(2))
+        k = data.draw(st.integers(-p, 2 * p))
+        zero = RatFunc.zero(field)
+        for u, v in ((a, b), (b, a), (a, zero), (zero, a)):
+            for name, op in PARITY_OPS.items():
+                w = k if name == "times int" else v
+                fw = k if name == "times int" else curve.ff(v)
+                assert outcome(op, curve.ff(u), fw) == outcome(op, u, w), name
+
+
 class TestMixedFields:
     """Operands over different primes are refused on every path."""
 

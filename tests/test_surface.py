@@ -347,6 +347,19 @@ class TestWitness:
             pathology_witness(record)
 
 
+@pytest.mark.parametrize("build,what", [(default_covering, "default covering"),
+                                        (pathology_witness, "witness search")])
+def test_one_point_premise_keeps_each_text(build, what):
+    # both entry points check the premise by one helper, each naming itself
+    curve = P1Marked(PrimeField(3), (0, 1, 2))
+    with pytest.raises(UnsupportedCurve, match=f"^{what} lives on the one-point model$"):
+        build(GeneralizedTango(curve, curve.ff_const(1), Divisor(), Divisor()))
+    gtc = tango32()
+    off = Divisor([(branch_at(gtc.curve, (1, 2), 24), 3)])
+    with pytest.raises(UnsupportedCurve, match=f"^{what} wants N concentrated at P_inf$"):
+        build(GeneralizedTango(gtc.curve, gtc.f, off, gtc.divisor))
+
+
 class TestInvariance:
     def test_diagonal_scaling_preserves_the_certificate(self):
         # (x, y) -> (c x, c y) maps the carrier to itself when
