@@ -121,9 +121,6 @@ class JobSpec:
     def machine(self) -> bool:
         return self.options.get("mode") == "machine"
 
-    def render(self) -> str:
-        return render_job(self)
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -206,15 +203,14 @@ def _parse_curve(line: str, lineno: int, p_declared):
                 _parse_int(kv["a"], lineno, "a"),
                 _parse_int(kv["b"], lineno, "b"),
             ), p
-        if model == "raynaud":
-            if "l" not in kv:
-                raise SyntaxError(lineno, "raynaud needs l=<int>")
-            return RaynaudPlane(field, _parse_int(kv["l"], lineno, "l")), p
+        # raynaud: parse_job routes only p1, ell and raynaud lines here
+        if "l" not in kv:
+            raise SyntaxError(lineno, "raynaud needs l=<int>")
+        return RaynaudPlane(field, _parse_int(kv["l"], lineno, "l")), p
     except (SyntaxError, SemanticError):
         raise
     except (DormantError, ValueError) as err:
         raise SemanticError(f"line {lineno}: {err}")
-    raise SyntaxError(lineno, f"unknown curve model {model!r}")
 
 
 def _parse_option(key: str, val: str, lineno: int, options: dict) -> None:

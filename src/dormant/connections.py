@@ -20,7 +20,7 @@ from .errors import (
     NotOmegaBundle,
     UndeclaredPoleDetected,
 )
-from .field import RatFunc, UPoly, _deriv, _list_add, _mul, _shift, _trim
+from .field import RatFunc, UPoly, _deriv, _list_add, _mul, _shift, _spread, _trim
 from .curves import (
     INF,
     Differential,
@@ -346,7 +346,7 @@ def _power_frame(conn: LogConnection) -> PCurvatureTensor:
         m = nxt
         for i in range(n):
             table[i][i][0] = _list_add(table[i][i][0], ndd, p)
-    dp = UPoly(curve.field, delta).pth_power().coeffs
+    dp = _spread(delta, p)
     return PCurvatureTensor(curve, [[FFElem._make(curve, v, dp) for v in row] for row in m])
 
 

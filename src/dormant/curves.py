@@ -28,6 +28,7 @@ from .errors import (
     ZeroElement,
 )
 from .field import (
+    INF,
     PrimeField,
     RatFunc,
     TruncSeries,
@@ -41,11 +42,10 @@ from .field import (
     _order,
     _series_inv,
     _shift,
+    _spread,
     _trim,
     poly_at_series,
 )
-
-INF = "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +477,7 @@ class FFElem(_Frac):
         """self**p: the Frobenius spread of the numerator entries, put
         together by Horner in z = y^p."""
         curve, p = self.curve, self.curve.p
-        spread = [UPoly(curve.field, c).pth_power().coeffs for c in self.num]
+        spread = [_spread(c, p) for c in self.num]
         alg = curve.algebra()
         z, ez = curve._memo("ypow_p", lambda: _reduce([[]] * p + [[1]], alg))  # y^p
         acc, e = [spread.pop()], 0
@@ -486,7 +486,7 @@ class FFElem(_Frac):
             e += e1 + ez
             acc = [_list_add(acc[0] if acc else [], _shift(c, alg.s * e), p)] + acc[1:]
         # Frobenius keeps the pair coprime on the line
-        return FFElem._make(curve, acc, _shift(self.den.pth_power().coeffs, alg.s * e),
+        return FFElem._make(curve, acc, _shift(_spread(self.den.coeffs, p), alg.s * e),
                             len(self.num) == 1)
 
     def _zvec(self):

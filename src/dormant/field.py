@@ -15,16 +15,22 @@ Series inverses are Newton iterations on the same kernel.
 A fraction has one normal form, _canon, and one implementation, _Frac:
 numerators over one monic denominator, coprime.  A RatFunc is its
 one-numerator case and curves.FFElem its vector case.  Exact division,
-in the Bareiss steps of curves._inverse too, is long division.
+in the Bareiss steps of curves._inverse too, is long division.  Frobenius
+acts on coefficient lists by one slice (_spread, _is_spread), and RatFunc's
+local reads take the point at infinity, INF, as a point like any other.
 """
 from __future__ import annotations
 
 import sys
 from array import array
 from enum import Enum
+from functools import total_ordering
 from math import inf
 
 from .errors import InsufficientPrecision, ZeroDenominator, ZeroElement
+
+# the point at infinity of the line, a place like any rational one
+INF = "inf"
 
 
 def is_prime(n: int) -> bool:
@@ -84,6 +90,7 @@ class PrimeField:
         return f"F_{self.p}"
 
 
+@total_ordering
 class Degree(Enum):
     """Degree sentinel for the zero polynomial.
 
@@ -93,27 +100,8 @@ class Degree(Enum):
     NEG_INF = "neg_inf"
 
     def __lt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, Degree):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
         if isinstance(other, (int, Degree)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (int, Degree)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int):
-            return False
-        if isinstance(other, Degree):
-            return True
+            return isinstance(other, int)
         return NotImplemented
 
 
@@ -324,34 +312,17 @@ class UPoly(_Ring):
 
     def pth_power(self) -> "UPoly":
         """self**p via the Frobenius coefficient spread (c^p = c in F_p)."""
-        p = self.field.p
-        out = [0] * (p * len(self.coeffs) - p + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[p * i] = c
-        return UPoly(self.field, out)
+        return UPoly(self.field, _spread(self.coeffs, self.field.p))
 
     def pth_root(self):
         """Inverse of pth_power when it exists, else None."""
         p = self.field.p
-        root = []
-        for i, c in enumerate(self.coeffs):
-            if i % p == 0:
-                root.append(c)
-            elif c:
-                return None
-        return UPoly(self.field, root)
+        return UPoly(self.field, self.coeffs[::p]) if _is_spread(self.coeffs, p) else None
 
     def frobenius_split(self):
         """Decompose self = sum_i split[i]^p * x^i with 0 <= i < p."""
         p = self.field.p
-        parts = [[] for _ in range(p)]
-        for n, c in enumerate(self.coeffs):
-            q, r = divmod(n, p)
-            part = parts[r]
-            while len(part) < q:
-                part.append(0)
-            part.append(c)
-        return tuple(UPoly(self.field, part) for part in parts)
+        return tuple(UPoly(self.field, self.coeffs[r::p]) for r in range(p))
 
     def valuation_at(self, a: int) -> int:
         """Multiplicity of x = a as a root; ZeroElement on the zero poly."""
@@ -451,6 +422,18 @@ def _shift(a, n):
     return [0] * n + list(a) if a and n else list(a)
 
 
+def _spread(a, p):
+    """The Frobenius spread a(x^p): coefficient i moves to p i."""
+    out = [0] * (p * len(a) - p + 1)
+    out[::p] = a
+    return out
+
+
+def _is_spread(a, p):
+    """Whether a = b(x^p), b = a[::p]: every slice a[r::p], 0 < r < p, is 0."""
+    return not any(any(a[r::p]) for r in range(1, min(p, len(a))))
+
+
 def _list_add(a, b, p):
     if len(a) < len(b):
         a, b = b, a
@@ -539,7 +522,7 @@ class _Frac(_Ring):
         a p-th power in F_p[x]."""
         s, e = self._zvec()
         p = self._integral()[2]
-        if any(c for u in [*s, e] for i, c in enumerate(u) if i % p):
+        if not all(_is_spread(u, p) for u in [*s, e]):
             return None
         return self._like([u[::p] for u in s], e[::p], True)
 
@@ -656,24 +639,29 @@ class RatFunc(_Frac):
             raise ZeroDenominator(f"pole at x = {a}")
         return self.num.evaluate(a) * self.field.inv(d) % self.field.p
 
-    def valuation_at(self, a: int) -> int:
+    def valuation_at(self, a) -> int:
+        """Order of vanishing at x = a, a = INF included."""
         if self.is_zero:
             raise ZeroElement("valuation of 0")
+        if a == INF:
+            return self.den.degree - self.num.degree
         return self.num.valuation_at(a) - self.den.valuation_at(a)
 
     def valuation_at_infinity(self) -> int:
-        if self.is_zero:
-            raise ZeroElement("valuation of 0")
-        return self.den.degree - self.num.degree
+        return self.valuation_at(INF)
 
-    def series_at(self, a: int, prec) -> "TruncSeries":
-        """Laurent expansion in t = x - a with coefficients on [ord, prec)."""
-        center = ("aff", a)
+    def series_at(self, a, prec) -> "TruncSeries":
+        """Laurent expansion in t = x - a, or t = 1/x at a = INF, with
+        coefficients on [ord, prec).  At INF, num/den is
+        t^deg(den) rev(num) / (t^deg(num) rev(den))."""
+        center = ("inf",) if a == INF else ("aff", a)
         if self.is_zero:
             return TruncSeries(self.field, center, prec, (), prec)
-        p = self.field.p
-        n = list(self.num.taylor_shift(a).coeffs)
-        d = list(self.den.taylor_shift(a).coeffs)
+        p, num, den = self.field.p, self.num, self.den
+        if a == INF:
+            n, d = _shift(num.coeffs[::-1], den.degree), _shift(den.coeffs[::-1], num.degree)
+        else:
+            n, d = num.taylor_shift(a).coeffs, den.taylor_shift(a).coeffs
         k = next(i for i, c in enumerate(n) if c)
         m = next(i for i, c in enumerate(d) if c)
         ord_low = k - m
@@ -685,45 +673,34 @@ class RatFunc(_Frac):
         return TruncSeries(self.field, center, ord_low, cs, prec)
 
     def series_at_infinity(self, prec) -> "TruncSeries":
-        """Expansion in t = 1/x."""
-        center = ("inf",)
-        if self.is_zero:
-            return TruncSeries(self.field, center, prec, (), prec)
-        p = self.field.p
-        nrev = list(reversed(self.num.coeffs))
-        drev = list(reversed(self.den.coeffs))
-        ord_low = self.den.degree - self.num.degree
-        count = prec - ord_low
-        if count <= 0:
-            return TruncSeries(self.field, center, prec, (), prec)
-        inv = _series_inv(drev, count, p)
-        cs = _mul(nrev, inv, p, count)
-        return TruncSeries(self.field, center, ord_low, cs, prec)
+        return self.series_at(INF, prec)
 
-    def residue_at(self, a: int) -> int:
-        """Residue of self * dx at x = a.
+    def residue_at(self, a) -> int:
+        """Residue of self * dx at x = a, a = INF included (there
+        dx = -dt/t^2 in t = 1/x).
 
-        0 where den(a) != 0 and num(a)/den'(a) at a simple pole; only a pole
-        of order >= 2 takes the Laurent expansion.
+        0 away from the poles; num(a)/den'(a) at a simple finite pole and
+        -lc(num) at a simple pole at INF (den is monic); only a pole of
+        order >= 2 takes the Laurent expansion.
         """
-        if self.is_zero or self.den.evaluate(a):
+        if self.is_zero:
+            return 0
+        p = self.field.p
+        if a == INF:
+            gap = self.den.degree - self.num.degree
+            if gap > 1:
+                return 0
+            lead = self.num.lc() if gap == 1 else self.series_at(INF, 2).coeff(1)
+            return -lead % p
+        if self.den.evaluate(a):
             return 0
         dd = self.den.derivative().evaluate(a)
         if dd:
-            return self.num.evaluate(a) * self.field.inv(dd) % self.field.p
+            return self.num.evaluate(a) * self.field.inv(dd) % p
         return self.series_at(a, 0).coeff(-1)
 
     def residue_at_infinity(self) -> int:
-        """Residue of self * dx at x = infinity (dx = -dt/t^2).
-
-        0 when deg num < deg den - 1 and -lc(num) at a simple pole (den is
-        monic); only a pole of order >= 2 takes the expansion in t = 1/x.
-        """
-        gap = 2 if self.is_zero else self.den.degree - self.num.degree
-        if gap > 1:
-            return 0
-        lead = self.num.lc() if gap == 1 else self.series_at_infinity(2).coeff(1)
-        return self.field.neg(lead)
+        return self.residue_at(INF)
 
     def render(self) -> str:
         return f"{self.num.render()} / {self.den.render()}"

@@ -119,7 +119,7 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
             conn = LogConnection(curve, [[omega]], omega_label(curve))
             if p_curvature(conn).is_zero and monodromy(conn) == mu:
                 flat.append(conn)
-    elif curve.model == "ell":
+    else:  # ell, the one model left
         if len(mu) != 0:
             raise ValueError("the shipped elliptic model carries no marks")
         mu = ()
@@ -129,8 +129,6 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
             LogConnection(curve, [[w * yinv]], label) for w in range(p)
         )
         flat = [conn for conn in candidates if p_curvature(conn).is_zero]
-    else:
-        raise UnsupportedCurve(f"unknown model {curve.model}")
     pretango = [conn for conn in flat if is_pre_tango(conn)]
     value, _ = emptiness_oracle(
         curve.genus(), len(mu), tuple((-v) % p for v in mu), p

@@ -11,6 +11,7 @@ from dormant.cartier import (
     cartier_curve,
     cartier_p1,
     cartier_series,
+    decide_pre_tango,
     exact_antiderivative,
     is_pre_tango,
     pretango_from_tango,
@@ -23,6 +24,7 @@ from dormant.connections import (
     omega_frame_differential,
     omega_log_label,
     raynaud_omega_label,
+    solve_dlog,
     trivial_label,
 )
 from dormant.curves import (
@@ -37,6 +39,7 @@ from dormant.curves import (
 )
 from dormant.errors import (
     CandidateIsPthPower,
+    NoRationalGenerator,
     NotExactOnChart,
     NotFlat,
     NotOmegaBundle,
@@ -294,6 +297,26 @@ class TestPreTango:
             eta = omega_frame_differential(lab)
             assert is_pre_tango(conn) is expect
             assert _formal_pre_tango(conn, eta) is expect
+
+    @pytest.mark.parametrize("p, l", [(3, 2), (5, 1), (3, 3)])
+    @pytest.mark.parametrize("unit", ["1+xy", "1+y", "x+y"])
+    def test_formal_certificate_on_the_one_point_model(self, p, l, unit):
+        # a = -dlog u has the horizontal generator u, but the monomial
+        # search of solve_dlog misses it, so the verdict comes from the
+        # formal certificate alone; the global Cartier step on u eta is
+        # the independent check
+        curve = RaynaudPlane(PrimeField(p), l)
+        x, y = curve.x_elem(), curve.y_elem()
+        u = {"1+xy": x * y + 1, "1+y": y + 1, "x+y": x + y}[unit]
+        lab = raynaud_omega_label(curve)
+        conn = LogConnection(curve, [[-u.dlog()]], lab)
+        with pytest.raises(NoRationalGenerator):
+            solve_dlog(curve, u.dlog())
+        verdict, out = decide_pre_tango(conn)
+        assert out is None
+        expect = cartier_curve(omega_frame_differential(lab).scale(u)).is_exact
+        assert verdict is expect
+        assert expect is (unit == "1+xy")
 
     def test_raynaud_roundtrip(self):
         curve = RaynaudPlane(F5, 1)

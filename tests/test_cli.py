@@ -8,7 +8,7 @@ import pytest
 from dormant import cartier, cli
 from dormant.cli import ConnBlock, JobSpec, main, parse_job, render_job, run_job
 from dormant.connections import LogConnection, omega_log_label, trivial_label
-from dormant.curves import INF, P1Marked
+from dormant.curves import INF, P1Marked, RaynaudPlane
 from dormant.errors import SemanticError, SyntaxError
 from dormant.field import PrimeField
 from dormant.miura import CartanConnection, exponent_of, miura_from_cartan
@@ -142,6 +142,41 @@ class TestRender:
         out = render_job(parse_job("p1 p=7 marks=0,1,inf\n"))
         assert "marks=0,1,inf" in out
 
+    def test_ell_curve_and_pretango_option_round_trip(self):
+        once = render_job(parse_job("cmd=enumerate\npretango=true\nell p=5 a=1 b=2\n"))
+        assert once == "cmd=enumerate\np=5\nell p=5 a=1 b=2\npretango=true\n"
+        assert render_job(parse_job(once)) == once
+
+
+class TestRefusals:
+    """Each refusal of the parser, its text and exit code 2 through main."""
+
+    LINE = "p1 p=3 marks=0,1,inf"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["pcurv", "p1 p=3 p=3 marks=0,1,inf"], "line 2: duplicate key 'p'"),
+        (["pcurv", "ell p=5 a=1"], "line 2: ell needs b=<int>"),
+        (["tango-search", "--height", "1", "height=2\nell p=5 a=1 b=2"],
+         "line 3: duplicate option 'height'"),
+        (["enumerate", "--monodromy", ",", LINE], "line 2: monodromy= needs a,b,..."),
+        (["enumerate", "pretango=maybe\n" + LINE],
+         "line 2: pretango= must be true or false"),
+        (["pcurv", "mode=fast\n" + LINE], "line 2: mode must be human or machine"),
+        (["pcurv", LINE + "\nell p=3 a=1 b=1"], "line 3: second curve line"),
+        (["pcurv", LINE + "\nconn rank=0"], "line 3: rank must be positive"),
+        (["pcurv", "cmd=pcurv\n" + LINE], "line 2: second cmd= line"),
+        (["pcurv", "p=3\np=3\n" + LINE], "line 3: second p= line"),
+    ])
+    def test_refusal_text_and_exit_code(self, argv, err, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {err}\n")
+
+    def test_job_text_expected(self):
+        # main always hands parse_job a str; only a direct call reaches this
+        with pytest.raises(SyntaxError, match="^line 1: job text expected$"):
+            parse_job(None)
+
 
 class TestFuzz:
     def test_parser_totality_random_bytes(self):
@@ -189,6 +224,20 @@ class TestRunJob:
     def test_pretango_witness_line(self):
         text, _ = run_job(parse_job(PRETANGO_P3))
         assert "witness f = 0 1 / 1" in text
+
+    @pytest.mark.parametrize("u, out", [
+        ("xy+1", "pretango yes=true\nwitness: formal certificate at the distinguished place"),
+        ("y+1", "pretango yes=false\nobstruction: nonzero Cartier image on the horizontal line"),
+    ])
+    def test_pretango_formal_certificate_on_raynaud(self, u, out):
+        # the monomial search misses the generator u of a = -dlog u, so the
+        # verdict is the formal certificate's
+        curve = RaynaudPlane(PrimeField(3), 2)
+        x, y = curve.x_elem(), curve.y_elem()
+        a = -{"xy+1": x * y + 1, "y+1": y + 1}[u].dlog()
+        job = ("cmd=pretango\nmode=machine\nraynaud p=3 l=2\n"
+               f"conn rank=1 bundle=ray_omega\n{a.render()}\n")
+        assert run_job(parse_job(job)) == (out, 0)
 
     def test_pretango_on_nonflat_is_domain_failure(self):
         job = (

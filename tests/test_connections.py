@@ -302,6 +302,19 @@ class TestPCurvature:
         assert t.entry(1, 1) == curve.ff(a)
         assert t.entry(1, 0).is_zero
 
+    def test_tensor_is_symmetric_in_the_rank_one_factor(self):
+        curve = line(5, 0, 1, INF)
+        c1 = LogConnection(curve, [[simple_poles(curve, (2,))]], omega_log_label(curve))
+        c2 = LogConnection(curve, [[0, rat(curve.field, (1,), (0, 1))], [0, 0]])
+        assert tensor(c2, c1) == tensor(c1, c2)
+        assert tensor(c2, c1).label.omega == 1
+
+    def test_tensor_of_two_higher_ranks_is_refused(self):
+        curve = line(5, 0, INF)
+        c2 = LogConnection(curve, [[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match="^tensor of two higher-rank connections is not needed$"):
+            tensor(c2, c2)
+
     def test_dual_negates(self):
         curve = line(5, 0, 1, INF)
         a = simple_poles(curve, (2, 3))
