@@ -232,9 +232,9 @@ def _line_poles(f: FFElem):
     v(f) + v(dx) < 0 (v(dx) = -2 there), and the factor of den f with no
     rational root.  The one scan of F_p; the residues are RatFunc's."""
     r = f.as_ratfunc()
-    roots, rest = _factor_linear_and_rest(r.den)
+    roots, rest = _factor_linear_and_rest(r._den, f.curve.p)
     poles = {c: (m, r.residue_at(c)) for c, m in roots}
-    if not r.is_zero and (k := r.num.degree - r.den.degree + 2) > 0:
+    if not r.is_zero and (k := len(r._num[0]) - len(r._den) + 2) > 0:
         poles[INF] = (k, r.residue_at_infinity())
     return poles, rest
 
@@ -262,7 +262,7 @@ def _validate_p1_log(conn: LogConnection) -> None:
                 order, res = poles.get(c, (0, 0))
                 off = c not in marks and res != corr.get(c, 0) % p
                 if c == INF:
-                    if rest.degree > 0:
+                    if len(rest) > 1:
                         raise UndeclaredPoleDetected("non-rational pole in a matrix entry")
                     if order > 1 or off:
                         raise UndeclaredPoleDetected("pole at infinity beyond log order")
@@ -321,10 +321,10 @@ def _power_frame(conn: LogConnection) -> PCurvatureTensor:
     """
     curve = conn.curve
     p, n, alg = curve.p, conn.rank, curve.algebra()
-    la, cells = _over_lcm([(c.num, c.den) for row in conn.matrix for c in row], curve.field)
+    la, cells = _over_lcm([(c._num, c._den) for row in conn.matrix for c in row], p)
     yp = curve.yprime() if alg.d > 1 else None
-    lc = _shift(yp.den.coeffs, alg.s) if yp else [1]
-    delta = _mul(la.coeffs, lc, p)
+    lc = _shift(yp._den, alg.s) if yp else [1]
+    delta = _mul(la, lc, p)
     ndd = [-c % p for c in _deriv(delta, p)]
     # Delta A as integral vectors; the diagonal also carries the - k Delta'
     table = [[[_mul(lc, c, p) for c in cells[i * n + l]] for l in range(n)] for i in range(n)]
@@ -336,8 +336,8 @@ def _power_frame(conn: LogConnection) -> PCurvatureTensor:
                 out = [_mul(delta, _deriv(c, p), p) for c in m[i][j]]
                 chain = [_trim([k * v % p for v in c]) for k, c in enumerate(m[i][j][1:], 1)]
                 if any(chain):  # Delta (dP/dy) Y / E = L_A x^s w / x^(s e)
-                    w, e = _vmul(chain, yp.num, alg)
-                    out = _vadd(out, [_shift(_mul(la.coeffs, c, p), alg.s * (1 - e))
+                    w, e = _vmul(chain, yp._num, alg)
+                    out = _vadd(out, [_shift(_mul(la, c, p), alg.s * (1 - e))
                                       for c in w], p)
                 for l in range(n):
                     w, e = _vmul(table[i][l], m[l][j], alg)
@@ -484,11 +484,10 @@ def _divisor_points_p1(u: FFElem):
     ascending order, then at inf."""
     if u.curve.ext_degree != 1:
         return {}
-    r = u.as_ratfunc()
-    zeros, poles = _factor_linear_and_rest(r.num)[0], _factor_linear_and_rest(r.den)[0]
+    (num,), den, p = u._num, u._den, u.curve.p
+    zeros, poles = _factor_linear_and_rest(num, p)[0], _factor_linear_and_rest(den, p)[0]
     corr = dict(sorted(zeros + [(c, -m) for c, m in poles]))
-    v_inf = r.valuation_at_infinity()
-    if v_inf:
+    if v_inf := len(den) - len(num):
         corr[INF] = v_inf
     return corr
 
@@ -510,12 +509,11 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
         return curve.ff_const(1)
     p, field = curve.p, curve.field
     if curve.ext_degree == 1:
-        r = g.as_ratfunc()
         u = UPoly.one(field)
         for c, (_, e) in _line_poles(g)[0].items():
             if e and c != INF:
                 u = u * UPoly(field, (-c, 1)) ** e
-        if u.derivative() * r.den == r.num * u:
+        if _mul(_deriv(u.coeffs, p), g._den, p) == _mul(g._num[0], u.coeffs, p):
             return FFElem(curve, (u,))
         raise NoRationalGenerator(
             "no rational solution of dlog u = g over the line",
@@ -523,7 +521,7 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
         )
     x, y = curve.x_elem(), curve.y_elem()
     dlx, dly = curve._memo("dlog_xy", lambda: (x.dlog(), y.dlog()))
-    rows = [row for comps in zip(*_over_lcm([(e.num, e.den) for e in (dlx, dly, g)], field)[1])
+    rows = [row for comps in zip(*_over_lcm([(e._num, e._den) for e in (dlx, dly, g)], p)[1])
             for row in zip_longest(*comps, fillvalue=0)]
     ij = _least_solution(rows, p)
     if ij is not None and (ij[0] * dlx + ij[1] * dly - g).is_zero:

@@ -24,7 +24,6 @@ from .errors import (
     NewtonStall,
     SemanticError,
     SingularPoint,
-    ZeroDenominator,
     ZeroElement,
 )
 from .field import (
@@ -37,12 +36,13 @@ from .field import (
     _canon,
     _deriv,
     _div_exact,
+    _gcd,
     _list_add,
     _mul,
     _order,
     _series_inv,
     _shift,
-    _spread,
+    _taylor,
     _trim,
     poly_at_series,
 )
@@ -362,17 +362,20 @@ class RaynaudPlane(_CurveBase):
 # function-field elements
 
 class FFElem(_Frac):
-    """Element of the function field: num / den.
+    """Element of the function field: the _Frac normal form of a y-basis
+    vector over F_p[x], one numerator coefficient tuple per power of y
+    (() for 0), over one monic denominator tuple coprime to all of them.
 
-    num is a y-basis vector over F_p[x] (d coefficient tuples) and den a
-    monic UPoly, in canonical form: gcd(den, every numerator entry) = 1.
-    It is the vector case of field._Frac.  The constructor takes RatFunc,
-    UPoly or int components over the curve's field; comps gives them back
-    as reduced RatFuncs.
+    The rules that need only x are _Frac's; the y-parts are here: products
+    in the y-algebra (_nmul), the Bareiss inverse (_vinv), the chain term
+    of the derivative (_dchain) and Horner in z = y^p (_zhorner, _zvec).
+    The constructor takes RatFunc, UPoly or int components over the curve's
+    field; comps gives them back as reduced RatFuncs.  num (the tuples) and
+    den (a UPoly) are read-only views.
     """
 
     # _xz: the Z-chart triple (xz_components), set by Z0Place on first use
-    __slots__ = ("curve", "num", "den", "_xz")
+    __slots__ = ("curve", "_xz")
 
     def __init__(self, curve, comps):
         rats = []
@@ -387,97 +390,72 @@ class FFElem(_Frac):
                 raise ValueError("mixed fields")
             rats.append(c)
         if len(rats) == 1:  # a reduced RatFunc is canonical
-            return self._set(curve, [rats[0].num.coeffs], rats[0].den.coeffs)
+            return self._set(curve, rats[0]._num, rats[0]._den)
         # over the lcm of reduced denominators the numerators are coprime
-        den, num = _over_lcm([([c.num.coeffs], c.den) for c in rats], curve.field)
+        den, num = _over_lcm([(c._num, c._den) for c in rats], curve.p)
         alg = curve.algebra()
         num, e = _reduce([v[0] for v in num], alg)
-        self._set(curve, *_canon(num, _shift(den.coeffs, alg.s * e), curve.p, not e))
+        self._set(curve, *_canon(num, _shift(den, alg.s * e), curve.p, not e))
 
     def _set(self, curve, num, den):
-        self.curve = curve
-        self.num = tuple(map(tuple, num)) + ((),) * (curve.ext_degree - len(num))
-        self.den = UPoly(curve.field, den)
+        self.curve, self.field = curve, curve.field
+        self._num = tuple(map(tuple, num)) + ((),) * (curve.ext_degree - len(num))
+        self._den = tuple(den)
 
-    @classmethod
-    def _make(cls, curve, num, den, coprime=False):
-        """The element num / den from integral data, brought to canonical form."""
-        self = object.__new__(cls)
-        self._set(curve, *_canon(num, den, curve.p, coprime))
-        return self
+    _home = property(lambda self: self.curve)
+    num = property(lambda self: self._num)
+    den = property(lambda self: UPoly(self.field, self._den))
 
     @property
     def comps(self):
-        """The y-basis components as reduced rational functions."""
-        field, den = self.curve.field, self.den
-        if len(self.num) == 1:
-            return (RatFunc._reduced(UPoly(field, self.num[0]), den),)
-        return tuple(RatFunc(field, UPoly(field, c), den) for c in self.num)
-
-    def _integral(self):
-        return self.num, self.den.coeffs, self.curve.p
-
-    def _like(self, num, den, coprime=False):
-        return FFElem._make(self.curve, num, den, coprime)
+        """The y-basis components as reduced rational functions; the only
+        nonzero numerator is coprime to den already."""
+        alone = sum(map(bool, self._num)) == 1
+        return tuple(RatFunc._make(self.field, [c], self._den, alone) for c in self._num)
 
     def _coerce(self, other):
         if isinstance(other, FFElem):
             if other.curve != self.curve:
                 raise CurveMismatch("elements on different curves")
             return other
-        if isinstance(other, (int, UPoly, RatFunc)):
+        if isinstance(other, int):
+            return self.curve.ff_const(other)
+        if isinstance(other, (UPoly, RatFunc)):
             return FFElem(self.curve, (other,))
         return None
 
+    # products and inverses keep their own names, which perfbench's tracer counts
     def __mul__(self, other):
-        if not isinstance(other, FFElem) and isinstance(other, int):
-            # the pair stays coprime; _canon reads only empty lists as zero
-            p, k = self.curve.p, other % self.curve.p
-            num = [[c * k % p for c in u] if k else [] for u in self.num]
-            return FFElem._make(self.curve, num, list(self.den.coeffs), True)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        alg = self.curve.algebra()
-        num, e = _vmul(self.num, o.num, alg)
-        den = _shift(_mul(self.den.coeffs, o.den.coeffs, alg.p), alg.s * e)
-        return FFElem._make(self.curve, num, den)
+        return _Frac.__mul__(self, other)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElem":
-        if self.is_zero:
-            raise ZeroDenominator("inverse of zero function")
-        den = list(self.den.coeffs)
-        if not any(self.num[1:]):  # in F_p(x): swap, already coprime
-            return FFElem._make(self.curve, [den], list(self.num[0]), True)
+        return _Frac.inverse(self)
+
+    def _nmul(self, a, b):
         alg = self.curve.algebra()
-        v, det = _inverse(self.num, alg)
-        return FFElem._make(self.curve, [_mul(c, den, alg.p) for c in v], det)
+        num, e = _vmul(a, b, alg)
+        return num, alg.s * e
 
-    def derivative(self) -> "FFElem":
-        """d/dx by implicit differentiation: with y' = Y / E,
-        (N / D)' = ((N' D - N D') E + D (dN/dy) Y) / (D^2 E)."""
-        curve, p = self.curve, self.curve.p
-        den = self.den.coeffs
-        num = [_list_add(_mul(_deriv(u, p), den, p), [-c for c in _mul(u, _deriv(den, p), p)], p)
-               for u in self.num]
-        den = [den, _mul(den, den, p)]
-        chain = [_trim([k * c % p for c in u]) for k, u in enumerate(self.num)][1:]
-        if any(chain):
-            alg, yp = curve.algebra(), curve.yprime()
-            w, e = _vmul(chain, yp.num, alg)
-            scale = _shift(yp.den.coeffs, alg.s * e)
-            num = [_list_add(_mul(u, scale, p), _mul(c, den[0], p), p)
-                   for u, c in zip_longest(num, w, fillvalue=[])]
-            den[1] = _mul(den[1], scale, p)
-        return FFElem._make(curve, num, den[1])
+    def _vinv(self):
+        return _inverse(self._num, self.curve.algebra())
 
-    def pth_power(self) -> "FFElem":
-        """self**p: the Frobenius spread of the numerator entries, put
-        together by Horner in z = y^p."""
+    def _dchain(self, num, den):
+        """num / den plus the chain term D (dN/dy) y' / D^2 of the
+        numerator N over D: with y' = Y / E, all over D^2 E."""
         curve, p = self.curve, self.curve.p
-        spread = [_spread(c, p) for c in self.num]
+        alg, yp = curve.algebra(), curve.yprime()
+        chain = [_trim([k * c % p for c in u]) for k, u in enumerate(self._num)][1:]
+        w, e = _vmul(chain, yp._num, alg)
+        scale = _shift(yp._den, alg.s * e)
+        return ([_list_add(_mul(u, scale, p), _mul(c, self._den, p), p)
+                 for u, c in zip_longest(num, w, fillvalue=[])], _mul(den, scale, p))
+
+    def _zhorner(self, spread, den):
+        """The spread numerators put together by Horner in z = y^p, over
+        the spread den."""
+        curve, p = self.curve, self.curve.p
         alg = curve.algebra()
         z, ez = curve._memo("ypow_p", lambda: _reduce([[]] * p + [[1]], alg))  # y^p
         acc, e = [spread.pop()], 0
@@ -485,14 +463,12 @@ class FFElem(_Frac):
             acc, e1 = _vmul(acc, z, alg)
             e += e1 + ez
             acc = [_list_add(acc[0] if acc else [], _shift(c, alg.s * e), p)] + acc[1:]
-        # Frobenius keeps the pair coprime on the line
-        return FFElem._make(curve, acc, _shift(_spread(self.den.coeffs, p), alg.s * e),
-                            len(self.num) == 1)
+        return acc, _shift(den, alg.s * e)
 
     def _zvec(self):
         """(S, E): self = sum_j S_j z^j / E with z = y^p, canonical."""
         curve, p = self.curve, self.curve.p
-        num, den = [list(c) for c in self.num], list(self.den.coeffs)
+        num, den = [list(c) for c in self._num], list(self._den)
         if curve.model == "ell":  # y = z / c^((p-1)/2)
             h = curve._c_half().coeffs
             return _canon([_mul(num[0], h, p), num[1]], _mul(den, h, p), p)
@@ -508,7 +484,7 @@ class FFElem(_Frac):
                    for k, c in enumerate(self.comps) if not c.is_zero) % p
 
     def as_ratfunc(self) -> RatFunc:
-        if any(self.num[1:]):
+        if any(self._num[1:]):
             raise CurveMismatch("element has y-components")
         return self.comps[0]
 
@@ -517,29 +493,29 @@ class FFElem(_Frac):
 
     def __eq__(self, other):
         if isinstance(other, FFElem):
-            return (other.curve == self.curve and other.num == self.num
-                    and other.den == self.den)
-        if isinstance(other, (UPoly, RatFunc)) and other.field != self.curve.field:
+            return (other.curve == self.curve and other._num == self._num
+                    and other._den == self._den)
+        if isinstance(other, (UPoly, RatFunc)) and other.field != self.field:
             return False  # arithmetic refuses mixed fields; equality says no
         if isinstance(other, (int, UPoly, RatFunc)):
-            return self == FFElem(self.curve, (other,))
+            return self == self._coerce(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.curve.key(), self.num, self.den.coeffs))
+        return hash((self.curve.key(), self._num, self._den))
 
     def __repr__(self):
         return f"FFElem({self.render()})"
 
 
-def _over_lcm(pairs, field):
+def _over_lcm(pairs, p):
     """(L, vectors): L the monic lcm of the denominators of the (vector,
-    den) pairs, and each vector times L / den."""
-    den = UPoly.one(field)
+    den) coefficient-list pairs, and each vector times L / den."""
+    den = [1]
     for _, d in pairs:
-        if d.degree > 0:
-            den = den // den.gcd(d) * d
-    return den, [[_mul(c, (den // d).coeffs, field.p) for c in v] for v, d in pairs]
+        if len(d) > 1:
+            den = _mul(_div_exact(den, _gcd(den, d, p), p), d, p)
+    return den, [[_mul(c, _div_exact(den, d, p), p) for c in v] for v, d in pairs]
 
 
 def _zalg(curve) -> _Algebra:
@@ -658,7 +634,7 @@ def _degree_bound(f) -> int:
     poles of x and y have degrees d and deg_x G, those of 1/D degree d deg D."""
     d = f.curve.ext_degree
     gx = max(map(len, f.curve.algebra().m)) - 1
-    return d * (max(map(len, f.num)) - 1 + f.den.degree) + (d - 1) * gx
+    return d * (max(map(len, f._num)) + len(f._den) - 2) + (d - 1) * gx
 
 
 class _Place:
@@ -713,13 +689,13 @@ class SeriesBranch(_Place):
         field, (xs, ys) = self.curve.field, self._coords(n)
         acc = TruncSeries.zero(field, self.key)
         ypow = TruncSeries.const(field, self.key, 1)
-        last = max((k for k, c in enumerate(f.num) if c), default=-1)
-        for k, c in enumerate(f.num[: last + 1]):
+        last = max((k for k, c in enumerate(f._num) if c), default=-1)
+        for k, c in enumerate(f._num[: last + 1]):
             if c:
                 acc = acc + poly_at_series(UPoly(field, c), xs) * ypow
             if k < last:
                 ypow = ypow * ys
-        return acc, poly_at_series(f.den, xs)
+        return acc, poly_at_series(UPoly(field, f._den), xs)
 
     def _series(self, f, n):
         """f (a function or a Differential) from the coordinates cut to
@@ -827,7 +803,7 @@ def xz_components(curve: RaynaudPlane, f: FFElem):
     """
     q, w = curve.q, _w(curve)
     alg = curve._memo("xzalg", lambda: _Algebra(curve.p, [(-w).coeffs] + [[]] * (q - 2) + [[1]]))
-    terms = [(k, c) for k, c in enumerate(f.num) if c]
+    terms = [(k, c) for k, c in enumerate(f._num) if c]
     top = max((len(c) - 1 + k for k, c in terms), default=0)
     g = [[] for _ in range(top + 1)]
     for k, c in terms:
@@ -836,25 +812,24 @@ def xz_components(curve: RaynaudPlane, f: FFElem):
                 row = g[top - i - k]
                 row += [0] * (i + 1 - len(row))
                 row[i] = a
-    dc = f.den.coeffs
+    dc = f._den
     h = [[0] * i + [a] if a else [] for i, a in reversed(list(enumerate(dc)))]
     return _reduce(g, alg)[0], _reduce(h, alg)[0], len(dc) - 1 - top
 
 
-def _factor_linear_and_rest(poly: UPoly):
-    """The rational roots of poly != 0 on the line, ascending, with their
-    multiplicities, and the cofactor free of them: ([(root, mult), ...],
-    cofactor).  The one scan of F_p: a root shows by evaluation, its
-    multiplicity by exact division."""
-    p, out = poly.field.p, []
-    for a in range(p):
-        if poly.degree < 1:
+def _factor_linear_and_rest(a, p):
+    """The rational roots of the coefficient list a != 0 over F_p,
+    ascending, with their multiplicities, and the cofactor list free of
+    them: ([(root, mult), ...], cofactor).  The one scan of F_p: a root
+    shows by evaluation, its multiplicity by exact division."""
+    out = []
+    for c in range(p):
+        if len(a) < 2:
             break
-        if poly.evaluate(a) == 0:
-            m, rest = _order(poly.coeffs, (-a % p, 1), p)
-            out.append((a, m))
-            poly = UPoly(poly.field, rest)
-    return out, poly
+        if not sum(_taylor(a, c, p, 1)):
+            m, a = _order(a, (-c % p, 1), p)
+            out.append((c, m))
+    return out, a
 
 
 def _poly_powmod(base: UPoly, e: int, mod: UPoly) -> UPoly:
@@ -893,7 +868,7 @@ def _factor_squarefree(poly: UPoly):
         if g.degree > 0:
             if d == 1:  # the rational roots, by the one scan of F_p
                 factors.extend(UPoly(poly.field, (-a % p, 1))
-                               for a, _ in _factor_linear_and_rest(g)[0])
+                               for a, _ in _factor_linear_and_rest(g.coeffs, p)[0])
             else:
                 factors.extend(_equal_degree_split(g, d, rng))
             work = work // g
@@ -974,15 +949,15 @@ def _branch_affine(curve, point) -> SeriesBranch:
     G(x0 + t, Y) = 0 for Y; else, where dG/dx != 0, it is y - y0 and Newton
     solves G(X, y0 + t) = 0 for X."""
     field, p = curve.field, curve.p
-    (x0, y0), m = point, curve.cleared_minpoly()
-    vals = [UPoly(field, c).evaluate(x0) for c in m]
+    (x0, y0), m = point, curve.algebra().m
+    vals = [sum(_taylor(c, x0, p, 1)) for c in m]
     if sum(v * pow(y0, k, p) for k, v in enumerate(vals)) % p:
         raise ValueError(f"({x0},{y0}) is not on the curve")
     key = (curve.model, curve.key(), point)
     by_x = sum(k * v * pow(y0, k - 1, p) for k, v in enumerate(vals) if k) % p != 0
     if by_x:
-        table = {k: list(UPoly(field, c).taylor_shift(x0).coeffs) for k, c in enumerate(m) if c}
-    elif not sum(UPoly(field, _deriv(c, p)).evaluate(x0) * pow(y0, k, p)
+        table = {k: _taylor(c, x0, p) for k, c in enumerate(m) if c}
+    elif not sum(sum(_taylor(_deriv(c, p), x0, p, 1)) * pow(y0, k, p)
                  for k, c in enumerate(m)) % p:
         raise SingularPoint(f"both partials vanish at ({x0},{y0})")
     else:  # G(X, y0 + t) = sum_i X^i sum_k m_k[i] (y0 + t)^k

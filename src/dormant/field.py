@@ -12,12 +12,15 @@ loop; above, it packs each list into one int with slots wide enough for any
 product coefficient (Kronecker substitution) and does one big-int multiply.
 Series inverses are Newton iterations on the same kernel.
 
-A fraction has one normal form, _canon, and one implementation, _Frac:
-numerators over one monic denominator, coprime.  A RatFunc is its
-one-numerator case and curves.FFElem its vector case.  Exact division,
-in the Bareiss steps of curves._inverse too, is long division.  Frobenius
-acts on coefficient lists by one slice (_spread, _is_spread), and RatFunc's
-local reads take the point at infinity, INF, as a point like any other.
+A fraction has one normal form, _canon, and one storage and implementation,
+_Frac: numerator coefficient tuples over one monic denominator tuple,
+coprime.  A RatFunc is its one-numerator case and curves.FFElem its vector
+case; each rule that needs only x is written once in _Frac, and a UPoly is
+built only at the edges (parsing, the num/den views).  Exact division, in
+the Bareiss steps of curves._inverse too, is long division.  Frobenius acts
+on coefficient lists by one slice (_spread, _is_spread), and RatFunc's local
+reads take the point at infinity, INF, as a point like any other; they and
+UPoly's evaluate and taylor_shift share one list helper, _taylor.
 """
 from __future__ import annotations
 
@@ -70,9 +73,6 @@ class PrimeField:
         if p % 2 == 0 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -290,25 +290,11 @@ class UPoly(_Ring):
         return UPoly(self.field, _deriv(self.coeffs, self.field.p))
 
     def evaluate(self, a: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % p
-        return acc
+        return sum(_taylor(self.coeffs, a, self.field.p, 1))
 
     def taylor_shift(self, a: int) -> "UPoly":
-        """self(x + a): its coefficients are the remainders of repeated
-        synthetic division by x - a, pass i dividing the quotient held in
-        cs[i:] and leaving the remainder in cs[i]."""
-        p, cs = self.field.p, list(self.coeffs)
-        a %= p
-        if not a:
-            return self
-        for i in range(len(cs) - 1):
-            acc = cs[-1]
-            for j in range(len(cs) - 2, i - 1, -1):
-                acc = cs[j] = (cs[j] + a * acc) % p
-        return UPoly(self.field, cs)
+        """self(x + a)."""
+        return UPoly(self.field, _taylor(self.coeffs, a, self.field.p))
 
     def pth_power(self) -> "UPoly":
         """self**p via the Frobenius coefficient spread (c^p = c in F_p)."""
@@ -330,9 +316,7 @@ class UPoly(_Ring):
         return _order(self.coeffs, (-a % p, 1), p)[0]
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " ".join(str(c) for c in self.coeffs)
+        return _render(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -444,6 +428,19 @@ def _deriv(a, p):
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
 
+def _taylor(a, c, p, n=None):
+    """The first n coefficients (all by default) of a(x + c), so [a(c)] at
+    n = 1: coefficient i is the remainder of the i-th synthetic division by
+    x - c, pass i dividing the quotient held in cs[i:]."""
+    cs, c = list(a), c % p
+    if c:
+        for i in range(min(n or len(cs), len(cs))):
+            acc = 0
+            for j in range(len(cs) - 1, i - 1, -1):
+                acc = cs[j] = (cs[j] + c * acc) % p
+    return cs[:n]
+
+
 def _canon(num, den, p, coprime=False):
     """(numerators, den) with den monic and gcd(den, numerators) = 1.
 
@@ -471,17 +468,31 @@ def _canon(num, den, p, coprime=False):
 
 
 class _Frac(_Ring):
-    """One fraction implementation: numerators over one monic den in
-    _canon's normal form.  A subclass gives _integral() (numerator vector,
-    den coefficients, p), _zvec() (its numerators over z = y^p),
-    _like(num, den, coprime) (its own kind from integral data, through
-    _canon), *, inverse and derivative."""
+    """The one fraction: numerator coefficient tuples _num over one monic
+    denominator tuple _den, coprime (_canon's normal form), over field.
 
-    __slots__ = ()
+    A RatFunc has one numerator; a curves.FFElem has one per power of y,
+    and a y-part when a numerator past the first is nonzero.  Each rule
+    that needs only x is stated here once.  A subclass gives _home (its
+    field, or its curve), _set(home, num, den) and _coerce; FFElem adds the
+    y-parts: _nmul, _vinv, _dchain, _zhorner and _zvec.
+    """
+
+    __slots__ = ("field", "_num", "_den")
+
+    @classmethod
+    def _make(cls, home, num, den, coprime=False):
+        """num / den on home from integral data, brought to normal form."""
+        self = object.__new__(cls)
+        self._set(home, *_canon(num, den, home.p, coprime))
+        return self
+
+    def _like(self, num, den, coprime=False):
+        return self._make(self._home, num, den, coprime)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._integral()[0])
+        return not any(self._num)
 
     def __add__(self, other):
         """No gcd is owed when a denominator is 1: gcd(a, u b + v a) =
@@ -489,7 +500,7 @@ class _Frac(_Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        (u, a, p), (v, b, _) = self._integral(), o._integral()
+        p, (u, a), (v, b) = self.field.p, (self._num, self._den), (o._num, o._den)
         if a == b:
             num, den = [_list_add(s, t, p) for s, t in zip(u, v)], a
         else:
@@ -500,8 +511,39 @@ class _Frac(_Ring):
     __radd__ = __add__
 
     def __neg__(self):
-        u, den, p = self._integral()
-        return self._like([[-c % p for c in e] for e in u], den, True)
+        p = self.field.p
+        return self._like([[-c % p for c in e] for e in self._num], self._den, True)
+
+    def __mul__(self, other):
+        """An int scales the numerators and keeps the pair coprime; else the
+        numerators multiply through _nmul, which also gives the power of x
+        the product's den takes, and _canon takes the gcd."""
+        p = self.field.p
+        if isinstance(other, int):
+            k = other % p
+            return self._like([[c * k % p for c in u] if k else [] for u in self._num],
+                              self._den, True)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        num, shift = self._nmul(self._num, o._num)
+        return self._like(num, _shift(_mul(self._den, o._den, p), shift))
+
+    __rmul__ = __mul__
+
+    def _nmul(self, a, b):
+        """(a * b, shift) for numerator vectors; one numerator, one product."""
+        return [_mul(a[0], b[0], self.field.p)], 0
+
+    def inverse(self):
+        """1 / self: without a y-part the swap den / num, already coprime,
+        so only the new den is made monic; with one, _vinv's solve."""
+        if self.is_zero:
+            raise ZeroDenominator("inverse of zero function")
+        if any(self._num[1:]):
+            v, det = self._vinv()
+            return self._like([_mul(c, self._den, self.field.p) for c in v], det)
+        return self._like([self._den], self._num[0], True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -511,84 +553,91 @@ class _Frac(_Ring):
         o = self._coerce(other)
         return NotImplemented if o is None else o * self.inverse()
 
+    def derivative(self):
+        """d/dx: (N' D - N D') / D^2 for every numerator N, plus, with a
+        y-part, _dchain's term for the derivative of y."""
+        p, den = self.field.p, self._den
+        dd = _deriv(den, p)
+        quo = ([_list_add(_mul(_deriv(u, p), den, p), [-c for c in _mul(u, dd, p)], p)
+                for u in self._num], _mul(den, den, p))
+        return self._like(*(self._dchain(*quo) if any(self._num[1:]) else quo))
+
     def dlog(self):
         if self.is_zero:
             raise ZeroElement("dlog of 0")
         return self.derivative() / self
 
+    def pth_power(self):
+        """self**p: Frobenius spreads each coefficient list and keeps the
+        pair coprime; a y-part is put back together by _zhorner."""
+        p = self.field.p
+        num, den = [_spread(u, p) for u in self._num], _spread(self._den, p)
+        if any(self._num[1:]):
+            return self._like(*self._zhorner(num, den))
+        return self._like(num, den, True)
+
     def pth_root(self):
         """g with g^p = self, or None when self is not a p-th power: in
-        canonical form, when the z-basis denominator or a numerator is not
-        a p-th power in F_p[x]."""
-        s, e = self._zvec()
-        p = self._integral()[2]
+        canonical form, when the denominator or a numerator over z = y^p
+        (_zvec) is not a p-th power in F_p[x]."""
+        p = self.field.p
+        s, e = self._zvec() if any(self._num[1:]) else (self._num, self._den)
         if not all(_is_spread(u, p) for u in [*s, e]):
             return None
         return self._like([u[::p] for u in s], e[::p], True)
 
 
+def _render(a):
+    return " ".join(map(str, a)) or "0"
+
+
 class RatFunc(_Frac):
     """Reduced rational function num/den over F_p; den monic, gcd 1.
 
-    The one-numerator case of _Frac, kept as a pair of UPolys.  Operations
-    that keep the pair coprime skip the gcd.
+    The one-numerator case of _Frac.  The constructor takes UPolys; num and
+    den give them back as read-only UPoly views.  The local reads work at
+    every rational place, the point at infinity INF included.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ()
 
     def __init__(self, field: PrimeField, num: UPoly, den: UPoly | None = None):
-        if den is None:
-            den = UPoly.one(field)
-        for f in (num.field, den.field):
+        for f in (num.field, field if den is None else den.field):
             if f is not field and f != field:
                 raise ValueError("mixed fields")
-        self.field = field
-        if den.coeffs == (1,):  # a polynomial is in normal form
-            self.num, self.den = num, den
-            return
-        if den.is_zero:
+        den = (1,) if den is None else den.coeffs
+        if den == (1,):  # a polynomial is in normal form
+            return self._set(field, (num.coeffs,), den)
+        if not den:
             raise ZeroDenominator("rational function with zero denominator")
-        (n,), d = _canon([num.coeffs], den.coeffs, field.p)
-        self.num = UPoly(field, n)
-        self.den = UPoly(field, d)
+        self._set(field, *_canon([num.coeffs], den, field.p))
+
+    def _set(self, field, num, den):
+        self.field, self._num, self._den = field, (tuple(num[0]),), tuple(den)
+
+    _home = property(lambda self: self.field)
+    num = property(lambda self: UPoly(self.field, self._num[0]))
+    den = property(lambda self: UPoly(self.field, self._den))
 
     @classmethod
     def from_poly(cls, poly: UPoly):
         return cls(poly.field, poly)
 
     @classmethod
-    def _reduced(cls, num: UPoly, den: UPoly):
-        """num/den already coprime with den monic; no gcd is taken."""
-        self = object.__new__(cls)
-        self.field, self.num, self.den = num.field, num, den
-        return self
-
-    @classmethod
     def const(cls, field, c: int):
-        return cls(field, UPoly.const(field, c))
+        return cls._make(field, [_trim([c % field.p])], [1], True)
 
     @classmethod
     def zero(cls, field):
-        return cls(field, UPoly.zero(field))
+        return cls.const(field, 0)
 
     @classmethod
     def one(cls, field):
-        return cls(field, UPoly.one(field))
+        return cls.const(field, 1)
 
     @classmethod
     def x(cls, field):
-        return cls(field, UPoly.x(field))
-
-    def _integral(self):
-        return (self.num.coeffs,), self.den.coeffs, self.field.p
-
-    def _zvec(self):
-        return [self.num.coeffs], self.den.coeffs
-
-    def _like(self, num, den, coprime=False):
-        field = self.field
-        (n,), d = _canon(num, den, field.p, coprime)
-        return RatFunc._reduced(UPoly(field, n), UPoly(field, d))
+        return cls._make(field, [[0, 1]], [1], True)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -601,51 +650,21 @@ class RatFunc(_Frac):
             return RatFunc.const(self.field, other)
         return None
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.field, self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RatFunc":
-        """den / num, already coprime: only the new den is made monic."""
-        if self.is_zero:
-            raise ZeroDenominator("division by zero rational function")
-        c = self.field.inv(self.num.lc())
-        return RatFunc._reduced(self.den * c, self.num * c)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDenominator("negative power of 0")
-            return self.inverse() ** -n
-        return RatFunc._reduced(self.num**n, self.den**n)
-
-    def derivative(self) -> "RatFunc":
-        n, d = self.num, self.den
-        return RatFunc(
-            self.field, n.derivative() * d - n * d.derivative(), d * d
-        )
-
-    def pth_power(self) -> "RatFunc":
-        """Frobenius keeps the pair coprime and den monic."""
-        return RatFunc._reduced(self.num.pth_power(), self.den.pth_power())
-
     def evaluate(self, a: int) -> int:
-        d = self.den.evaluate(a)
+        p = self.field.p
+        d = sum(_taylor(self._den, a, p, 1))
         if d == 0:
             raise ZeroDenominator(f"pole at x = {a}")
-        return self.num.evaluate(a) * self.field.inv(d) % self.field.p
+        return sum(_taylor(self._num[0], a, p, 1)) * pow(d, p - 2, p) % p
 
     def valuation_at(self, a) -> int:
         """Order of vanishing at x = a, a = INF included."""
         if self.is_zero:
             raise ZeroElement("valuation of 0")
+        (num,), den, p = self._num, self._den, self.field.p
         if a == INF:
-            return self.den.degree - self.num.degree
-        return self.num.valuation_at(a) - self.den.valuation_at(a)
+            return len(den) - len(num)
+        return _order(num, (-a % p, 1), p)[0] - _order(den, (-a % p, 1), p)[0]
 
     def valuation_at_infinity(self) -> int:
         return self.valuation_at(INF)
@@ -657,11 +676,11 @@ class RatFunc(_Frac):
         center = ("inf",) if a == INF else ("aff", a)
         if self.is_zero:
             return TruncSeries(self.field, center, prec, (), prec)
-        p, num, den = self.field.p, self.num, self.den
+        p, (num,), den = self.field.p, self._num, self._den
         if a == INF:
-            n, d = _shift(num.coeffs[::-1], den.degree), _shift(den.coeffs[::-1], num.degree)
+            n, d = _shift(num[::-1], len(den) - 1), _shift(den[::-1], len(num) - 1)
         else:
-            n, d = num.taylor_shift(a).coeffs, den.taylor_shift(a).coeffs
+            n, d = _taylor(num, a, p), _taylor(den, a, p)
         k = next(i for i, c in enumerate(n) if c)
         m = next(i for i, c in enumerate(d) if c)
         ord_low = k - m
@@ -685,25 +704,25 @@ class RatFunc(_Frac):
         """
         if self.is_zero:
             return 0
-        p = self.field.p
+        p, (num,), den = self.field.p, self._num, self._den
         if a == INF:
-            gap = self.den.degree - self.num.degree
+            gap = len(den) - len(num)
             if gap > 1:
                 return 0
-            lead = self.num.lc() if gap == 1 else self.series_at(INF, 2).coeff(1)
+            lead = num[-1] if gap == 1 else self.series_at(INF, 2).coeff(1)
             return -lead % p
-        if self.den.evaluate(a):
+        if sum(_taylor(den, a, p, 1)):
             return 0
-        dd = self.den.derivative().evaluate(a)
+        dd = sum(_taylor(_deriv(den, p), a, p, 1))
         if dd:
-            return self.num.evaluate(a) * self.field.inv(dd) % p
+            return sum(_taylor(num, a, p, 1)) * pow(dd, p - 2, p) % p
         return self.series_at(a, 0).coeff(-1)
 
     def residue_at_infinity(self) -> int:
         return self.residue_at(INF)
 
     def render(self) -> str:
-        return f"{self.num.render()} / {self.den.render()}"
+        return f"{_render(self._num[0])} / {_render(self._den)}"
 
     def __eq__(self, other):
         if isinstance(other, (RatFunc, UPoly)) and other.field != self.field:
@@ -711,15 +730,15 @@ class RatFunc(_Frac):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o.num == self.num and o.den == self.den
+        return o._num == self._num and o._den == self._den
 
     def __hash__(self):
-        if self.den.coeffs == (1,):  # as the UPoly it equals
-            return hash(self.num)
-        return hash((self.field.p, self.num.coeffs, self.den.coeffs))
+        if self._den == (1,):  # as the UPoly it equals
+            return hash((self.field.p, self._num[0]))
+        return hash((self.field.p, self._num[0], self._den))
 
     def __repr__(self):
-        return f"RatFunc({self.num.render()} / {self.den.render()}, p={self.field.p})"
+        return f"RatFunc({self.render()}, p={self.field.p})"
 
 
 class TruncSeries(_Ring):

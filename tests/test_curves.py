@@ -1116,3 +1116,63 @@ class TestPrecisionRule:
             pinf.valuation_of(curve.x_elem())
         msg = str(err.value)
         assert msg.startswith("curves:") and str(pinf.key) in msg and "O(t^32)" in msg
+
+
+# ---------------------------------------------------------------------------
+# one fraction storage: arithmetic reads coefficient tuples, and UPoly is
+# built only at the edges (parsing, views, memoized curve data)
+
+STORAGE_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "times int": lambda a, b: a * 3,
+    "truediv": lambda a, b: a / b,
+    "pow 3": lambda a, b: a**3,
+    "pow -2": lambda a, b: a**-2,
+    "inverse": lambda a, b: a.inverse(),
+    "derivative": lambda a, b: a.derivative(),
+    "dlog": lambda a, b: a.dlog(),
+    "pth_power": lambda a, b: a.pth_power(),
+    "pth_root": lambda a, b: a.pth_root(),
+    "root of a power": lambda a, b: a.pth_power().pth_root(),
+    "eq": lambda a, b: (a == b, a == a, a == 2),
+    "hash": lambda a, b: (hash(a), hash(a - a + 2)),  # a constant hashes as a UPoly
+}
+
+
+def _storage_pairs():
+    """(a, b) pairs with poles and, off the line, y-parts, and the curves
+    they live on."""
+    def rat(field, num, den):
+        return RatFunc(field, UPoly(field, num), UPoly(field, den))
+
+    pairs, curves_ = [(rat(F5, [1, 2], [3, 0, 1]), rat(F5, [0, 4, 1], [1, 1]))], []
+    for curve in (line(5, 0, 1, INF), Weierstrass(F5, 1, 1), RaynaudPlane(F3, 2)):
+        field, d = curve.field, curve.ext_degree
+        a = curve.ff(*[rat(field, [1, k], [k + 1, 0, 1]) for k in range(d)])
+        b = curve.ff(*[rat(field, [2, 0, k], [1, 1]) for k in range(d)][::-1])
+        pairs.append((a, b))
+        curves_.append(curve)
+    return pairs, curves_
+
+
+def test_arithmetic_builds_no_upoly(monkeypatch):
+    pairs, curves_ = _storage_pairs()
+    for curve in curves_:  # the memoized curve data is built once, up front
+        curve.algebra()
+        if curve.ext_degree > 1:
+            curve.yprime()
+        if curve.model == "ell":
+            curve._c_half()
+        if curve.model == "raynaud":
+            curves._y_over_z(curve)
+    want = {(i, name): op(a, b) for i, (a, b) in enumerate(pairs)
+            for name, op in STORAGE_OPS.items()}
+
+    def refuse(self, *args):
+        raise AssertionError("a UPoly built inside the arithmetic")
+    monkeypatch.setattr(UPoly, "__init__", refuse)
+    for i, (a, b) in enumerate(pairs):
+        for name, op in STORAGE_OPS.items():
+            assert op(a, b) == want[i, name], name
