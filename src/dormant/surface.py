@@ -7,33 +7,22 @@ function field; regularity statements are certified on the rational
 place inventory of the base curve, which carries every divisor the
 shipped covers can produce.  F* is the pullback along Frobenius of a
 function living on the twist: its p-th power, FFElem.pth_power.
+
+build_surface proves each fact once: the degree premise, the chart
+generators, chart functions that are regular and carry their differential,
+and the p-th roots that give the shifts.  validate_cocycle re-derives all
+of them from the data alone.
 """
 from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import permutations
 from typing import Optional, Sequence
 
-from .errors import (
-    NotExactOnChart,
-    PremiseViolated,
-    UnitFailure,
-    UnsupportedCurve,
-)
-from .curves import (
-    FFElem,
-    branch_at,
-    d_of,
-    raynaud_p_inf,
-    z0_places,
-)
+from .errors import NotExactOnChart, PremiseViolated, UnitFailure, UnsupportedCurve
+from .curves import FFElem, branch_at, d_of, raynaud_p_inf, z0_places
 from .tango import GeneralizedTango, default_places
-
-
-def _val(place, f: FFElem):
-    if getattr(f, "is_zero", False):
-        return None
-    return place.valuation_of(f)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +47,11 @@ class Chart:
 
     def __repr__(self):
         return f"Chart({self.name}, removed={len(self.removed)})"
+
+
+def _inside(places, *charts) -> list:
+    """The places of the inventory that every chart contains."""
+    return [pl for pl in places if all(chart.contains(pl) for chart in charts)]
 
 
 class SurfaceGluingData:
@@ -113,29 +107,27 @@ def default_covering(gtc: GeneralizedTango) -> list:
 
 
 def _clear_pole(curve, w: FFElem, place) -> FFElem:
-    """Remove the polar part of w at P_inf by p-th power surgery.
+    """w less its polar part at place, by p-th power surgery; w itself
+    where it has no pole there.
 
     Only the distinguished point has a uniformizer (x itself) that is a
     global monomial, so only there does a pole of the seed admit a
     correction basis; the surgery must land on exponents divisible by p.
     """
     p = curve.field.p
-    if getattr(place, "point", None) != (0, 0):
-        raise NotExactOnChart(
-            f"pole of the antiderivative seed at {place.key} admits no surgery"
-        )
-    x = curve.x_elem()
-    while True:
-        v = place.valuation_of(w)
-        if v >= 0:
-            return w
+    while (v := place.valuation_of(w)) < 0:
+        if getattr(place, "point", None) != (0, 0):
+            raise NotExactOnChart(
+                f"pole of the antiderivative seed at {place.key} admits no surgery"
+            )
         if v % p != 0:
             raise NotExactOnChart(
                 f"polar exponent {v} at P_inf is not divisible by {p}"
             )
         a = place.expand(w, v + 1).coeff(v)
         # (a x^(v/p))^p = a x^v for a in the prime field
-        w = w - (curve.ff_const(a) * x ** (v // p)) ** p
+        w = w - (curve.ff_const(a) * curve.x_elem() ** (v // p)) ** p
+    return w
 
 
 def _solve_chart_function(gtc: GeneralizedTango, chart: Chart, places, df: FFElem) -> FFElem:
@@ -143,37 +135,30 @@ def _solve_chart_function(gtc: GeneralizedTango, chart: Chart, places, df: FFEle
 
     The seed F*(gen^(p-1)) f already has the right differential; what can
     remain is polar surgery by p-th powers, which the differential never
-    sees.
+    sees.  P_inf, the one place that admits surgery, goes first, so every
+    other place reads the final t once.
     """
     curve = gtc.curve
     p = curve.field.p
     unit = (chart.gen ** (p - 1)).pth_power()
     w = unit * gtc.f
-    for place in places:
-        if not chart.contains(place):
-            continue
-        v = _val(place, w)
-        if v is not None and v < 0:
-            w = _clear_pole(curve, w, place)
+    pinf_key = raynaud_p_inf(curve).key
+    for place in sorted(_inside(places, chart), key=lambda pl: pl.key != pinf_key):
+        w = _clear_pole(curve, w, place)
     if w.derivative() != unit * df:
         raise NotExactOnChart("surgery failed to preserve the differential")
-    for place in places:
-        if chart.contains(place):
-            v = _val(place, w)
-            if v is not None and v < 0:
-                raise NotExactOnChart(
-                    f"no regular antiderivative on chart {chart.name} at {place.key}"
-                )
     return w
 
 
 def build_surface(gtc: GeneralizedTango, covering: Optional[Sequence[Chart]] = None) -> SurfaceGluingData:
     """Gluing data of the fibered surface attached to an index-1 input.
 
-    Checks the degree premise, certifies every chart generator, solves the
-    chart functions, and derives the overlap units and shifts.  The shifts
-    are recovered through a p-th root, which exists exactly because the
-    chart functions share their differential up to the unit factor.
+    Proves the degree premise, that every chart generator trivializes the
+    twist (v(gen) = -N on its chart), and that every chart function is
+    regular on its chart and carries its differential.  Those facts give
+    the overlaps without a further check: u_ij = gen_i / gen_j is a unit
+    on the overlap, and r_ij, the p-th root of F*(u_ij^(p-1)) t_j - t_i,
+    exists (that difference has derivative 0) and is regular there.
     """
     curve = gtc.curve
     p = curve.field.p
@@ -186,45 +171,22 @@ def build_surface(gtc: GeneralizedTango, covering: Optional[Sequence[Chart]] = N
     places = default_places(curve)
     charts = list(covering) if covering is not None else default_covering(gtc)
     for chart in charts:
-        for place in places:
-            if not chart.contains(place):
-                continue
-            v = _val(place, chart.gen)
-            if v is None or v + gtc.N.coeff(place) != 0:
+        for place in _inside(places, chart):
+            if chart.gen.is_zero or place.valuation_of(chart.gen) + gtc.N.coeff(place) != 0:
                 raise UnitFailure(
                     f"generator of chart {chart.name} fails to trivialize at {place.key}"
                 )
     df = gtc.f.derivative()
     t = [_solve_chart_function(gtc, chart, places, df) for chart in charts]
     overlaps = {}
-    for i in range(len(charts)):
-        for j in range(len(charts)):
-            if i == j:
-                continue
-            u = charts[i].gen / charts[j].gen
-            for place in places:
-                if charts[i].contains(place) and charts[j].contains(place):
-                    if _val(place, u) != 0:
-                        raise UnitFailure(
-                            f"u_{i}{j} is not a unit at {place.key}"
-                        )
-            rhs = (u ** (p - 1)).pth_power() * t[j] - t[i]
-            if rhs.is_zero:
-                r = curve.ff_const(0)
-            else:
-                r = rhs.pth_root()
-                if r is None:
-                    raise NotExactOnChart(
-                        f"transition defect on overlap ({i},{j}) is not a p-th power"
-                    )
-                for place in places:
-                    if charts[i].contains(place) and charts[j].contains(place):
-                        v = _val(place, r)
-                        if v is not None and v < 0:
-                            raise NotExactOnChart(
-                                f"shift r_{i}{j} has a pole inside the overlap at {place.key}"
-                            )
-            overlaps[(i, j)] = (u, r)
+    for i, j in permutations(range(len(charts)), 2):
+        u = charts[i].gen / charts[j].gen
+        r = ((u ** (p - 1)).pth_power() * t[j] - t[i]).pth_root()
+        if r is None:
+            raise NotExactOnChart(
+                f"transition defect on overlap ({i},{j}) is not a p-th power"
+            )
+        overlaps[(i, j)] = (u, r)
     return SurfaceGluingData(curve, charts, t, overlaps, places)
 
 
@@ -250,7 +212,10 @@ class CocycleReport:
 
 
 def validate_cocycle(data: SurfaceGluingData) -> CocycleReport:
-    """Re-verify every pairwise and triple gluing identity from scratch.
+    """Re-derive every gluing fact from the data alone, sharing nothing
+    with the build: each u_ij is a nonzero unit on its overlap inverse to
+    u_ji, each r_ij is regular there, the transition and the differential
+    relation hold, and so do the unit and shift cocycles on each triple.
 
     The differential relation is recomputed through the derivative, not
     read off the transition, so a doctored t or r cannot hide behind a
@@ -269,36 +234,25 @@ def validate_cocycle(data: SurfaceGluingData) -> CocycleReport:
         back = data.overlaps.get((j, i))
         if back is not None and u * back[0] != one:
             out.append(f"u_{i}{j} u_{j}{i} != 1")
-        for place in data.places:
-            if data.charts[i].contains(place) and data.charts[j].contains(place):
-                if _val(place, u) != 0:
-                    out.append(f"u_{i}{j} not a unit at {place.key}")
-                vr = _val(place, r)
-                if vr is not None and vr < 0:
-                    out.append(f"r_{i}{j} has a pole at {place.key}")
+        for place in _inside(data.places, data.charts[i], data.charts[j]):
+            if place.valuation_of(u) != 0:
+                out.append(f"u_{i}{j} not a unit at {place.key}")
+            if not r.is_zero and place.valuation_of(r) < 0:
+                out.append(f"r_{i}{j} has a pole at {place.key}")
         fu = (u ** (p - 1)).pth_power()
         if data.t[i] != fu * data.t[j] - r.pth_power():
             out.append(f"transition t_{i} = F*(u^(p-1)) t_{j} - F*(r) fails")
         if dt[i] != fu * dt[j]:
             out.append(f"differential relation dt_{i} = F*(u^(p-1)) dt_{j} fails")
-        if not r.is_zero:
-            rr = r.pth_power().pth_root()
-            if rr is None or rr != r:
-                out.append(f"r_{i}{j} breaks the Frobenius pullback discipline")
-    n = len(data.charts)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) < 3:
-                    continue
-                if (i, j) in data.overlaps and (j, k) in data.overlaps and (i, k) in data.overlaps:
-                    uij, rij = data.overlaps[(i, j)]
-                    ujk, rjk = data.overlaps[(j, k)]
-                    uik, rik = data.overlaps[(i, k)]
-                    if uik != uij * ujk:
-                        out.append(f"unit cocycle ({i},{j},{k}) fails")
-                    if rik != uij ** (p - 1) * rjk + rij:
-                        out.append(f"shift cocycle ({i},{j},{k}) fails")
+    for i, j, k in permutations(range(len(data.charts)), 3):
+        if (i, j) in data.overlaps and (j, k) in data.overlaps and (i, k) in data.overlaps:
+            uij, rij = data.overlaps[(i, j)]
+            ujk, rjk = data.overlaps[(j, k)]
+            uik, rik = data.overlaps[(i, k)]
+            if uik != uij * ujk:
+                out.append(f"unit cocycle ({i},{j},{k}) fails")
+            if rik != uij ** (p - 1) * rjk + rij:
+                out.append(f"shift cocycle ({i},{j},{k}) fails")
     return CocycleReport(out)
 
 

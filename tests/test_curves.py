@@ -1176,3 +1176,10 @@ def test_arithmetic_builds_no_upoly(monkeypatch):
     for i, (a, b) in enumerate(pairs):
         for name, op in STORAGE_OPS.items():
             assert op(a, b) == want[i, name], name
+
+
+def test_z0_places_render_by_their_factor():
+    # a z = 0 place is named by its irreducible factor of X^q - X
+    curve = RaynaudPlane(F3, 2)
+    div = Divisor([(pl, 1) for pl in z0_places(curve)])
+    assert div.render() == "1*z0[0 1] + 1*z0[1 1 1 1 1] + 1*z0[2 1]"

@@ -408,3 +408,35 @@ class TestPlacesByDemand:
         others = [pt for pt in curve.affine_points() if pt != (0, 0)]
         assert others and all(branch_at(curve, pt).prec == curves._FIRST_RUNG for pt in others)
         assert pinf.prec < 556
+
+
+def test_doctored_shift_pole_is_located():
+    # a shift with a pole inside the overlap fails the pole test at that
+    # place and the transition, and nothing else
+    gtc = tango32()
+    curve = gtc.curve
+    one = curve.ff_const(1)
+    data = build_surface(gtc)
+    ov = dict(data.overlaps)
+    u, r = ov[(0, 1)]
+    ov[(0, 1)] = (u, r + one / (curve.x_elem() - one))
+    rep = validate_cocycle(SurfaceGluingData(curve, data.charts, data.t, ov, data.places))
+    assert rep.violations == [
+        "r_01 has a pole at ('raynaud', ('raynaud', 3, 2), (1, 2))",
+        "transition t_0 = F*(u^(p-1)) t_1 - F*(r) fails",
+    ]
+
+
+@pytest.mark.parametrize("p,l,n", [(3, 2, 3), (5, 3, 9)])
+def test_build_reads_each_valuation_once(monkeypatch, p, l, n):
+    # the overlaps follow from the chart checks, and each place of a chart
+    # reads its chart function once, after the surgery at P_inf
+    curve = RaynaudPlane(PrimeField(p), l)
+    pinf = raynaud_p_inf(curve)
+    gtc = build_generalized_tango(curve, -(curve.y_elem() ** -1), Divisor([(pinf, n)]))
+    reads = []
+    inner = curves._Place.valuation_of
+    monkeypatch.setattr(curves._Place, "valuation_of",
+                        lambda place, f: reads.append((place.key, f)) or inner(place, f))
+    build_surface(gtc)
+    assert reads and len(reads) == len(set(reads))
