@@ -3,7 +3,8 @@
 Everything runs through the p-basis decomposition h = sum h_i^p x^i of a
 function against the separating coordinate: the Cartier image of h dx is
 h_{p-1} dx, and vanishing of that single component is exactness on the
-chart.  The same decomposition hands back an antiderivative for free.
+chart.  The decomposition is kept as the spreads it is sliced from, so the
+image is one slice and the antiderivative one termwise integral.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .errors import (
     ReconstructionFailure,
     UndeclaredPoleDetected,
 )
-from .field import TruncSeries, UPoly
+from .field import TruncSeries, _mul, _spread, _trim
 from .curves import (
     INF,
     Differential,
@@ -37,55 +38,50 @@ from .connections import (
 
 
 class CartierOutput:
-    """p-basis components of a differential h dx.
+    """The p-basis split of a differential h dx, kept as spreads.
 
-    components[i] is h_i in h = sum h_i^p x^i; the Cartier image is
-    components[p-1] dx and the others integrate termwise.
+    With h = sum_j S_j z^j / E over z = y^p, spreads[j] is S_j E^(p-1) and
+    den is E.  The component h_i of h = sum h_i^p x^i is sum_j t_ij y^j / E,
+    t_ij = spreads[j][i::p]; only the image, h_{p-1} dx, is ever built.
     """
 
-    __slots__ = ("curve", "source", "components")
+    __slots__ = ("curve", "source", "spreads", "den")
 
-    def __init__(self, curve, source: Differential, components):
+    def __init__(self, curve, source: Differential, spreads, den):
         self.curve = curve
         self.source = source
-        self.components = tuple(components)
+        self.spreads = tuple(spreads)
+        self.den = den
 
     @property
     def image(self) -> Differential:
-        return Differential(self.curve, self.components[self.curve.p - 1])
+        p = self.curve.p
+        top = [_trim(s[p - 1 :: p]) for s in self.spreads]
+        return Differential(self.curve, FFElem._make(self.curve, top, self.den))
 
     @property
     def is_exact(self) -> bool:
-        return self.components[self.curve.p - 1].is_zero
+        p = self.curve.p
+        return not any(any(s[p - 1 :: p]) for s in self.spreads)
 
     def antiderivative(self) -> FFElem:
-        """f with df equal to the source; exact charts only."""
+        """f with df equal to the source; exact charts only.
+
+        f = sum_j (integral of spreads[j] dx) z^j / E^p, integrated termwise:
+        z and E^p have derivative 0, and exactness leaves no x^(kp-1).
+        """
         if not self.is_exact:
             raise NotExactOnChart(
                 "nonzero Cartier image; the differential is not exact"
             )
-        curve = self.curve
-        x = curve.x_elem()
-        acc = curve.ff_const(0)
-        for i, h in enumerate(self.components[: curve.p - 1]):
-            if not h.is_zero:
-                c = curve.field.inv(i + 1)
-                acc = acc + h.pth_power() * x ** (i + 1) * c
-        return acc
+        curve, field = self.curve, self.curve.field
+        ints = [_trim([0] + [c and c * field.inv(i) % field.p for i, c in enumerate(s, 1)])
+                for s in self.spreads]
+        return FFElem._make(curve, *self.source.h._zhorner(ints, _spread(self.den, curve.p)))
 
     def __repr__(self):
         tag = "exact" if self.is_exact else "inexact"
         return f"CartierOutput({tag})"
-
-
-def _recombine_check(curve, components, h):
-    x = curve.x_elem()
-    acc = curve.ff_const(0)
-    for i, hi in enumerate(components):
-        if not hi.is_zero:
-            acc = acc + hi.pth_power() * x**i
-    if acc != h:
-        raise ReconstructionFailure("p-basis decomposition does not recombine")
 
 
 def cartier_p1(omega: Differential) -> CartierOutput:
@@ -98,27 +94,22 @@ def cartier_p1(omega: Differential) -> CartierOutput:
 def cartier_curve(omega: Differential) -> CartierOutput:
     """Cartier data of h dx on any supported curve, the line included.
 
-    Writes h = sum_j S_j z^j / E over z = y^p and spreads each
-    S_j E^(p-1) = sum_i x^i t_ij(x^p), a split checked coefficient by
-    coefficient.  Since S_j / E = sum_i x^i (t_ij / E)^p, the components
-    are h_i = (sum_j t_ij y^j) / E.
+    Writes h = sum_j S_j z^j / E over z = y^p (FFElem._zvec) and keeps the
+    spreads S_j E^(p-1) = sum_i x^i t_ij(x^p), which recombine by
+    construction.  Only a form with a y-part has a z-basis to check: its
+    Horner sum in z must give h back.
     """
-    curve = omega.curve
-    field, p = curve.field, curve.p
-    s, e = omega.h._zvec()
-    lift = UPoly(field, e) ** (p - 1)
-    cols = []
-    for c in s:
-        spread = UPoly(field, c) * lift
-        parts = spread.frobenius_split()
-        width = max(len(t.coeffs) for t in parts)
-        if UPoly(field, [t.coeff(q) for q in range(width) for t in parts]) != spread:
-            raise ReconstructionFailure("p-basis split does not recombine")
-        cols.append(parts)
-    comps = [FFElem._make(curve, [col[i].coeffs for col in cols], list(e)) for i in range(p)]
-    if curve.ext_degree > 1:
-        _recombine_check(curve, comps, omega.h)
-    return CartierOutput(curve, omega, comps)
+    curve, h = omega.curve, omega.h
+    p = curve.p
+    s, e = h._zvec()
+    lift = [1]
+    for bit in bin(p - 1)[2:]:  # E^(p-1) by squaring, high bit first
+        lift = _mul(lift, lift, p)
+        lift = _mul(lift, e, p) if bit == "1" else lift
+    spreads = [_mul(c, lift, p) for c in s]
+    if any(h._num[1:]) and FFElem._make(curve, *h._zhorner(s, e)) != h:
+        raise ReconstructionFailure("p-basis decomposition does not recombine")
+    return CartierOutput(curve, omega, spreads, e)
 
 
 def exact_antiderivative(omega: Differential) -> FFElem:
@@ -174,6 +165,7 @@ def decide_pre_tango(conn: LogConnection):
     """(is_pre_tango verdict, CartierOutput of the horizontal step, or None
     without a rational generator), from one horizontal Cartier step.
 
+    The verdict reads slice p-1 of the step's spreads and builds no element.
     Checks the rank and the omega label first; is_pre_tango keeps only the
     verdict, since CartierOutputs kept on connections cost memory.
     """

@@ -184,8 +184,8 @@ def _parse_curve(line: str, lineno: int, p_declared):
         )
     if not is_prime(p):
         raise SemanticError(f"line {lineno}: p={p} is not prime")
-    field = PrimeField(p)
-    try:
+    try:  # PrimeField is the one judge of the range of p
+        field = PrimeField(p)
         if model == "p1":
             if "marks" not in kv:
                 raise SyntaxError(lineno, "p1 needs marks=<a,b,...>")

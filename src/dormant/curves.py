@@ -454,27 +454,28 @@ class FFElem(_Frac):
 
     def _zhorner(self, spread, den):
         """The spread numerators put together by Horner in z = y^p, over
-        the spread den."""
+        the spread den; y^p is read only for a second numerator."""
         curve, p = self.curve, self.curve.p
         alg = curve.algebra()
-        z, ez = curve._memo("ypow_p", lambda: _reduce([[]] * p + [[1]], alg))  # y^p
         acc, e = [spread.pop()], 0
         for c in reversed(spread):
+            z, ez = curve._memo("ypow_p", lambda: _reduce([[]] * p + [[1]], alg))  # y^p
             acc, e1 = _vmul(acc, z, alg)
             e += e1 + ez
             acc = [_list_add(acc[0] if acc else [], _shift(c, alg.s * e), p)] + acc[1:]
         return acc, _shift(den, alg.s * e)
 
     def _zvec(self):
-        """(S, E): self = sum_j S_j z^j / E with z = y^p, canonical."""
+        """(S, E): self = sum_j S_j z^j / E with z = y^p, canonical; with no
+        y-part, self's own numerators and den on every model."""
         curve, p = self.curve, self.curve.p
         num, den = [list(c) for c in self._num], list(self._den)
+        if not any(num[1:]):
+            return num, den
         if curve.model == "ell":  # y = z / c^((p-1)/2)
             h = curve._c_half().coeffs
             return _canon([_mul(num[0], h, p), num[1]], _mul(den, h, p), p)
-        if curve.model == "raynaud":
-            return _zbasis_raynaud(curve, num, den)
-        return num, den
+        return _zbasis_raynaud(curve, num, den)
 
     def evaluate(self, point):
         """Value at an affine rational point (x0, y0), or x0 alone for P^1."""

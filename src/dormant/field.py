@@ -19,12 +19,12 @@ case; each rule that needs only x is written once in _Frac.  A UPoly is
 built only outside the arithmetic: in the cli's parsing and selftest, in
 the num/den views, in every read of curves.SeriesBranch._parts, in the
 curves' minpoly, Weierstrass.c_poly, _factor_squarefree and Z0Place.phi,
-in cartier.cartier_curve, in connections.solve_dlog and _omega_frame, and
-in the omega of moduli.  Exact division, in the Bareiss steps of
-curves._inverse too, is long division.  Frobenius acts on coefficient lists
-by one slice (_spread, _is_spread), and RatFunc's local reads take the
-point at infinity, INF, as a point like any other; they and UPoly's
-evaluate and taylor_shift share one list helper, _taylor.
+in connections.solve_dlog and _omega_frame, and in the omega of moduli.
+Exact division, in the Bareiss steps of curves._inverse too, is long
+division.  Frobenius acts on coefficient lists by one slice (_spread,
+_is_spread), and RatFunc's local reads take the point at infinity, INF,
+as a point like any other; they and UPoly's evaluate and taylor_shift
+share one list helper, _taylor.
 """
 from __future__ import annotations
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dormant import curves
 from dormant.cartier import (
     CartierOutput,
     _formal_pre_tango,
@@ -46,7 +47,7 @@ from dormant.errors import (
     NotPreTango,
     ReconstructionFailure,
 )
-from dormant.field import PrimeField, RatFunc, UPoly
+from dormant.field import PrimeField, RatFunc, UPoly, _trim
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -55,6 +56,16 @@ F7 = PrimeField(7)
 
 def line(p, *marks):
     return P1Marked(PrimeField(p), marks)
+
+
+ORACLE_CURVES = {
+    "p1-5": line(5, 0, INF),
+    "p1-7": line(7, 0, 1, INF),
+    "ell-5": Weierstrass(F5, 1, 1),
+    "ell-7": Weierstrass(F7, 3, 0),
+    "ray-3-2": RaynaudPlane(F3, 2),
+    "ray-5-1": RaynaudPlane(F5, 1),
+}
 
 
 def rand_ratfunc(rng, field, dn=3, dd=2):
@@ -127,24 +138,6 @@ class TestCartierLine:
         with pytest.raises(NotExactOnChart):
             out.antiderivative()
 
-    def test_corrupt_split_is_caught(self, monkeypatch):
-        # the per-spread check in cartier_curve is the line's only
-        # recombination check, so a wrong p-basis part must not pass it
-        split = UPoly.frobenius_split
-
-        def corrupt(poly):
-            parts = list(split(poly))
-            parts[1] = parts[1] + 1
-            return tuple(parts)
-
-        curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
-        omega = Differential(curve, (x**3 + 2) / (x - 1))
-        assert cartier_curve(omega).components
-        monkeypatch.setattr(UPoly, "frobenius_split", corrupt)
-        with pytest.raises(ReconstructionFailure):
-            cartier_curve(omega)
-
     def test_local_series_rule_matches(self):
         curve = line(5, 0, 2, INF)
         x = RatFunc.x(F5)
@@ -198,6 +191,74 @@ class TestCartierCurve:
         assert out.is_exact
         g = out.antiderivative()
         assert g.derivative() == eta.h
+
+    @pytest.mark.parametrize("curve", [Weierstrass(F5, 1, 1), RaynaudPlane(F3, 2)],
+                             ids=["ell", "raynaud"])
+    def test_corrupt_zbasis_is_caught(self, curve, monkeypatch):
+        # the z-basis of a form with a y-part is the one thing the step
+        # checks, so a wrong S_0 must not pass
+        h = curve.x_elem() + curve.y_elem()
+        assert cartier_curve(Differential(curve, h)).spreads
+        zvec = FFElem._zvec
+
+        def corrupt(self):
+            s, e = zvec(self)
+            s[0] = list(s[0]) + [1]
+            return s, e
+
+        monkeypatch.setattr(FFElem, "_zvec", corrupt)
+        with pytest.raises(ReconstructionFailure):
+            cartier_curve(Differential(curve, h))
+
+    @pytest.mark.parametrize("name", list(ORACLE_CURVES))
+    def test_split_oracle(self, name):
+        # on x-only forms and, off the line, forms with a y-part: the
+        # components sliced from the spreads recombine to h, and the
+        # antiderivative of dh differentiates back to h'
+        curve = ORACLE_CURVES[name]
+        rng = random.Random(name)
+        p, x = curve.p, curve.x_elem()
+        for parts in [1] * 8 + [2] * 8 * (curve.ext_degree > 1):
+            h = curve.ff(*(rand_ratfunc(rng, curve.field, 2, 1) for _ in range(parts)))
+            out = cartier_curve(Differential(curve, h))
+            total = curve.ff_const(0)
+            for i in range(p):
+                hi = FFElem._make(curve, [_trim(s[i::p]) for s in out.spreads], out.den)
+                total = total + hi.pth_power() * x**i
+            assert total == h
+            assert cartier_curve(d_of(h)).antiderivative().derivative() == h.derivative()
+
+    def test_xonly_form_builds_no_y_over_z(self, monkeypatch):
+        def boom(curve):
+            raise AssertionError("y over z built for an x-only form")
+
+        monkeypatch.setattr(curves, "_y_over_z", boom)
+        curve = RaynaudPlane(F5, 1)
+        x = curve.x_elem()
+        out = cartier_curve(Differential(curve, x**9 + 1))
+        assert out.image.h == x and not out.is_exact
+        out = cartier_curve(Differential(curve, x**3 + 1))
+        assert out.is_exact and out.antiderivative().derivative() == x**3 + 1
+
+    def test_verdict_builds_no_element(self, monkeypatch):
+        made = []
+        make = FFElem._make.__func__
+
+        def counted(cls, *args, **kw):
+            made.append(cls)
+            return make(cls, *args, **kw)
+
+        for curve in (line(5, 0, INF), Weierstrass(F5, 1, 1), RaynaudPlane(F3, 2)):
+            x = curve.x_elem()
+            omega = Differential(curve, x**4 / (x + 1))
+            monkeypatch.setattr(FFElem, "_make", classmethod(counted))
+            out = cartier_curve(omega)
+            assert not out.is_exact
+            assert made == []
+            out.image
+            assert made == [FFElem]
+            monkeypatch.undo()
+            made.clear()
 
     def test_line_route_agrees(self):
         curve = line(5, 0, INF)

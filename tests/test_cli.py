@@ -166,6 +166,12 @@ class TestRefusals:
         (["pcurv", LINE + "\nconn rank=0"], "line 3: rank must be positive"),
         (["pcurv", "cmd=pcurv\n" + LINE], "line 2: second cmd= line"),
         (["pcurv", "p=3\np=3\n" + LINE], "line 3: second p= line"),
+        (["pcurv", "p1 p=2 marks=0,1,inf"],
+         "line 2: p must be an odd prime in [3, 2^31), got 2"),
+        (["pcurv", "p=2\np1 p=2 marks=0,1,inf"],
+         "line 3: p must be an odd prime in [3, 2^31), got 2"),
+        (["cartier", "p1 p=2147483659 marks=0,1,inf\nform 1"],
+         "line 2: p must be an odd prime in [3, 2^31), got 2147483659"),
     ])
     def test_refusal_text_and_exit_code(self, argv, err, capsys):
         assert main(argv) == 2
