@@ -450,11 +450,10 @@ def _run_cartier(spec: JobSpec) -> str:
 
 def _run_pretango(spec: JobSpec) -> str:
     conn = _connection(spec, rank=1)
-    verdict, out = decide_pre_tango(conn)
-    if verdict and out is not None:
+    out = decide_pre_tango(conn)
+    verdict = out.is_exact
+    if verdict:
         witness = f"witness f = {out.antiderivative().render()}"
-    elif verdict:
-        witness = "witness: formal certificate at the distinguished place"
     else:
         witness = "obstruction: nonzero Cartier image on the horizontal line"
     if spec.machine:

@@ -20,7 +20,7 @@ from .errors import (
     NotOmegaBundle,
     UndeclaredPoleDetected,
 )
-from .field import RatFunc, UPoly, _deriv, _list_add, _mul, _shift, _spread, _trim
+from .field import RatFunc, UPoly, _deriv, _list_add, _mul, _pow, _shift, _spread, _trim
 from .curves import (
     INF,
     Differential,
@@ -277,14 +277,16 @@ def _validate_p1_log(conn: LogConnection) -> None:
 # p-curvature
 
 class PCurvatureTensor:
-    """Matrix of the p-curvature, valued in (dx)^(tensor p)."""
+    """Matrix of the p-curvature, valued in (dx)^(tensor p); horizontal is
+    a rational u with u' + a u = 0 for a flat rank-one d + a, else None."""
 
-    __slots__ = ("curve", "rank", "matrix")
+    __slots__ = ("curve", "rank", "matrix", "horizontal")
 
-    def __init__(self, curve, matrix):
+    def __init__(self, curve, matrix, horizontal=None):
         self.curve = curve
         self.rank = len(matrix)
         self.matrix = tuple(tuple(row) for row in matrix)
+        self.horizontal = horizontal
 
     @property
     def is_zero(self) -> bool:
@@ -317,7 +319,9 @@ def _power_frame(conn: LogConnection) -> PCurvatureTensor:
     derivative of integral vectors has a denominator dividing L_C = E x^s,
     and Delta = L_A L_C clears A too.  So P_k = Delta^k (d/dx + A)^k I is
     integral, and P_{k+1} = Delta P_k' - k Delta' P_k + (Delta A) P_k.
-    Only P_p is divided, by Delta^p.
+    Only P_p is divided, by Delta^p.  The powering stops at the first zero
+    iterate; at rank one, if that is P_{k+1}, the integral
+    u = Delta^(p-k) P_k = Delta^p (d/dx + a)^k 1 is horizontal.
     """
     curve = conn.curve
     p, n, alg = curve.p, conn.rank, curve.algebra()
@@ -329,12 +333,13 @@ def _power_frame(conn: LogConnection) -> PCurvatureTensor:
     # Delta A as integral vectors; the diagonal also carries the - k Delta'
     table = [[[_mul(lc, c, p) for c in cells[i * n + l]] for l in range(n)] for i in range(n)]
     m = [[[[1]] if i == j else [] for j in range(n)] for i in range(n)]
-    for _ in range(p):
+    horizontal = None
+    for k in range(p):
         nxt = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 out = [_mul(delta, _deriv(c, p), p) for c in m[i][j]]
-                chain = [_trim([k * v % p for v in c]) for k, c in enumerate(m[i][j][1:], 1)]
+                chain = [_trim([t * v % p for v in c]) for t, c in enumerate(m[i][j][1:], 1)]
                 if any(chain):  # Delta (dP/dy) Y / E = L_A x^s w / x^(s e)
                     w, e = _vmul(chain, yp._num, alg)
                     out = _vadd(out, [_shift(_mul(la, c, p), alg.s * (1 - e))
@@ -343,11 +348,17 @@ def _power_frame(conn: LogConnection) -> PCurvatureTensor:
                     w, e = _vmul(table[i][l], m[l][j], alg)
                     out = _vadd(out, [c[alg.s * e :] for c in w], p)
                 nxt[i][j] = out
-        m = nxt
+        m, prev = nxt, m
+        if not any(c for row in m for v in row for c in v):
+            if n == 1:
+                lift = _pow(delta, p - k, p)
+                horizontal = FFElem._make(curve, [_mul(c, lift, p) for c in prev[0][0]], [1], True)
+            break
         for i in range(n):
             table[i][i][0] = _list_add(table[i][i][0], ndd, p)
     dp = _spread(delta, p)
-    return PCurvatureTensor(curve, [[FFElem._make(curve, v, dp) for v in row] for row in m])
+    return PCurvatureTensor(curve, [[FFElem._make(curve, v, dp) for v in row] for row in m],
+                            horizontal)
 
 
 def rank1_p_curvature_closed(conn: LogConnection) -> FFElem:
@@ -501,8 +512,10 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
     monomials x^i y^j: i dlog x + j dlog y = g is solved as an F_p-linear
     system on the cleared y-basis coefficients, for the lexicographically
     least (i, j).  A miss raises NoRationalGenerator carrying the unresolved
-    form, which is the honest outcome because a formal certificate can
-    still decide dormancy downstream.
+    form; a pre-Tango step then takes PCurvatureTensor.horizontal.
+    frobenius_descent reads a miss as a non-principal class: off the line a
+    principal class keeps no divisor, so a generator for every flat class
+    would make the distinct twists w/y, w != 0, on ordinary ell compare equal.
     """
     g = _on_curve(curve, g)
     if g.is_zero:

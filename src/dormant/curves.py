@@ -454,9 +454,11 @@ class FFElem(_Frac):
 
     def _zhorner(self, spread, den):
         """The spread numerators put together by Horner in z = y^p, over
-        the spread den; y^p is read only for a second numerator."""
+        the spread den; y^p is read only below a nonzero top numerator."""
         curve, p = self.curve, self.curve.p
         alg = curve.algebra()
+        while len(spread) > 1 and not spread[-1]:
+            spread.pop()
         acc, e = [spread.pop()], 0
         for c in reversed(spread):
             z, ez = curve._memo("ypow_p", lambda: _reduce([[]] * p + [[1]], alg))  # y^p

@@ -23,9 +23,9 @@ class ZeroElement(DormantError):
 
 class InsufficientPrecision(DormantError):
     """A question the available precision cannot decide: a read past a
-    series' precision, a function still zero past the degree bound B(f),
-    or the formal certificate stopping short.  Places lengthen themselves,
-    so no caller retries at a higher precision."""
+    series' precision, or a function still zero past the degree bound
+    B(f).  Places lengthen themselves, so no caller retries at a higher
+    precision."""
 
 
 # curve layer

@@ -157,6 +157,15 @@ def _mul(a, b, p, n=None):
     return [int.from_bytes(buf[i : i + w], "little") % p for i in range(0, k * w, w)]
 
 
+def _pow(a, n, p):
+    """a^n over F_p by squaring, high bit first."""
+    out = [1]
+    for bit in bin(n)[2:]:
+        out = _mul(out, out, p)
+        out = _mul(out, a, p) if bit == "1" else out
+    return out
+
+
 class _Ring:
     """Subtraction and integer powers from +, unary -, * and _coerce."""
 
@@ -308,11 +317,6 @@ class UPoly(_Ring):
         """Inverse of pth_power when it exists, else None."""
         p = self.field.p
         return UPoly(self.field, self.coeffs[::p]) if _is_spread(self.coeffs, p) else None
-
-    def frobenius_split(self):
-        """Decompose self = sum_i split[i]^p * x^i with 0 <= i < p."""
-        p = self.field.p
-        return tuple(UPoly(self.field, self.coeffs[r::p]) for r in range(p))
 
     def valuation_at(self, a: int) -> int:
         """Multiplicity of x = a as a root; ZeroElement on the zero poly."""

@@ -7,7 +7,13 @@ import pytest
 
 from dormant import cartier, cli
 from dormant.cli import ConnBlock, JobSpec, main, parse_job, render_job, run_job
-from dormant.connections import LogConnection, omega_log_label, trivial_label
+from dormant.cartier import pretango_from_tango
+from dormant.connections import (
+    LogConnection,
+    omega_log_label,
+    raynaud_omega_label,
+    trivial_label,
+)
 from dormant.curves import INF, P1Marked, RaynaudPlane
 from dormant.errors import SemanticError, SyntaxError
 from dormant.field import PrimeField
@@ -232,18 +238,28 @@ class TestRunJob:
         assert "witness f = 0 1 / 1" in text
 
     @pytest.mark.parametrize("u, out", [
-        ("xy+1", "pretango yes=true\nwitness: formal certificate at the distinguished place"),
+        ("xy+1", "pretango yes=true\nwitness f = "),
         ("y+1", "pretango yes=false\nobstruction: nonzero Cartier image on the horizontal line"),
     ])
     def test_pretango_formal_certificate_on_raynaud(self, u, out):
         # the monomial search misses the generator u of a = -dlog u, so the
-        # verdict is the formal certificate's
+        # verdict comes from the generator the p-curvature powering reads off;
+        # a yes prints its witness f, and f gives the connection back
         curve = RaynaudPlane(PrimeField(3), 2)
         x, y = curve.x_elem(), curve.y_elem()
         a = -{"xy+1": x * y + 1, "y+1": y + 1}[u].dlog()
         job = ("cmd=pretango\nmode=machine\nraynaud p=3 l=2\n"
                f"conn rank=1 bundle=ray_omega\n{a.render()}\n")
-        assert run_job(parse_job(job)) == (out, 0)
+        text, code = run_job(parse_job(job))
+        assert code == 0
+        if u == "y+1":
+            assert text == out
+            return
+        first, second = text.split("\n")
+        assert first == "pretango yes=true"
+        assert second.startswith("witness f = ")
+        f = cli._parse_elem(curve, second[len("witness f = "):], 0)
+        assert pretango_from_tango(raynaud_omega_label(curve), f).scalar() == a
 
     def test_pretango_on_nonflat_is_domain_failure(self):
         job = (
@@ -524,6 +540,18 @@ class TestPretangoOnce:
         text, code = run_job(parse_job(job))
         assert code == 0 and text.splitlines()[0] == first
         assert len(steps) == len(scans) == 1
+
+    def test_missed_generator_prints_a_witness(self):
+        # w/y on this ordinary curve has no monomial generator; the witness
+        # f printed for it gives the job's connection back
+        job = ("cmd=pretango\nell p=5 a=3 b=0\nconn rank=1 bundle=omega_ell\n"
+               "0 / 1 ; 1 / 0 3 0 1\n")
+        spec = parse_job(job)
+        first, second = run_job(spec)[0].split("\n")
+        assert first == "yes" and second.startswith("witness f = ")
+        conn = cli._connection(spec, rank=1)
+        f = cli._parse_elem(spec.curve, second[len("witness f = "):], 0)
+        assert pretango_from_tango(conn.label, f).scalar() == conn.scalar()
 
 
 _ACTIONS = {"miura": ("from-pretango", "exponent", "dormant"),

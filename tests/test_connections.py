@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dormant import connections
+from dormant.cartier import cartier_curve, is_pre_tango
 from dormant.connections import (
     BundleLabel,
     DescentClass,
@@ -25,6 +26,7 @@ from dormant.connections import (
     omega_log_label,
     p_curvature,
     rank1_p_curvature_closed,
+    raynaud_omega_label,
     residue_pcurvature_identity,
     solve_dlog,
     tensor,
@@ -49,6 +51,7 @@ from dormant.errors import (
     UndeclaredPoleDetected,
 )
 from dormant.field import PrimeField, RatFunc, UPoly
+from dormant.moduli import sweep_genus0
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -156,6 +159,29 @@ def trial_loop(curve, g):
             if (i * dlx + j * dly - g).is_zero:
                 return i, j
     return None
+
+
+def flat_rank_one_draws():
+    """(conn, u0) for flat rank-one connections on the omega bundle of all
+    three models: the (5,3) line sweep and the flat w dx/y on every smooth
+    elliptic curve at p = 5 and 7, with u0 None; and a = -dlog u0 on Raynaud
+    curves for hand-built units u0, most of whose generators the monomial
+    solve misses."""
+    for rep in sweep_genus0(5, 3):
+        yield from ((conn, None) for conn in rep.flat_list)
+    for p in (5, 7):
+        for a, b in ((a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p):
+            curve = Weierstrass(PrimeField(p), a, b)
+            yinv = curve.y_elem().inverse()
+            for w in range(p):
+                conn = LogConnection(curve, [[yinv * w]], omega_ell_label(curve))
+                if p_curvature(conn).is_zero:
+                    yield conn, None
+    for p, l in ((3, 2), (5, 1), (3, 3)):
+        curve = RaynaudPlane(PrimeField(p), l)
+        x, y = curve.x_elem(), curve.y_elem()
+        for u0 in (x * y + 1, y + 1, x + y, x * x / y + 1):
+            yield LogConnection(curve, [[-u0.dlog()]], raynaud_omega_label(curve)), u0
 
 
 def apply_p_times(conn, vec):
@@ -590,6 +616,47 @@ class TestHorizontal:
         conn = LogConnection(curve, [[curve.y_elem().inverse()]])
         with pytest.raises(NotFlat):
             horizontal_generator(conn)
+
+    def test_powering_reads_off_a_horizontal_generator(self):
+        # u' + a u = 0, checked by differentiation on every model
+        models = set()
+        for conn, _ in flat_rank_one_draws():
+            u, a = p_curvature(conn).horizontal, conn.scalar()
+            assert not u.is_zero
+            assert (u.derivative() + a * u).is_zero
+            models.add(conn.curve.model)
+        assert models == {"p1", "ell", "raynaud"}
+
+    def test_iterate_route_agrees_with_the_generator_routes(self):
+        # the pre-Tango verdict on the generator read off the p-curvature
+        # powering, against the one on solve_dlog's generator where the
+        # solve finds one and on the hand-built unit u0 where it misses
+        def verdict(conn, u):
+            return cartier_curve(omega_frame_differential(conn.label).scale(u)).is_exact
+
+        seen = {True: 0, False: 0}
+        for conn, u0 in flat_rank_one_draws():
+            try:
+                u = solve_dlog(conn.curve, -conn.scalar())
+            except NoRationalGenerator:
+                if u0 is None:  # w/y with w != 0: no second generator to hand
+                    continue
+                u = u0
+            mine = verdict(conn, p_curvature(conn).horizontal)
+            assert mine is verdict(conn, u) is is_pre_tango(conn)
+            seen[mine] += 1
+        assert min(seen.values()) > 10
+
+    def test_no_horizontal_generator_off_flat_rank_one(self):
+        curve = Weierstrass(F5, 1, 1)
+        nonflat = LogConnection(curve, [[curve.y_elem().inverse()]])
+        assert not p_curvature(nonflat).is_zero
+        assert p_curvature(nonflat).horizontal is None
+        line5 = line(5, 0, INF)
+        x = RatFunc.x(F5)
+        for m in ([[0, 0], [0, 0]], [[0, 1 / x], [0, 0]], [[1, 0], [1, 1 / x]]):
+            conn = LogConnection(line5, m, validate=False)
+            assert p_curvature(conn).horizontal is None
 
     def test_elliptic_monomial_search_miss(self):
         # w/y is odd under the hyperelliptic flip, dlog of x^i y^j is even

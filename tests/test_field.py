@@ -127,19 +127,6 @@ class TestUPoly:
                 if f.derivative().is_zero and not f.is_zero:
                     assert f.pth_root() is not None
 
-    def test_frobenius_split_identity(self):
-        rng = random.Random(1)
-        for field in FIELDS:
-            for _ in range(30):
-                f = rand_poly(rng, field, rng.randrange(12))
-                parts = f.frobenius_split()
-                assert len(parts) == field.p
-                x = UPoly.x(field)
-                total = UPoly.zero(field)
-                for i, part in enumerate(parts):
-                    total = total + part.pth_power() * x**i
-                assert total == f
-
     def test_gcd_monic(self):
         x = UPoly.x(F5)
         g = ((x + 1) * (x + 2) * 3).gcd((x + 1) * (x + 3) * 2)

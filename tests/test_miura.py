@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dormant.cartier import is_pre_tango
+from dormant.cartier import cartier_curve, is_pre_tango
 from dormant.connections import (
     LogConnection,
     monodromy,
@@ -13,13 +13,15 @@ from dormant.connections import (
     omega_log_label,
     p_curvature,
     raynaud_omega_label,
+    solve_dlog,
     trivial_label,
 )
-from dormant.curves import INF, FFElem, P1Marked, RaynaudPlane, Weierstrass
+from dormant.curves import INF, Differential, FFElem, P1Marked, RaynaudPlane, Weierstrass
 from dormant.errors import (
     BadTrivialization,
     CurveMismatch,
     DegenerateKS,
+    NoRationalGenerator,
     NotDormant,
     NotFlat,
     NotPreTango,
@@ -385,3 +387,39 @@ class TestBridge:
         assert all(comp.label.omega == 0 for comp in sp.cartan.components)
         assert pretango_of(sp) == conn
 
+
+class TestTriangularOracle:
+    def test_dormant_exactly_when_dx_over_u1_is_exact(self):
+        # [[0, 0], [1, a1]] has horizontal sections (1, u1 g) with
+        # u1' + a1 u1 = 0 and g' = -1/u1, so it is dormant exactly when
+        # d + a1 is flat and C(dx/u1) = 0; u1 from solve_dlog, else from
+        # the p-curvature powering.  C(dx/u1) = C(u1^(p-1) dx)/u1 needs
+        # no inverse of the powering's large integral u1
+        ops = []
+        for p in (3, 5, 7):  # d + 1 + r/x + r/(x - 1) is not flat
+            curve = line(p)
+            ops += [(curve, pole_sum(curve, (r0, r1))) for r0 in range(p) for r1 in range(p)]
+            ops += [(curve, pole_sum(curve, (r, r)) + 1) for r in range(p)]
+        for p, a, b in ((5, 3, 0), (5, 1, 1), (7, 3, 0), (7, 0, 1), (5, 2, 0), (7, 3, 5)):
+            curve = Weierstrass(PrimeField(p), a, b)
+            yinv = curve.y_elem().inverse()
+            ops += [(curve, yinv * w) for w in range(p)]
+        for p, l in ((3, 2), (5, 1), (3, 3)):
+            curve = RaynaudPlane(PrimeField(p), l)
+            x, y = curve.x_elem(), curve.y_elem()
+            ops += [(curve, -u0.dlog()) for u0 in (x * y + 1, y + 1, x + y, x * x / y + 1)]
+        seen = {True: 0, False: 0}
+        for curve, a1 in ops:
+            rank_one = LogConnection(curve, [[a1]], trivial_label(curve), validate=False)
+            psi = p_curvature(rank_one)
+            expect = psi.is_zero
+            if expect:
+                try:
+                    u1 = solve_dlog(curve, -rank_one.scalar())
+                except NoRationalGenerator:
+                    u1 = psi.horizontal
+                expect = cartier_curve(Differential(curve, u1 ** (curve.p - 1))).is_exact
+            m = miura_from_cartan(CartanConnection(curve, (d_conn(curve), rank_one)))
+            assert is_dormant(m) is expect
+            seen[expect] += 1
+        assert min(seen.values()) > 20
