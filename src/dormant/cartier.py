@@ -7,8 +7,8 @@ chart.  The decomposition is kept as the spreads it is sliced from, so the
 image is one slice and the antiderivative one termwise integral.
 
 A pre-Tango verdict is one global Cartier step C(u eta) = 0, u a rational
-horizontal generator: from the line's pole table or the monomial solve, else
-the last nonzero p-curvature iterate.  Every yes carries its witness f.
+horizontal generator: the pole table's on the line, else the monomial solve
+or the last nonzero p-curvature iterate.  Every yes carries its witness f.
 """
 from __future__ import annotations
 
@@ -113,14 +113,14 @@ def exact_antiderivative(omega: Differential) -> FFElem:
 
 def _horizontal_cartier(conn: LogConnection) -> CartierOutput:
     """Cartier data of u * eta for a flat connection on the omega bundle:
-    eta the frame differential, u a horizontal generator from solve_dlog,
-    else the one the p-curvature powering read off."""
+    eta the frame differential, u the generator p_curvature kept on the
+    line, else one from solve_dlog, else the one the powering read off."""
     eta = omega_frame_differential(conn.label)
     psi = p_curvature(conn)
     if not psi.is_zero:
         raise NotFlat("pre-Tango structures are flat")
     try:
-        u = solve_dlog(conn.curve, -conn.scalar())
+        u = psi.horizontal if conn.curve.model == "p1" else solve_dlog(conn.curve, -conn.scalar())
     except NoRationalGenerator:
         u = psi.horizontal
     return cartier_curve(eta.scale(u))

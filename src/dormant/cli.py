@@ -726,6 +726,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _user_line(message: str, flags: int) -> str:
+    """A parser message numbered from the user's first line, past the flag
+    lines main prepends; an error on a flag's own line is the command line's."""
+    n, _, rest = message.partition(": ")
+    if n[:5] != "line " or not n[5:].isdigit():
+        return message
+    k = int(n[5:]) - flags
+    return f"line {k}: {rest}" if k > 0 else f"command line: {rest}"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -750,6 +760,7 @@ def main(argv=None) -> int:
         lines.append("mode=machine")
     if ns.threads != 1:
         lines.append(f"threads={ns.threads}")
+    flags = len(lines)
     try:
         if ns.command == "run":
             if ns.job == "-":
@@ -769,7 +780,7 @@ def main(argv=None) -> int:
     try:
         spec = parse_job("\n".join(lines))
     except (SyntaxError, SemanticError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_user_line(str(err), flags)}", file=sys.stderr)
         return 2
     text, code = run_job(spec)
     print(text)

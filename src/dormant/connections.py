@@ -2,8 +2,9 @@
 
 A connection is stored through its apparent matrix in a chosen frame of the
 bundle; the frame's section divisor is kept on the bundle label so that
-intrinsic residues can be recovered from apparent ones.  The p-curvature is
-computed by operator powering, (d/dx + A)^p on the identity frame, on
+intrinsic residues can be recovered from apparent ones.  At rank one on the
+line the p-curvature is 0 once an identity certifies the u the pole table
+names; else it is operator powering, (d/dx + A)^p on the identity frame, on
 integral data: one denominator Delta clears A and the curve's structure
 constants, the p steps run on y-basis coefficient lists over F_p[x], and
 only the result is divided by Delta^p.
@@ -230,7 +231,7 @@ def _line_poles(f: FFElem):
     """({place: (order, residue)}, cofactor) for the form f dx on the line:
     its poles at the rational roots of den f, ascending, then at INF where
     v(f) + v(dx) < 0 (v(dx) = -2 there), and the factor of den f with no
-    rational root.  The one scan of F_p; the residues are RatFunc's."""
+    rational root.  The one scan of F_p; the residues are ints in [0, p)."""
     r = f.as_ratfunc()
     roots, rest = _factor_linear_and_rest(r._den, f.curve.p)
     poles = {c: (m, r.residue_at(c)) for c, m in roots}
@@ -246,6 +247,15 @@ def _entry_poles(conn: LogConnection, i: int, j: int):
 
 def _residue(conn: LogConnection, i: int, j: int, place) -> int:
     return _entry_poles(conn, i, j)[0].get(place, (0, 0))[1]
+
+
+def _line_connection(curve, a: FFElem, poles, label: BundleLabel) -> LogConnection:
+    """The validated d + a on the line, its pole table handed in as
+    _line_poles would find it: the caller built a from these poles."""
+    conn = LogConnection(curve, [[a]], label, validate=False)
+    conn._cache[("poles", 0, 0)] = poles, [1]
+    _validate_p1_log(conn)
+    return conn
 
 
 def _validate_p1_log(conn: LogConnection) -> None:
@@ -306,8 +316,16 @@ class PCurvatureTensor:
 
 
 def p_curvature(conn: LogConnection) -> PCurvatureTensor:
-    """The p-curvature, computed once per connection by _power_frame."""
-    return conn._memo("p_curvature", lambda: _power_frame(conn))
+    """The p-curvature, computed once per connection: at rank one on the
+    line 0, with horizontal u, if the u of _line_generator on the pole table
+    passes its identity; else _power_frame's."""
+    def compute():
+        if conn.rank == 1 and conn.curve.model == "p1":
+            u, ok = _line_generator(conn.scalar(), _entry_poles(conn, 0, 0)[0])
+            if ok:
+                return PCurvatureTensor(conn.curve, [[conn.curve.ff_const(0)]], u)
+        return _power_frame(conn)
+    return conn._memo("p_curvature", compute)
 
 
 def _power_frame(conn: LogConnection) -> PCurvatureTensor:
@@ -506,32 +524,28 @@ def _divisor_points_p1(u: FFElem):
 def solve_dlog(curve, g: FFElem) -> FFElem:
     """Find rational u with dlog u = g, up to p-th powers.
 
-    On the line u is the polynomial prod (x - c)^e over the rational poles
-    c of g, e the residue of g at c in [1, p); it solves dlog u = g exactly
-    when u' den(g) = num(g) u.  On the other models u is searched among the
-    monomials x^i y^j: i dlog x + j dlog y = g is solved as an F_p-linear
-    system on the cleared y-basis coefficients, for the lexicographically
-    least (i, j).  A miss raises NoRationalGenerator carrying the unresolved
-    form; a pre-Tango step then takes PCurvatureTensor.horizontal.
-    frobenius_descent reads a miss as a non-principal class: off the line a
-    principal class keeps no divisor, so a generator for every flat class
-    would make the distinct twists w/y, w != 0, on ordinary ell compare equal.
+    On the line u is _line_generator's for a = -g on a scanned pole table:
+    prod (x - c)^e, e = res_c(g) in [1, p) at each rational pole c, a
+    solution exactly when u' den(g) = num(g) u.  On the other models u is
+    searched among the monomials x^i y^j: i dlog x + j dlog y = g is solved
+    as an F_p-linear system on the cleared y-basis coefficients, for the
+    lexicographically least (i, j).  A miss raises NoRationalGenerator
+    carrying the unresolved form; a pre-Tango step then takes
+    PCurvatureTensor.horizontal.  frobenius_descent reads a miss as a
+    non-principal class: off the line a principal class keeps no divisor, so
+    a generator for every flat class would make the distinct twists w/y,
+    w != 0, on ordinary ell compare equal.
     """
     g = _on_curve(curve, g)
     if g.is_zero:
         return curve.ff_const(1)
-    p, field = curve.p, curve.field
+    p = curve.p
     if curve.ext_degree == 1:
-        u = UPoly.one(field)
-        for c, (_, e) in _line_poles(g)[0].items():
-            if e and c != INF:
-                u = u * UPoly(field, (-c, 1)) ** e
-        if _mul(_deriv(u.coeffs, p), g._den, p) == _mul(g._num[0], u.coeffs, p):
-            return FFElem(curve, (u,))
+        u, ok = _line_generator(-g, _line_poles(-g)[0])
+        if ok:
+            return u
         raise NoRationalGenerator(
-            "no rational solution of dlog u = g over the line",
-            descent=g - FFElem(curve, (RatFunc.from_poly(u).dlog(),)),
-        )
+            "no rational solution of dlog u = g over the line", descent=g - u.dlog())
     x, y = curve.x_elem(), curve.y_elem()
     dlx, dly = curve._memo("dlog_xy", lambda: (x.dlog(), y.dlog()))
     rows = [row for comps in zip(*_over_lcm([(e._num, e._den) for e in (dlx, dly, g)], p)[1])
@@ -540,6 +554,21 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
     if ij is not None and (ij[0] * dlx + ij[1] * dly - g).is_zero:
         return x ** ij[0] * y ** ij[1]
     raise NoRationalGenerator("monomial search exhausted", descent=g)
+
+
+def _line_generator(a: FFElem, poles):
+    """(u, ok) for a form a dx on the line and its pole table: u is the
+    polynomial prod (x - c)^(-res_c mod p) over the finite places c of the
+    table, and ok whether u' + a u = 0, i.e. u' den(a) = -num(a) u."""
+    p, u = a.curve.p, [1]
+    for c, (_, res) in poles.items():
+        if c != INF and (e := -res % p):  # (x - c)^e, binomials top down
+            lin = [0] * e + [1]
+            for k in range(e - 1, -1, -1):
+                lin[k] = lin[k + 1] * -c * (k + 1) * pow(e - k, -1, p) % p
+            u = _mul(u, lin, p)
+    rhs = _mul([-c % p for c in a._num[0]], u, p)
+    return FFElem._make(a.curve, [u], [1], True), _mul(_deriv(u, p), a._den, p) == rhs
 
 
 def _least_solution(rows, p):

@@ -4,9 +4,10 @@ Genus 0: a log connection on the marked line with prescribed residues is
 unique when it exists at all, and it exists exactly when the residue
 classes pass the divisibility test.  Genus 1: the connections form the
 one-parameter family d + w * delta over the invariant differential.  The
-flatness of every candidate is certified by p_curvature, which is operator
-powering (an integral recurrence over F_p[x] with one denominator),
-independent of the closed forms elsewhere in the package.
+flatness of every candidate is certified by p_curvature: on the line by the
+identity u' + a u = 0 for the u its pole table names, a table built here
+from the residues; on the elliptic curve by operator powering (an integral
+recurrence over F_p[x] with one denominator).
 """
 from __future__ import annotations
 
@@ -15,19 +16,15 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import UnsupportedCurve
-from .field import RatFunc, UPoly
-from .curves import INF, P1Marked
+from .field import _trim
+from .curves import INF, FFElem, P1Marked
 from .connections import (
     LogConnection,
-    monodromy,
+    _line_connection,
     omega_label,
     p_curvature,
 )
 from .cartier import is_pre_tango
-
-
-def _lift(p: int, mu) -> int:
-    return int(mu) % p
 
 
 def emptiness_oracle(g: int, r: int, eps: Sequence, p: int) -> Tuple[Fraction, bool]:
@@ -36,10 +33,13 @@ def emptiness_oracle(g: int, r: int, eps: Sequence, p: int) -> Tuple[Fraction, b
     value = 2g - 2 + (2g - 2 + r + sum of lifts of -eps_i) / p; a negative
     value forces the corresponding locus to be empty.
     """
-    chi = 2 * g - 2
-    total = chi + r + sum(_lift(p, -int(e)) for e in eps)
-    value = Fraction(chi) + Fraction(total, p)
+    value = _formula_value(g, r, (-int(e) % p for e in eps), p)
     return value, value < 0
+
+
+def _formula_value(g: int, r: int, lifts, p: int) -> Fraction:
+    """emptiness_oracle's value from the lifts of -eps_i, as one Fraction."""
+    return Fraction((2 * g - 2) * (p + 1) + r + sum(lifts), p)
 
 
 class EnumerationReport:
@@ -102,22 +102,24 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
         marks = curve.marks
         if len(mu) != len(marks):
             raise ValueError("one residue class per mark expected")
-        mu = tuple(_lift(p, v) for v in mu)
+        mu = tuple(int(v) % p for v in mu)
         r = len(marks)
         total = (r - 2 + sum(mu)) % p
         admissible = total == 0
         flat = []
         if admissible:
-            # omega = sum of v / (x - m) over the finite marks, normalized once
-            poles = [(UPoly(curve.field, (-m, 1)), v)
-                     for m, v in zip(marks, mu) if m != INF and v]
-            den = UPoly.one(curve.field)
-            for lin, _ in poles:
-                den = den * lin
-            num = sum((den // lin * v for lin, v in poles), UPoly.zero(curve.field))
-            omega = RatFunc(curve.field, num, den)
-            conn = LogConnection(curve, [[omega]], omega_label(curve))
-            if p_curvature(conn).is_zero and monodromy(conn) == mu:
+            # omega = sum of v / (x - m) over the finite marks, pole by pole with
+            # len(num) = len(den) - 1; lowest terms, as num(m) != 0; -sum v at INF
+            poles = dict(sorted((m, (1, v)) for m, v in zip(marks, mu) if m != INF and v))
+            num, den = [], [1]
+            for m, (_, v) in poles.items():
+                num = [(a - m * b + v * d) % p for a, b, d in zip([0] + num, num + [0], den)]
+                den = [(a - m * b) % p for a, b in zip([0] + den, den + [0])]
+            if s := sum(v for _, v in poles.values()) % p:
+                poles[INF] = 1, -s % p
+            omega = FFElem._make(curve, [_trim(num)], den, True)
+            conn = _line_connection(curve, omega, poles, omega_label(curve))
+            if p_curvature(conn).is_zero:
                 flat.append(conn)
     else:  # ell, the one model left
         if len(mu) != 0:
@@ -130,9 +132,7 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
         )
         flat = [conn for conn in candidates if p_curvature(conn).is_zero]
     pretango = [conn for conn in flat if is_pre_tango(conn)]
-    value, _ = emptiness_oracle(
-        curve.genus(), len(mu), tuple((-v) % p for v in mu), p
-    )
+    value = _formula_value(curve.genus(), len(mu), mu, p)
     return EnumerationReport(_tag(curve), mu, flat, pretango, admissible, value)
 
 

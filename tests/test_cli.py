@@ -155,7 +155,13 @@ class TestRender:
 
 
 class TestRefusals:
-    """Each refusal of the parser, its text and exit code 2 through main."""
+    """Each refusal of the parser, its text and exit code 2 through main.
+
+    The parametrized pins are the parser's messages on the job text main
+    assembles: first cmd= and one line per option flag, then the user's
+    text.  main numbers from the user's first line, and puts an error on
+    a flag's own line on the command line.
+    """
 
     LINE = "p1 p=3 marks=0,1,inf"
 
@@ -180,9 +186,32 @@ class TestRefusals:
          "line 2: p must be an odd prime in [3, 2^31), got 2147483659"),
     ])
     def test_refusal_text_and_exit_code(self, argv, err, capsys):
+        flags = 1 + sum(a.startswith("--") for a in argv)
+        n, rest = err[len("line "):].split(": ", 1)
+        shown = f"line {int(n) - flags}" if int(n) > flags else "command line"
         assert main(argv) == 2
         out = capsys.readouterr()
-        assert (out.out, out.err) == ("", f"error: {err}\n")
+        assert (out.out, out.err) == ("", f"error: {shown}: {rest}\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["pcurv", "p1 p=2 marks=0,1,inf"],
+         "line 1: p must be an odd prime in [3, 2^31), got 2"),
+        (["--machine", "pcurv", "p1 p=2 marks=0,1,inf"],
+         "line 1: p must be an odd prime in [3, 2^31), got 2"),
+        (["--machine", "tango-search", "--height", "1", "height=2\nell p=5 a=1 b=2"],
+         "line 1: duplicate option 'height'"),
+        (["enumerate", "--monodromy", ",", LINE], "command line: monodromy= needs a,b,..."),
+    ], ids=["plain", "machine", "machine-flag", "flag-value"])
+    def test_lines_count_from_the_users_text(self, argv, err, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_a_job_file_keeps_its_own_numbering(self, tmp_path, capsys):
+        job = tmp_path / "job.txt"
+        job.write_text("cmd=pcurv\n\n" + self.LINE + "\nconn rank=0\n")
+        for argv in (["run", str(job)], ["--machine", "run", str(job)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: line 4: rank must be positive\n"
 
     def test_job_text_expected(self):
         # main always hands parse_job a str; only a direct call reaches this
@@ -537,9 +566,13 @@ class TestPretangoOnce:
                             lambda conn: steps.append(conn) or step(conn))
         monkeypatch.setattr(cartier, "solve_dlog",
                             lambda *a: scans.append(a) or scan(*a))
-        text, code = run_job(parse_job(job))
+        spec = parse_job(job)
+        text, code = run_job(spec)
         assert code == 0 and text.splitlines()[0] == first
-        assert len(steps) == len(scans) == 1
+        # on the line the generator is the one p_curvature read off the
+        # pole table, so the step solves nothing
+        assert len(steps) == 1
+        assert len(scans) == (spec.curve.model != "p1")
 
     def test_missed_generator_prints_a_witness(self):
         # w/y on this ordinary curve has no monomial generator; the witness

@@ -621,7 +621,7 @@ class TestHorizontal:
         # u' + a u = 0, checked by differentiation on every model
         models = set()
         for conn, _ in flat_rank_one_draws():
-            u, a = p_curvature(conn).horizontal, conn.scalar()
+            u, a = connections._power_frame(conn).horizontal, conn.scalar()
             assert not u.is_zero
             assert (u.derivative() + a * u).is_zero
             models.add(conn.curve.model)
@@ -642,7 +642,7 @@ class TestHorizontal:
                 if u0 is None:  # w/y with w != 0: no second generator to hand
                     continue
                 u = u0
-            mine = verdict(conn, p_curvature(conn).horizontal)
+            mine = verdict(conn, connections._power_frame(conn).horizontal)
             assert mine is verdict(conn, u) is is_pre_tango(conn)
             seen[mine] += 1
         assert min(seen.values()) > 10

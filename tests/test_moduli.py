@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 
 from dormant import cartier, connections
-from dormant.connections import monodromy, residue_pcurvature_identity
+from dormant.cartier import cartier_curve, is_pre_tango
+from dormant.connections import (
+    LogConnection,
+    monodromy,
+    omega_frame_differential,
+    p_curvature,
+    rank1_p_curvature_closed,
+    residue_pcurvature_identity,
+    solve_dlog,
+)
 from dormant.curves import INF, P1Marked, RaynaudPlane, Weierstrass
 from dormant.errors import UnsupportedCurve
 from dormant.field import PrimeField, RatFunc
@@ -228,7 +237,12 @@ class TestProveOnce:
         # powered objects stay alive in the log, so their ids are distinct
         ids = [id(conn) for conn in powered]
         assert len(ids) == len(set(ids))
-        assert {id(c) for c in rep.flat_list + tuple(opers)} <= set(ids)
+        if curve.model == "p1":
+            # the line's rank-one connections are flat by their pole table:
+            # only the rank-2 opers are powered
+            assert sorted(ids) == sorted(id(c) for c in opers)
+        else:
+            assert {id(c) for c in rep.flat_list + tuple(opers)} <= set(ids)
         assert [id(c) for c in decided] == [id(c) for c in rep.flat_list]
 
     def test_line_sweep_expands_no_series(self, monkeypatch):
@@ -241,3 +255,83 @@ class TestProveOnce:
                                 calls.append((name, a)) or expand(f, *a))
         sweep_genus0(5, 4)
         assert calls == []
+
+
+class TestLineRoute:
+    """p_curvature on the line at rank one reads u off the pole table; the
+    routes it replaced are its oracles."""
+
+    @pytest.mark.parametrize("p, r", [(5, 4), (7, 3)])
+    def test_agrees_with_the_powering_and_the_scans(self, p, r):
+        seen = {True: 0, False: 0}
+        for rep in sweep_genus0(p, r):
+            for conn in rep.flat_list:
+                a, psi, old = conn.scalar(), p_curvature(conn), connections._power_frame(conn)
+                assert psi.is_zero and old.is_zero and psi.matrix == old.matrix
+                u = psi.horizontal
+                assert (u.derivative() + a * u).is_zero
+                # the powering's u differs by a constant times a p-th power
+                assert (old.horizontal / u).derivative().is_zero
+                assert u == solve_dlog(conn.curve, -a)
+                table, rest = connections._entry_poles(conn, 0, 0)
+                scanned_table, scanned_rest = connections._line_poles(a)
+                assert table == scanned_table and list(rest) == list(scanned_rest) == [1]
+                scanned = LogConnection(conn.curve, conn.matrix, conn.label)
+                assert monodromy(scanned) == monodromy(conn) == rep.monodromy
+                eta = omega_frame_differential(conn.label)
+                verdict = is_pre_tango(conn)
+                assert cartier_curve(eta.scale(old.horizontal)).is_exact is verdict
+                seen[verdict] += 1
+        assert min(seen.values()) > 0
+
+    def test_unvalidated_connections_fall_back_to_the_powering(self, monkeypatch):
+        powered = []
+        power = connections._power_frame
+        monkeypatch.setattr(connections, "_power_frame",
+                            lambda conn: powered.append(conn) or power(conn))
+        curve = line(5, (0, INF))
+        x = RatFunc.x(curve.field)
+        q = x * x - 2  # no root in F_5
+        for a, flat in ((1 / (x * x), False), (1 / q, False), (-q.dlog(), True)):
+            conn = LogConnection(curve, [[a]], validate=False)
+            psi = p_curvature(conn)
+            assert powered[-1] is conn
+            assert psi.is_zero is flat
+            assert psi.scalar() == rank1_p_curvature_closed(conn)
+            if flat:
+                assert (psi.horizontal.derivative() + conn.scalar() * psi.horizontal).is_zero
+
+    def test_large_p_powers_nothing(self, monkeypatch):
+        def refuse(conn):
+            raise AssertionError("powered")
+        monkeypatch.setattr(connections, "_power_frame", refuse)
+        curve = line(30011)
+        x = RatFunc.x(curve.field)
+        conn = LogConnection(curve, [[(2 + x) / (x * (x - 1))]])
+        psi = p_curvature(conn)
+        assert psi.is_zero and psi.horizontal.as_ratfunc().num.degree == 30011 - 1
+
+    def test_sweep_scans_no_pole_set(self, monkeypatch):
+        # the sweep builds each pole table from the residues it was given
+        scans = []
+        scan = connections._line_poles
+        monkeypatch.setattr(connections, "_line_poles", lambda f: scans.append(f) or scan(f))
+        reports = sweep_genus0(5, 4)
+        assert sum(rep.pretango_count for rep in reports) and scans == []
+
+
+class TestThreeMarkLaw:
+    def test_closed_form_pretango_law(self):
+        # on marks 0, 1, inf with e_m = (-mu_m) mod p and e_0, e_1 >= 1, the
+        # structure is pre-Tango exactly when no k has 0 <= kp - e_0 <= e_1 - 1
+        flat = pretango = 0
+        for p in (5, 7, 11, 13):
+            for rep in sweep_genus0(p, 3):
+                e0, e1, _ = (-mu % p for mu in rep.monodromy)
+                if not (rep.flat_count and e0 and e1):
+                    continue
+                law = not any(0 <= k * p - e0 <= e1 - 1 for k in range(3))
+                assert rep.pretango_count == law
+                flat += 1
+                pretango += law
+        assert (flat, pretango) == (296, 164)
