@@ -7,8 +7,9 @@ chart.  The decomposition is kept as the spreads it is sliced from, so the
 image is one slice and the antiderivative one termwise integral.
 
 A pre-Tango verdict is one global Cartier step C(u eta) = 0, u a rational
-horizontal generator: the pole table's on the line, else the monomial solve
-or the last nonzero p-curvature iterate.  Every yes carries its witness f.
+horizontal generator: the pole table's on the line, where u eta is built
+from exponents, else the monomial solve or the last nonzero p-curvature
+iterate.  Every yes carries its witness f.
 """
 from __future__ import annotations
 
@@ -22,10 +23,11 @@ from .errors import (
     ReconstructionFailure,
 )
 from .field import _mul, _pow, _spread, _trim
-from .curves import Differential, FFElem, _on_curve
+from .curves import INF, Differential, FFElem, _on_curve
 from .connections import (
     BundleLabel,
     LogConnection,
+    _line_generator,
     omega_frame_differential,
     p_curvature,
     solve_dlog,
@@ -114,13 +116,21 @@ def exact_antiderivative(omega: Differential) -> FFElem:
 def _horizontal_cartier(conn: LogConnection) -> CartierOutput:
     """Cartier data of u * eta for a flat connection on the omega bundle:
     eta the frame differential, u the generator p_curvature kept on the
-    line, else one from solve_dlog, else the one the powering read off."""
+    line, else one from solve_dlog, else the one the powering read off.  For
+    u = prod (x - c)^e_c and eta = dx / prod (x - m) over the finite marks m,
+    u * eta is built in lowest terms from the exponents, e_m - 1 at m."""
     eta = omega_frame_differential(conn.label)
     psi = p_curvature(conn)
     if not psi.is_zero:
         raise NotFlat("pre-Tango structures are flat")
+    curve = conn.curve
+    if (exps := psi.exponents) is not None:
+        merged = {**exps, **{m: exps.get(m, 0) - 1 for m in curve.marks if m != INF}}
+        num, den = (_line_generator({c: s * e for c, e in merged.items() if s * e > 0}, curve.p)
+                    for s in (1, -1))
+        return cartier_curve(Differential(curve, FFElem._make(curve, [num], den, True)))
     try:
-        u = psi.horizontal if conn.curve.model == "p1" else solve_dlog(conn.curve, -conn.scalar())
+        u = psi.horizontal if curve.model == "p1" else solve_dlog(curve, -conn.scalar())
     except NoRationalGenerator:
         u = psi.horizontal
     return cartier_curve(eta.scale(u))

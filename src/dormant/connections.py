@@ -3,8 +3,8 @@
 A connection is stored through its apparent matrix in a chosen frame of the
 bundle; the frame's section divisor is kept on the bundle label so that
 intrinsic residues can be recovered from apparent ones.  At rank one on the
-line the p-curvature is 0 once an identity certifies the u the pole table
-names; else it is operator powering, (d/dx + A)^p on the identity frame, on
+line the p-curvature is 0 once the pole table's partial fractions certify the
+u it names; else it is operator powering, (d/dx + A)^p on the identity frame, on
 integral data: one denominator Delta clears A and the curve's structure
 constants, the p steps run on y-basis coefficient lists over F_p[x], and
 only the result is divided by Delta^p.
@@ -241,21 +241,46 @@ def _line_poles(f: FFElem):
 
 
 def _entry_poles(conn: LogConnection, i: int, j: int):
-    """_line_poles of the entry (i, j), found once per connection."""
-    return conn._memo(("poles", i, j), lambda: _line_poles(conn.matrix[i][j]))
+    """_line_poles of the entry (i, j), found once per connection; 0 has none."""
+    return conn._memo(("poles", i, j), lambda f=conn.matrix[i][j]:
+                      _line_poles(f) if any(f._num) else ({}, [1]))
 
 
 def _residue(conn: LogConnection, i: int, j: int, place) -> int:
     return _entry_poles(conn, i, j)[0].get(place, (0, 0))[1]
 
 
-def _line_connection(curve, a: FFElem, poles, label: BundleLabel) -> LogConnection:
-    """The validated d + a on the line, its pole table handed in as
-    _line_poles would find it: the caller built a from these poles."""
+def _line_connection(curve, a: FFElem, entry, label: BundleLabel) -> LogConnection:
+    """The validated d + a on the line, given a's (table, rest) as _line_poles finds it."""
     conn = LogConnection(curve, [[a]], label, validate=False)
-    conn._cache[("poles", 0, 0)] = poles, [1]
+    conn._cache[("poles", 0, 0)] = entry
     _validate_p1_log(conn)
     return conn
+
+
+def _negated(conn: LogConnection, k: int, label: BundleLabel) -> LogConnection:
+    """d - (a + k dlog h) on label for the rank-one d + a, h dx the omega
+    frame; on the line its pole table is read off a's, as dlog h has residue
+    -1 at each finite mark and their number at INF."""
+    curve, b = conn.curve, -frame_shift(conn.curve, conn.scalar(), k)
+    if curve.model != "p1":
+        return LogConnection(curve, [[b]], label)
+    (table, rest), fin = _entry_poles(conn, 0, 0), [m for m in curve.marks if m != INF]
+    shift, out = {**dict.fromkeys(fin, -k), INF: k * len(fin)}, {}
+    for c in {**table, **shift}:
+        order, res = table.get(c, (0, 0))
+        if (res := -(res + shift.get(c, 0)) % curve.p) or order > 1:  # else it cancels
+            out[c] = max(order, 1), res
+    return _line_connection(curve, b, (out, rest), label)
+
+
+def _partial_fractions(terms, p: int):
+    """(num, den) = sum of v / (x - c) over pairs (c, v), num untrimmed."""
+    num, den = [], [1]
+    for c, v in terms:
+        num = [(s - c * t + v * d) % p for s, t, d in zip([0] + num, num + [0], den)]
+        den = [(s - c * t) % p for s, t in zip([0] + den, den + [0])]
+    return num, den
 
 
 def _validate_p1_log(conn: LogConnection) -> None:
@@ -288,15 +313,23 @@ def _validate_p1_log(conn: LogConnection) -> None:
 
 class PCurvatureTensor:
     """Matrix of the p-curvature, valued in (dx)^(tensor p); horizontal is
-    a rational u with u' + a u = 0 for a flat rank-one d + a, else None."""
+    a rational u with u' + a u = 0 for a flat rank-one d + a, else None; for
+    exponents {c: e} that certified it on the line, prod (x - c)^e, built when read."""
 
-    __slots__ = ("curve", "rank", "matrix", "horizontal")
+    __slots__ = ("curve", "rank", "matrix", "_horizontal", "exponents")
 
-    def __init__(self, curve, matrix, horizontal=None):
+    def __init__(self, curve, matrix, horizontal=None, exponents=None):
         self.curve = curve
         self.rank = len(matrix)
         self.matrix = tuple(tuple(row) for row in matrix)
-        self.horizontal = horizontal
+        self._horizontal, self.exponents = horizontal, exponents
+
+    @property
+    def horizontal(self):
+        if self._horizontal is None and self.exponents is not None:
+            self._horizontal = FFElem._make(
+                self.curve, [_line_generator(self.exponents, self.curve.p)], [1], True)
+        return self._horizontal
 
     @property
     def is_zero(self) -> bool:
@@ -317,15 +350,25 @@ class PCurvatureTensor:
 
 def p_curvature(conn: LogConnection) -> PCurvatureTensor:
     """The p-curvature, computed once per connection: at rank one on the
-    line 0, with horizontal u, if the u of _line_generator on the pole table
-    passes its identity; else _power_frame's."""
+    line 0 if _certified certifies the pole table's u, which is built only
+    when horizontal is read; else _power_frame's."""
     def compute():
         if conn.rank == 1 and conn.curve.model == "p1":
-            u, ok = _line_generator(conn.scalar(), _entry_poles(conn, 0, 0)[0])
+            exps, ok = _certified(conn.scalar(), _entry_poles(conn, 0, 0)[0])
             if ok:
-                return PCurvatureTensor(conn.curve, [[conn.curve.ff_const(0)]], u)
+                return PCurvatureTensor(conn.curve, [[conn.curve.ff_const(0)]], exponents=exps)
         return _power_frame(conn)
     return conn._memo("p_curvature", compute)
+
+
+def _certified(a: FFElem, poles):
+    """(exps, ok): e = -res_c mod p != 0 at each finite place c of the table,
+    ok whether u = prod (x - c)^e has u' den(a) = -num(a) u; divided by u,
+    with N / D = u'/u = sum e / (x - c), that is N den(a) = -num(a) D."""
+    p = a.curve.p
+    exps = {c: e for c, (_, res) in poles.items() if c != INF and (e := -res % p)}
+    num, den = _partial_fractions(exps.items(), p)
+    return exps, _mul(_trim(num), a._den, p) == _mul([-c % p for c in a._num[0]], den, p)
 
 
 def _power_frame(conn: LogConnection) -> PCurvatureTensor:
@@ -524,9 +567,10 @@ def _divisor_points_p1(u: FFElem):
 def solve_dlog(curve, g: FFElem) -> FFElem:
     """Find rational u with dlog u = g, up to p-th powers.
 
-    On the line u is _line_generator's for a = -g on a scanned pole table:
-    prod (x - c)^e, e = res_c(g) in [1, p) at each rational pole c, a
-    solution exactly when u' den(g) = num(g) u.  On the other models u is
+    On the line u is prod (x - c)^e, e = res_c(g) in [1, p) at each
+    rational pole c of a scanned pole table, a solution exactly when the
+    partial-fraction certificate of _certified holds for a = -g.  On the
+    other models u is
     searched among the monomials x^i y^j: i dlog x + j dlog y = g is solved
     as an F_p-linear system on the cleared y-basis coefficients, for the
     lexicographically least (i, j).  A miss raises NoRationalGenerator
@@ -541,7 +585,8 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
         return curve.ff_const(1)
     p = curve.p
     if curve.ext_degree == 1:
-        u, ok = _line_generator(-g, _line_poles(-g)[0])
+        exps, ok = _certified(-g, _line_poles(-g)[0])
+        u = FFElem._make(curve, [_line_generator(exps, p)], [1], True)
         if ok:
             return u
         raise NoRationalGenerator(
@@ -556,19 +601,16 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
     raise NoRationalGenerator("monomial search exhausted", descent=g)
 
 
-def _line_generator(a: FFElem, poles):
-    """(u, ok) for a form a dx on the line and its pole table: u is the
-    polynomial prod (x - c)^(-res_c mod p) over the finite places c of the
-    table, and ok whether u' + a u = 0, i.e. u' den(a) = -num(a) u."""
-    p, u = a.curve.p, [1]
-    for c, (_, res) in poles.items():
-        if c != INF and (e := -res % p):  # (x - c)^e, binomials top down
-            lin = [0] * e + [1]
-            for k in range(e - 1, -1, -1):
-                lin[k] = lin[k + 1] * -c * (k + 1) * pow(e - k, -1, p) % p
-            u = _mul(u, lin, p)
-    rhs = _mul([-c % p for c in a._num[0]], u, p)
-    return FFElem._make(a.curve, [u], [1], True), _mul(_deriv(u, p), a._den, p) == rhs
+def _line_generator(exps, p: int):
+    """prod (x - c)^e over exps = {c: e} as a coefficient list, each factor
+    by its binomials, top down."""
+    u = [1]
+    for c, e in exps.items():
+        lin = [0] * e + [1]
+        for k in range(e - 1, -1, -1):
+            lin[k] = lin[k + 1] * -c * (k + 1) * pow(e - k, -1, p) % p
+        u = _mul(u, lin, p)
+    return u
 
 
 def _least_solution(rows, p):
@@ -703,8 +745,7 @@ def tensor(c1: LogConnection, c2: LogConnection) -> LogConnection:
 
 
 def dual(conn: LogConnection) -> LogConnection:
-    m = [
-        [-conn.entry(j, i) for j in range(conn.rank)]
-        for i in range(conn.rank)
-    ]
+    if conn.rank == 1:
+        return _negated(conn, 0, conn.label.dual())
+    m = [[-conn.entry(j, i) for j in range(conn.rank)] for i in range(conn.rank)]
     return LogConnection(conn.curve, m, conn.label.dual())

@@ -404,8 +404,11 @@ def _div_exact(a, b, p):
 
 
 def _trim(a):
-    while a and not a[-1]:
-        a.pop()
+    if a and not a[-1]:  # the zero tail goes in one deletion, in place
+        k = len(a) - 1
+        while k and not a[k - 1]:
+            k -= 1
+        del a[k:]
     return a
 
 

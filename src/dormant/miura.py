@@ -26,6 +26,7 @@ from .field import _order
 from .curves import INF, FFElem
 from .connections import (
     LogConnection,
+    _negated,
     dual,
     frame_shift,
     monodromy,
@@ -259,6 +260,5 @@ def pretango_of(m: MiuraGL2Oper) -> LogConnection:
     if not is_dormant(m):
         raise NotDormant("the operator has nonzero p-curvature")
     curve, comp1 = m.curve, m.cartan.components[1]
-    # the graded line rewritten in the frame (h dx)^-1 of dual(omega)
-    a = frame_shift(curve, comp1.scalar(), -1 - comp1.label.omega)
-    return LogConnection(curve, [[-a]], omega_label(curve))
+    # the graded line rewritten in the frame (h dx)^-1 of dual(omega), negated
+    return _negated(comp1, -1 - comp1.label.omega, omega_label(curve))

@@ -5,9 +5,10 @@ unique when it exists at all, and it exists exactly when the residue
 classes pass the divisibility test.  Genus 1: the connections form the
 one-parameter family d + w * delta over the invariant differential.  The
 flatness of every candidate is certified by p_curvature: on the line by the
-identity u' + a u = 0 for the u its pole table names, a table built here
-from the residues; on the elliptic curve by operator powering (an integral
-recurrence over F_p[x] with one denominator).
+partial fractions of the pole table, a table built here from the residues;
+on the elliptic curve by one operator powering, of d + delta, since the
+rank-one p-curvature psi(d + w delta) = w psi(d + delta) is F_p-linear
+(Jacobson's a^p + d^(p-1) a): the whole family is flat, or only w = 0.
 """
 from __future__ import annotations
 
@@ -16,11 +17,12 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import UnsupportedCurve
-from .field import _trim
+from .field import PrimeField, _trim
 from .curves import INF, FFElem, P1Marked
 from .connections import (
     LogConnection,
     _line_connection,
+    _partial_fractions,
     omega_label,
     p_curvature,
 )
@@ -45,16 +47,8 @@ def _formula_value(g: int, r: int, lifts, p: int) -> Fraction:
 class EnumerationReport:
     """Flat and pre-Tango connections found for one monodromy vector."""
 
-    __slots__ = (
-        "curve_tag",
-        "monodromy",
-        "flat_count",
-        "flat_list",
-        "pretango_count",
-        "pretango_list",
-        "admissible",
-        "dimension_formula_value",
-    )
+    __slots__ = ("curve_tag", "monodromy", "flat_count", "flat_list", "pretango_count",
+                 "pretango_list", "admissible", "dimension_formula_value")
 
     def __init__(self, curve_tag, mu, flat_list, pretango_list, admissible, value):
         self.curve_tag = curve_tag
@@ -86,7 +80,7 @@ class EnumerationReport:
 
 
 def _tag(curve) -> str:
-    return " ".join(str(part) for part in curve.key())
+    return curve._memo("tag", lambda: " ".join(str(part) for part in curve.key()))
 
 
 def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
@@ -108,17 +102,14 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
         admissible = total == 0
         flat = []
         if admissible:
-            # omega = sum of v / (x - m) over the finite marks, pole by pole with
-            # len(num) = len(den) - 1; lowest terms, as num(m) != 0; -sum v at INF
+            # omega = sum of v / (x - m) over the finite marks, in lowest terms
+            # as num(m) != 0; -sum v at INF
             poles = dict(sorted((m, (1, v)) for m, v in zip(marks, mu) if m != INF and v))
-            num, den = [], [1]
-            for m, (_, v) in poles.items():
-                num = [(a - m * b + v * d) % p for a, b, d in zip([0] + num, num + [0], den)]
-                den = [(a - m * b) % p for a, b in zip([0] + den, den + [0])]
+            num, den = _partial_fractions(((m, v) for m, (_, v) in poles.items()), p)
             if s := sum(v for _, v in poles.values()) % p:
                 poles[INF] = 1, -s % p
             omega = FFElem._make(curve, [_trim(num)], den, True)
-            conn = _line_connection(curve, omega, poles, omega_label(curve))
+            conn = _line_connection(curve, omega, (poles, [1]), omega_label(curve))
             if p_curvature(conn).is_zero:
                 flat.append(conn)
     else:  # ell, the one model left
@@ -127,10 +118,9 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
         mu = ()
         admissible = True
         label, yinv = omega_label(curve), curve.y_elem().inverse()
-        candidates = (
-            LogConnection(curve, [[w * yinv]], label) for w in range(p)
-        )
-        flat = [conn for conn in candidates if p_curvature(conn).is_zero]
+        one = LogConnection(curve, [[yinv]], label)
+        family = range(p) if p_curvature(one).is_zero else (0,)
+        flat = [one if w == 1 else LogConnection(curve, [[w * yinv]], label) for w in family]
     pretango = [conn for conn in flat if is_pre_tango(conn)]
     value = _formula_value(curve.genus(), len(mu), mu, p)
     return EnumerationReport(_tag(curve), mu, flat, pretango, admissible, value)
@@ -146,11 +136,7 @@ def count_pretango(curve, eps: Sequence = ()) -> EnumerationReport:
 def standard_marked_line(p: int, r: int) -> P1Marked:
     """Marks 0, 1, ..., r-2 and infinity; needs r - 1 rational points."""
     if r - 1 > p:
-        raise UnsupportedCurve(
-            f"the line over F_{p} has no {r} distinct rational marks"
-        )
-    from .field import PrimeField
-
+        raise UnsupportedCurve(f"the line over F_{p} has no {r} distinct rational marks")
     return P1Marked(PrimeField(p), (*range(r - 1), INF))
 
 

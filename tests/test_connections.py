@@ -272,6 +272,25 @@ class TestPCurvature:
             assert psi == (w - curve.hasse() * w) * yinv**5
             assert psi.is_zero == (w == 0)
 
+    def test_rank_one_p_curvature_is_linear(self):
+        # Jacobson: psi(d + a) = a^p + d^(p-1) a, so psi(d + w a) = w psi(d + a)
+        # for w in F_p; random rank-one a on all three models, by the powering
+        rng = random.Random(42)
+        models = set()
+        for curve in CROSS_CHECK_CURVES:
+            field, p = curve.field, curve.p
+            for _ in range(3):
+                den = rng.choice(((1,), (0, 1), (p - 1, 1)))
+                comps = [rat(field, [rng.randrange(p) for _ in range(rng.randint(1, 2))], den)
+                         for _ in range(min(curve.ext_degree, 3))]
+                a = curve.ff(*comps)
+                psi = connections._power_frame(LogConnection(curve, [[a]], validate=False))
+                for w in range(p):
+                    conn = LogConnection(curve, [[w * a]], validate=False)
+                    assert connections._power_frame(conn).scalar() == w * psi.scalar()
+            models.add(curve.model)
+        assert models == {"p1", "ell", "raynaud"}
+
     def test_elliptic_hasse_one_all_flat(self):
         curve = Weierstrass(F5, 3, 0)
         assert curve.hasse() == 1

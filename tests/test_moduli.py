@@ -3,12 +3,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import time
+
 import pytest
 
-from dormant import cartier, connections
-from dormant.cartier import cartier_curve, is_pre_tango
+from dormant import cartier, cli, connections
+from dormant.cartier import cartier_curve, decide_pre_tango, is_pre_tango
 from dormant.connections import (
     LogConnection,
+    dual,
     monodromy,
     omega_frame_differential,
     p_curvature,
@@ -17,9 +20,9 @@ from dormant.connections import (
     solve_dlog,
 )
 from dormant.curves import INF, P1Marked, RaynaudPlane, Weierstrass
-from dormant.errors import UnsupportedCurve
-from dormant.field import PrimeField, RatFunc
-from dormant.miura import is_dormant, miura_from_tango, pretango_of
+from dormant.errors import UndeclaredPoleDetected, UnsupportedCurve
+from dormant.field import PrimeField, RatFunc, _deriv, _mul
+from dormant.miura import is_dormant, miura_from_tango, pretango_of, specialize
 from dormant.moduli import (
     EnumerationReport,
     count_pretango,
@@ -178,6 +181,21 @@ class TestGenus1:
         with pytest.raises(ValueError):
             enumerate_flat(Weierstrass(PrimeField(5), 3, 0), (1,))
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_one_powering_decides_the_family(self, p):
+        # enumerate_flat powers d + dx/y alone and reads the family off the
+        # linearity of psi; the oracle powers all p candidates d + w dx/y
+        classes = set()
+        for a, b in ((a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p):
+            curve = Weierstrass(PrimeField(p), a, b)
+            yinv = curve.y_elem().inverse()
+            rep = enumerate_flat(curve)
+            want = [w for w in range(p) if connections._power_frame(
+                LogConnection(curve, [[w * yinv]], validate=False)).is_zero]
+            assert [conn.scalar() for conn in rep.flat_list] == [w * yinv for w in want]
+            classes.add(len(want))
+        assert classes == {1, p}
+
 
 class TestCountPretango:
     def test_sign_flip(self):
@@ -310,6 +328,107 @@ class TestLineRoute:
         conn = LogConnection(curve, [[(2 + x) / (x * (x - 1))]])
         psi = p_curvature(conn)
         assert psi.is_zero and psi.horizontal.as_ratfunc().num.degree == 30011 - 1
+
+    @pytest.mark.parametrize("p, r", [(5, 4), (7, 3)])
+    def test_certificate_agrees_with_the_identity(self, p, r):
+        # the partial-fraction certificate N den(a) = -num(a) D against the
+        # identity u' den(a) = -num(a) u it divides by u, u built in full
+        def both(a, table):
+            exps, ok = connections._certified(a, table)
+            u = connections._line_generator(exps, a.curve.p)
+            rhs = _mul([-c % a.curve.p for c in a._num[0]], u, a.curve.p)
+            return ok, _mul(_deriv(u, a.curve.p), a._den, a.curve.p) == rhs
+
+        flat = 0
+        for rep in sweep_genus0(p, r):
+            for conn in rep.flat_list:
+                assert both(conn.scalar(), connections._entry_poles(conn, 0, 0)[0]) == (True, True)
+                flat += 1
+        assert flat == p ** (r - 1)
+        # the three connections that validation would refuse
+        curve = line(5, (0, INF))
+        x = RatFunc.x(curve.field)
+        q = x * x - 2  # no root in F_5
+        for a in (1 / (x * x), 1 / q, -q.dlog()):
+            a = curve.ff(a)
+            assert both(a, connections._line_poles(a)[0]) == (False, False)
+
+    def test_direct_u_eta_is_the_scaled_frame(self):
+        # u eta built from the exponents against eta.scale(u), byte for byte
+        n = 0
+        for rep in sweep_genus0(5, 4):
+            for conn in rep.flat_list:
+                psi = p_curvature(conn)
+                direct = decide_pre_tango(conn).source.h
+                scaled = omega_frame_differential(conn.label).scale(psi.horizontal).h
+                assert (direct._num, direct._den) == (scaled._num, scaled._den)
+                n += 1
+        assert n == 125
+
+    def test_round_trips_hand_over_their_pole_tables(self, monkeypatch):
+        # dual and pretango_of derive each table from their source's, with
+        # no scan, and every handed table is the one a scan finds
+        handed, scans = [], []
+        scan, make = connections._line_poles, connections._line_connection
+        monkeypatch.setattr(connections, "_line_connection", lambda curve, a, entry, label:
+                            handed.append((a, entry)) or make(curve, a, entry, label))
+        reports = sweep_genus0(5, 4)
+        monkeypatch.setattr(connections, "_line_poles", lambda f: scans.append(f) or scan(f))
+        trips = 0
+        for conn in (c for rep in reports for c in rep.pretango_list):
+            m = miura_from_tango(conn)
+            assert is_dormant(m) and pretango_of(m) == conn
+            trips += 1
+        assert trips == 26 and scans == [] and len(handed) == 2 * trips
+        for a, (table, rest) in handed:
+            scanned, scanned_rest = scan(a)
+            assert table == scanned and list(rest) == list(scanned_rest)
+
+    def test_frame_shifted_tables_match_a_scan(self, monkeypatch):
+        # a special oper from specialize frames both graded lines by the
+        # coordinate, so pretango_of shifts by dlog h: -k at each finite mark,
+        # k times their number at infinity
+        handed = []
+        make = connections._line_connection
+        monkeypatch.setattr(connections, "_line_connection", lambda curve, a, entry, label:
+                            handed.append((a, entry)) or make(curve, a, entry, label))
+        n = 0
+        for conn in (c for rep in sweep_genus0(5, 4) for c in rep.pretango_list):
+            sp, _ = specialize(miura_from_tango(conn).connection)
+            del handed[:]
+            back = pretango_of(sp)
+            assert back == conn and monodromy(back) == monodromy(conn)
+            ((a, (table, rest)),) = handed
+            scanned, scanned_rest = connections._line_poles(a)
+            assert table == scanned and list(rest) == list(scanned_rest)
+            n += 1
+        assert n == 26
+
+    def test_derived_tables_keep_higher_orders(self):
+        # the dual of an unvalidated connection with a double pole is refused
+        # for that pole, as a scan of its entry would find it
+        curve = line(5)
+        x = RatFunc.x(curve.field)
+        for a, msg in ((1 / (x * x) + 2 / x, "pole of order 2 at 0"),
+                       (3 / (x - 1) ** 3, "pole of order 3 at 1")):
+            conn = LogConnection(curve, [[a]], validate=False)
+            with pytest.raises(UndeclaredPoleDetected, match=f"^{msg}$"):
+                dual(conn)
+            with pytest.raises(UndeclaredPoleDetected, match=f"^{msg}$"):
+                LogConnection(curve, [[-a]], conn.label.dual())
+
+    def test_largest_p_builds_no_generator(self, monkeypatch):
+        # the verdict at p = 2^31 - 1 reads the pole table alone: neither
+        # the powering nor the builder of u (degree about 2^31) may run
+        def refuse(*args):
+            raise AssertionError("built")
+        monkeypatch.setattr(connections, "_power_frame", refuse)
+        monkeypatch.setattr(connections, "_line_generator", refuse)
+        job = "p1 p=2147483647 marks=0,1,inf\nconn rank=1 bundle=triv\n2 1 / 0 -1 1"
+        t0 = time.perf_counter()
+        text, code = cli.run_job(cli.parse_job("mode=machine\ncmd=pcurv\n" + job))
+        assert time.perf_counter() - t0 < 1.0
+        assert (text, code) == ("pcurv rank=1 zero=true\n0 / 1", 0)
 
     def test_sweep_scans_no_pole_set(self, monkeypatch):
         # the sweep builds each pole table from the residues it was given
