@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .errors import (
     CandidateIsPthPower,
-    CurveMismatch,
     NoRationalGenerator,
     NotExactOnChart,
     NotFlat,
@@ -81,13 +80,6 @@ class CartierOutput:
         return f"CartierOutput({tag})"
 
 
-def cartier_p1(omega: Differential) -> CartierOutput:
-    """Cartier data of a rational differential on the line."""
-    if omega.curve.ext_degree != 1:
-        raise CurveMismatch("rational-function route needs the line")
-    return cartier_curve(omega)
-
-
 def cartier_curve(omega: Differential) -> CartierOutput:
     """Cartier data of h dx on any supported curve, the line included.
 
@@ -104,10 +96,6 @@ def cartier_curve(omega: Differential) -> CartierOutput:
     if any(h._num[1:]) and FFElem._make(curve, *h._zhorner(s, e)) != h:
         raise ReconstructionFailure("p-basis decomposition does not recombine")
     return CartierOutput(curve, omega, spreads, e)
-
-
-def exact_antiderivative(omega: Differential) -> FFElem:
-    return cartier_curve(omega).antiderivative()
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ import random
 import sys
 from typing import Optional
 
-from .cartier import cartier_curve, cartier_p1, decide_pre_tango
+from .cartier import cartier_curve, decide_pre_tango
 from .connections import (
     OMEGA_FRAMES,
     LogConnection,
     canonical_connection,
     frame_shift,
-    monodromy,
     omega_label,
     omega_log_label,
     p_curvature,
@@ -60,7 +59,6 @@ from .surface import build_surface, validate_cocycle
 from .tango import (
     build_generalized_tango,
     certify_tango_structure,
-    default_places,
     search_tango_candidates,
 )
 
@@ -75,11 +73,6 @@ COMMANDS = (
     "raynaud",
     "selftest",
 )
-
-# largest first rung DORMANT_PRECISION may ask for
-PRECISION_CAP = 4096
-
-_OPTION_ORDER = ("action", "monodromy", "pretango", "height", "N", "mode", "threads")
 
 
 # ---------------------------------------------------------------------------
@@ -334,44 +327,6 @@ def parse_job(text) -> JobSpec:
     return JobSpec(command, p, curve, blocks, options)
 
 
-def _curve_line(curve) -> str:
-    if curve.model == "p1":
-        marks = ",".join("inf" if m == INF else str(m) for m in curve.marks)
-        return f"p1 p={curve.field.p} marks={marks}"
-    if curve.model == "ell":
-        return f"ell p={curve.field.p} a={curve.a} b={curve.b}"
-    return f"raynaud p={curve.field.p} l={curve.l}"
-
-
-def render_job(spec: JobSpec) -> str:
-    """Canonical text of a JobSpec; parse(render(s)) recovers s."""
-    lines = []
-    if spec.command is not None:
-        lines.append(f"cmd={spec.command}")
-    lines.append(f"p={spec.p}")
-    lines.append(_curve_line(spec.curve))
-    for key in _OPTION_ORDER:
-        if key not in spec.options:
-            continue
-        val = spec.options[key]
-        if key == "monodromy":
-            val = ",".join(str(v) for v in val)
-        elif key == "pretango":
-            val = "true" if val else "false"
-        lines.append(f"{key}={val}")
-    for block in spec.blocks:
-        if isinstance(block, ConnBlock):
-            lines.append(f"conn rank={block.rank} bundle={block.bundle}")
-            for row in block.matrix:
-                for cell in row:
-                    lines.append(cell.render())
-            if block.special:
-                lines.append("special=true")
-        else:
-            lines.append(f"{block.kind} {block.value.render()}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # job execution
 
@@ -404,21 +359,6 @@ def _value(spec: JobSpec, kind: str) -> FFElem:
         if isinstance(block, ValueBlock) and block.kind == kind:
             return block.value
     raise SemanticError(f"{spec.command} needs a {kind} payload")
-
-
-def _env_places(curve) -> None:
-    """Lengthen the curve's own places to the first rung DORMANT_PRECISION
-    names; results never depend on it."""
-    raw = os.environ.get("DORMANT_PRECISION")
-    if not raw:
-        return
-    try:
-        prec = int(raw)
-    except ValueError:
-        raise SemanticError("DORMANT_PRECISION must be an integer")
-    if not 4 <= prec <= PRECISION_CAP:
-        raise SemanticError(f"DORMANT_PRECISION must lie in [4, {PRECISION_CAP}]")
-    default_places(curve, prec)
 
 
 def _run_pcurv(spec: JobSpec) -> str:
@@ -472,7 +412,6 @@ def _run_enumerate(spec: JobSpec) -> str:
 
 def _run_tango_certify(spec: JobSpec) -> str:
     f = _value(spec, "f")
-    _env_places(spec.curve)
     cert = certify_tango_structure(spec.curve, f)
     if spec.machine:
         lines = [f"tango value={cert.value} exact={_bool(cert.is_exact)}"]
@@ -486,7 +425,6 @@ def _run_tango_certify(spec: JobSpec) -> str:
 def _run_tango_search(spec: JobSpec) -> str:
     if "height" not in spec.options:
         raise SemanticError("tango-search needs height=<H>")
-    _env_places(spec.curve)
     rep = search_tango_candidates(spec.curve, spec.options["height"])
     if spec.machine:
         best = "none" if rep.best_value is None else rep.best_value
@@ -557,7 +495,6 @@ def _run_raynaud(spec: JobSpec) -> tuple:
         raise SemanticError("raynaud needs N=<degree at P_inf>")
     f = _value(spec, "f")
     pinf = raynaud_p_inf(curve)
-    _env_places(curve)
     gtc = build_generalized_tango(curve, f, Divisor([(pinf, spec.options["N"])]))
     data = build_surface(gtc)
     if action == "build":
@@ -590,13 +527,13 @@ def _suite_field():
 def _suite_cartier():
     curve = P1Marked(PrimeField(5), (0, 1, INF))
     x = curve.x_elem()
-    assert cartier_p1(Differential(curve, x ** 4)).image.h == curve.ff_const(1)
+    assert cartier_curve(Differential(curve, x ** 4)).image.h == curve.ff_const(1)
     rng = random.Random(0)
     for _ in range(10):
         f = FFElem(curve, (RatFunc(
             curve.field, UPoly(curve.field, [rng.randrange(5) for _ in range(6)])
         ),))
-        assert cartier_p1(d_of(f)).is_exact
+        assert cartier_curve(d_of(f)).is_exact
 
 
 def _suite_connections():

@@ -17,7 +17,6 @@ from .errors import (
     CurveMismatch,
     NoRationalGenerator,
     NotDivisibleByP,
-    NotFlat,
     NotOmegaBundle,
     UndeclaredPoleDetected,
 )
@@ -28,8 +27,6 @@ from .curves import (
     Divisor,
     FFElem,
     P1Marked,
-    RaynaudPlane,
-    Weierstrass,
     _Memo,
     _factor_linear_and_rest,
     _on_curve,
@@ -151,14 +148,6 @@ def omega_label(curve, name: str | None = None) -> BundleLabel:
 
 def omega_log_label(curve: P1Marked) -> BundleLabel:
     return omega_label(curve, "omega_log")
-
-
-def omega_ell_label(curve: Weierstrass) -> BundleLabel:
-    return omega_label(curve, "omega_ell")
-
-
-def raynaud_omega_label(curve: RaynaudPlane) -> BundleLabel:
-    return omega_label(curve, "ray_omega")
 
 
 def omega_frame_differential(label: BundleLabel) -> Differential:
@@ -565,32 +554,19 @@ def _divisor_points_p1(u: FFElem):
 
 
 def solve_dlog(curve, g: FFElem) -> FFElem:
-    """Find rational u with dlog u = g, up to p-th powers.
+    """Find rational u with dlog u = g, up to p-th powers, on a model with a
+    y coordinate (the line has none: CurveMismatch).
 
-    On the line u is prod (x - c)^e, e = res_c(g) in [1, p) at each
-    rational pole c of a scanned pole table, a solution exactly when the
-    partial-fraction certificate of _certified holds for a = -g.  On the
-    other models u is
-    searched among the monomials x^i y^j: i dlog x + j dlog y = g is solved
-    as an F_p-linear system on the cleared y-basis coefficients, for the
-    lexicographically least (i, j).  A miss raises NoRationalGenerator
+    u is searched among the monomials x^i y^j: i dlog x + j dlog y = g is
+    solved as an F_p-linear system on the cleared y-basis coefficients, for
+    the lexicographically least (i, j).  A miss raises NoRationalGenerator
     carrying the unresolved form; a pre-Tango step then takes
-    PCurvatureTensor.horizontal.  frobenius_descent reads a miss as a
-    non-principal class: off the line a principal class keeps no divisor, so
-    a generator for every flat class would make the distinct twists w/y,
-    w != 0, on ordinary ell compare equal.
+    PCurvatureTensor.horizontal.
     """
     g = _on_curve(curve, g)
     if g.is_zero:
         return curve.ff_const(1)
     p = curve.p
-    if curve.ext_degree == 1:
-        exps, ok = _certified(-g, _line_poles(-g)[0])
-        u = FFElem._make(curve, [_line_generator(exps, p)], [1], True)
-        if ok:
-            return u
-        raise NoRationalGenerator(
-            "no rational solution of dlog u = g over the line", descent=g - u.dlog())
     x, y = curve.x_elem(), curve.y_elem()
     dlx, dly = curve._memo("dlog_xy", lambda: (x.dlog(), y.dlog()))
     rows = [row for comps in zip(*_over_lcm([(e._num, e._den) for e in (dlx, dly, g)], p)[1])
@@ -638,81 +614,29 @@ def _least_solution(rows, p):
     return (0, c * pow(b, p - 2, p) % p) if b else (c, 0)
 
 
-def horizontal_generator(conn: LogConnection) -> FFElem:
-    """Rational u with u' + a u = 0, i.e. dlog u = -a; rank one and flat."""
-    if conn.rank != 1:
-        raise ValueError("horizontal generator is a rank-one notion")
-    if not p_curvature(conn).is_zero:
-        raise NotFlat("nonzero p-curvature admits no horizontal generator")
-    return solve_dlog(conn.curve, -conn.scalar())
+def frobenius_descent(conn: LogConnection) -> Divisor:
+    """The divisor a rank-one log connection on the line descends to along
+    Frobenius.
 
-
-class DescentClass:
-    """Descent datum of a flat rank-one connection.
-
-    Principal classes store the descended divisor and the horizontal
-    generator; a missing rational generator leaves a residual form which
-    still pins the class on the twisted model.
-    """
-
-    __slots__ = ("curve", "principal", "divisor", "generator", "residual")
-
-    def __init__(self, curve, principal, divisor=None, generator=None, residual=None):
-        self.curve = curve
-        self.principal = principal
-        self.divisor = divisor
-        self.generator = generator
-        self.residual = residual
-
-    def __eq__(self, other):
-        if not isinstance(other, DescentClass):
-            return NotImplemented
-        if other.curve != self.curve or other.principal != self.principal:
-            return False
-        if self.principal:
-            # on the twisted line only the degree survives
-            return self.divisor.degree() == other.divisor.degree()
-        diff = self.residual - other.residual
-        if diff.is_zero:
-            return True
-        try:
-            solve_dlog(self.curve, diff)
-            return True
-        except NoRationalGenerator:
-            return False
-
-    def __repr__(self):
-        if self.principal:
-            return f"DescentClass(principal, {self.divisor.render()})"
-        return "DescentClass(non-principal)"
-
-
-def frobenius_descent(conn: LogConnection) -> DescentClass:
-    """Descend a flat rank-one log connection along Frobenius.
-
-    The descended divisor coefficient at a point is
-    (v(u) + frame correction + lifted residue) / p for the horizontal u;
-    failure of divisibility is a hard error, a missing rational u a
-    non-principal class.
+    Its coefficient at a point is (v(u) + frame correction + lifted
+    residue) / p for the horizontal u = prod (x - c)^e_c that p_curvature
+    reads off the pole table, so v(u) is e_c at each finite c and -sum e_c
+    at INF.  Every connection that validation passes is flat there, as its
+    residues lie in F_p; a coefficient that p does not divide is a hard
+    error.
     """
     curve = conn.curve
+    if curve.model != "p1":
+        raise CurveMismatch("Frobenius descent is implemented on the line")
     if conn.rank != 1:
         raise ValueError("descent implemented for rank one")
-    p = curve.p
-    if not p_curvature(conn).is_zero:
-        raise NotFlat("descent requires a flat connection")
-    try:
-        u = horizontal_generator(conn)
-    except NoRationalGenerator:
-        return DescentClass(curve, False, residual=conn.scalar())
-    mono = monodromy(conn)
-    mono_map = dict(zip(mono.marks, mono.values))
-    if curve.ext_degree != 1:
-        return DescentClass(curve, True, Divisor(), u)
-    div = _divisor_points_p1(u)
+    _validate_p1_log(conn)
+    p, exps = curve.p, p_curvature(conn).exponents
+    div = {**exps, INF: -sum(exps.values())}
+    mono = dict(zip(curve.marks, monodromy(conn)))
     items = []
-    for pt in sorted(set(conn.curve.marks) | set(conn.label.corrections) | set(div), key=str):
-        total = div.get(pt, 0) + conn.label.correction_at(pt) + (mono_map.get(pt, 0) % p)
+    for pt in sorted({*curve.marks, *conn.label.corrections, *div}, key=str):
+        total = div.get(pt, 0) + conn.label.correction_at(pt) + mono.get(pt, 0)
         if total % p:
             raise NotDivisibleByP(
                 f"descent weight {total} at {pt} is not divisible by {p}",
@@ -720,7 +644,7 @@ def frobenius_descent(conn: LogConnection) -> DescentClass:
             )
         if total:
             items.append((branch_at(curve, pt), total // p))
-    return DescentClass(curve, True, Divisor(items), u)
+    return Divisor(items)
 
 
 # ---------------------------------------------------------------------------

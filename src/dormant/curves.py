@@ -986,16 +986,6 @@ def raynaud_p_inf(curve: RaynaudPlane, prec=None) -> SeriesBranch:
 # ---------------------------------------------------------------------------
 # operations of the public surface
 
-def genus(curve) -> int:
-    return curve.genus()
-
-
-def is_ordinary(curve: Weierstrass):
-    """(ordinary?, hasse) with hasse the x^(p-1) coefficient of c^((p-1)/2)."""
-    h = curve.hasse()
-    return (h != 0, h)
-
-
 def _on_curve(curve, f) -> FFElem:
     """f as an element of the curve's function field, the one coercion of
     the places: an int, UPoly or RatFunc is lifted, and an element of an
@@ -1136,20 +1126,3 @@ def divisor_of_differential(omega: Differential, candidate_places):
     div = Divisor((place, valuation(omega, place)) for place in candidate_places)
     complete = div.degree() == 2 * omega.curve.genus() - 2
     return div, complete
-
-
-def raynaud_smoothness_report(curve: RaynaudPlane) -> bool:
-    """Jacobian criterion at every rational point of both charts.
-
-    The partials of the chart z = 1 are (-y^(q-1), x y^(q-2) - 1) and the
-    chart y = 1 has d/dX = -1 identically, so the sampled check cannot find
-    a rational singular point; it is recorded as the smoothness evidence.
-    """
-    p, q = curve.p, curve.q
-    for (x0, y0) in curve.affine_points():
-        gx = (-pow(y0, q - 1, p)) % p
-        gy = (x0 * pow(y0, q - 2, p) - 1) % p if y0 else (p - 1)
-        if gx == 0 and gy == 0:
-            return False
-    # chart y = 1: H = X^q - X - Z^(q-1), H_X = -1 everywhere
-    return True

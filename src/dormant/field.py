@@ -19,12 +19,12 @@ case; each rule that needs only x is written once in _Frac.  A UPoly is
 built only outside the arithmetic: in the cli's parsing and selftest, in
 the num/den views, in every read of curves.SeriesBranch._parts, in the
 curves' minpoly, Weierstrass.c_poly, _factor_squarefree and Z0Place.phi,
-in connections.solve_dlog and _omega_frame, and in the omega of moduli.
+in connections._omega_frame, and in the omega of moduli.
 Exact division, in the Bareiss steps of curves._inverse too, is long
 division.  Frobenius acts on coefficient lists by one slice (_spread,
 _is_spread), and RatFunc's local reads take the point at infinity, INF,
-as a point like any other; they and UPoly's evaluate and taylor_shift
-share one list helper, _taylor.
+as a point like any other; they and UPoly.evaluate share one list
+helper, _taylor.
 """
 from __future__ import annotations
 
@@ -305,10 +305,6 @@ class UPoly(_Ring):
     def evaluate(self, a: int) -> int:
         return sum(_taylor(self.coeffs, a, self.field.p, 1))
 
-    def taylor_shift(self, a: int) -> "UPoly":
-        """self(x + a)."""
-        return UPoly(self.field, _taylor(self.coeffs, a, self.field.p))
-
     def pth_power(self) -> "UPoly":
         """self**p via the Frobenius coefficient spread (c^p = c in F_p)."""
         return UPoly(self.field, _spread(self.coeffs, self.field.p))
@@ -317,11 +313,6 @@ class UPoly(_Ring):
         """Inverse of pth_power when it exists, else None."""
         p = self.field.p
         return UPoly(self.field, self.coeffs[::p]) if _is_spread(self.coeffs, p) else None
-
-    def valuation_at(self, a: int) -> int:
-        """Multiplicity of x = a as a root; ZeroElement on the zero poly."""
-        p = self.field.p
-        return _order(self.coeffs, (-a % p, 1), p)[0]
 
     def render(self) -> str:
         return _render(self.coeffs)
@@ -676,9 +667,6 @@ class RatFunc(_Frac):
         if a == INF:
             return len(den) - len(num)
         return _order(num, (-a % p, 1), p)[0] - _order(den, (-a % p, 1), p)[0]
-
-    def valuation_at_infinity(self) -> int:
-        return self.valuation_at(INF)
 
     def series_at(self, a, prec) -> "TruncSeries":
         """Laurent expansion in t = x - a, or t = 1/x at a = INF, with

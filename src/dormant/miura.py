@@ -37,21 +37,6 @@ from .connections import (
 )
 from .cartier import is_pre_tango
 
-# sign table for the bridge: a pre-Tango connection of monodromy -eps maps
-# to the dormant operator of exponent class [eps]
-PRETANGO_EXPONENT_SIGN = -1
-
-
-def tau(field, n: int) -> int:
-    """Residue class of the integer n, represented in {0, ..., p-1}."""
-    return n % field.p
-
-
-def tau_inv(field, mu) -> int:
-    """The canonical integer lift of a residue class in {0, ..., p-1}."""
-    return int(mu) % field.p
-
-
 class ExponentVector:
     """Per-mark vectors in F_p^n together with their class modulo the
     diagonal, normalized so the first entry is 0."""
@@ -172,9 +157,6 @@ class MiuraGL2Oper:
             self.connection.entry(0, 1).is_zero
             and self.connection.entry(1, 0) == self.curve.ff_const(1)
         )
-
-    def graded(self) -> CartanConnection:
-        return self.cartan
 
     def __eq__(self, other):
         if not isinstance(other, MiuraGL2Oper):

@@ -33,26 +33,19 @@ from .curves import (
 )
 
 
-def floor_div_divisor(divisor: Divisor, n: int) -> Divisor:
-    """Coefficientwise floor of divisor / n."""
-    if n <= 0:
-        raise ValueError("floor_div_divisor needs a positive modulus")
-    return divisor.floor_div(n)
-
-
-def default_places(curve, prec: Optional[int] = None) -> list:
+def default_places(curve) -> list:
     """Candidate places rich enough for the divisors this module meets.
 
     Rational points on the small models, plus the places over z = 0 and
     the point at infinity on the one-point models.  The branches are the
-    curve's own; prec lengthens them to at least that first rung.
+    curve's own, and they lengthen themselves as a valuation asks.
     """
     if curve.model == "p1":
-        return [branch_at(curve, pt, prec) for pt in [*range(curve.field.p), INF]]
+        return [branch_at(curve, pt) for pt in [*range(curve.field.p), INF]]
     if curve.model == "ell":
-        return [branch_at(curve, pt, prec) for pt in curve.rational_points()]
-    return [raynaud_p_inf(curve, prec), *z0_places(curve),
-            *(branch_at(curve, pt, prec) for pt in curve.affine_points() if pt != (0, 0))]
+        return [branch_at(curve, pt) for pt in curve.rational_points()]
+    return [raynaud_p_inf(curve), *z0_places(curve),
+            *(branch_at(curve, pt) for pt in curve.affine_points() if pt != (0, 0))]
 
 
 def _df_divisor(curve, f):

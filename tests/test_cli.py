@@ -6,12 +6,12 @@ import random
 import pytest
 
 from dormant import cartier, cli
-from dormant.cli import ConnBlock, JobSpec, main, parse_job, render_job, run_job
+from dormant.cli import ConnBlock, JobSpec, main, parse_job, run_job
 from dormant.cartier import pretango_from_tango
 from dormant.connections import (
     LogConnection,
+    omega_label,
     omega_log_label,
-    raynaud_omega_label,
     trivial_label,
 )
 from dormant.curves import INF, P1Marked, RaynaudPlane
@@ -44,6 +44,47 @@ OPER_P3 = (
     "0 / 1\n"
     "special=true\n"
 )
+
+_OPTION_ORDER = ("action", "monodromy", "pretango", "height", "N", "mode", "threads")
+
+
+def _curve_line(curve) -> str:
+    if curve.model == "p1":
+        marks = ",".join("inf" if m == INF else str(m) for m in curve.marks)
+        return f"p1 p={curve.field.p} marks={marks}"
+    if curve.model == "ell":
+        return f"ell p={curve.field.p} a={curve.a} b={curve.b}"
+    return f"raynaud p={curve.field.p} l={curve.l}"
+
+
+def render_job(spec: JobSpec) -> str:
+    """Canonical text of a JobSpec; parse(render(s)) recovers s.  The parser
+    fuzz's printer: a job that parses prints to a fixed point."""
+    lines = []
+    if spec.command is not None:
+        lines.append(f"cmd={spec.command}")
+    lines.append(f"p={spec.p}")
+    lines.append(_curve_line(spec.curve))
+    for key in _OPTION_ORDER:
+        if key not in spec.options:
+            continue
+        val = spec.options[key]
+        if key == "monodromy":
+            val = ",".join(str(v) for v in val)
+        elif key == "pretango":
+            val = "true" if val else "false"
+        lines.append(f"{key}={val}")
+    for block in spec.blocks:
+        if isinstance(block, ConnBlock):
+            lines.append(f"conn rank={block.rank} bundle={block.bundle}")
+            for row in block.matrix:
+                for cell in row:
+                    lines.append(cell.render())
+            if block.special:
+                lines.append("special=true")
+        else:
+            lines.append(f"{block.kind} {block.value.render()}")
+    return "\n".join(lines) + "\n"
 
 
 class TestParse:
@@ -288,7 +329,7 @@ class TestRunJob:
         assert first == "pretango yes=true"
         assert second.startswith("witness f = ")
         f = cli._parse_elem(curve, second[len("witness f = "):], 0)
-        assert pretango_from_tango(raynaud_omega_label(curve), f).scalar() == a
+        assert pretango_from_tango(omega_label(curve), f).scalar() == a
 
     def test_pretango_on_nonflat_is_domain_failure(self):
         job = (
@@ -457,49 +498,6 @@ class TestDeterminism:
         base = "cmd=enumerate\nmode=machine\nmonodromy=4,4,1\np1 p=5 marks=0,1,inf\n"
         capped = base + "threads=8\n"
         assert run_job(parse_job(base))[0] == run_job(parse_job(capped))[0]
-
-    def test_precision_override_keeps_output(self, monkeypatch):
-        job = (
-            "cmd=tango-certify\nraynaud p=5 l=1\n"
-            "f 4 / 0 0 0 0 0 1 ; 0 / 1 ; 0 / 1 ; 4 / 0 0 0 0 1\n"
-        )
-        plain = run_job(parse_job(job))
-        monkeypatch.setenv("DORMANT_PRECISION", "40")
-        assert run_job(parse_job(job)) == plain
-
-    @pytest.mark.parametrize("prec", ["4", "8"])
-    def test_low_precision_is_a_floor(self, monkeypatch, prec):
-        # the README job; a first rung below what a valuation needs only
-        # makes that valuation double further
-        monkeypatch.setenv("DORMANT_PRECISION", prec)
-        job = (
-            "cmd=tango-certify\nraynaud p=5 l=1\n"
-            "f 4 / 0 0 0 0 0 1 ; 0 / 1 ; 0 / 1 ; 4 / 0 0 0 0 1\n"
-        )
-        text, code = run_job(parse_job(job))
-        assert code == 0
-        assert text.splitlines() == ["value 2", "exact true", "Pinf 10"]
-
-    def test_huge_precision_is_refused_before_places(self, monkeypatch):
-        # a precision above the cap would size series buffers by it; the
-        # job is refused before any place is built
-        built = []
-        monkeypatch.setattr(cli, "default_places", lambda *a: built.append(a))
-        monkeypatch.setenv("DORMANT_PRECISION", str(10**12))
-        job = (
-            "cmd=tango-certify\nraynaud p=5 l=1\n"
-            "f 4 / 0 0 0 0 0 1 ; 0 / 1 ; 0 / 1 ; 4 / 0 0 0 0 1\n"
-        )
-        text, code = run_job(parse_job(job))
-        assert code == 2
-        assert str(cli.PRECISION_CAP) in text
-        assert built == []
-
-    def test_bad_precision_is_input_error(self, monkeypatch):
-        monkeypatch.setenv("DORMANT_PRECISION", "soon")
-        job = "cmd=tango-search\nheight=1\nraynaud p=3 l=2\n"
-        text, code = run_job(parse_job(job))
-        assert code == 2
 
 
 class TestMain:

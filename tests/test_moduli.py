@@ -17,7 +17,6 @@ from dormant.connections import (
     p_curvature,
     rank1_p_curvature_closed,
     residue_pcurvature_identity,
-    solve_dlog,
 )
 from dormant.curves import INF, P1Marked, RaynaudPlane, Weierstrass
 from dormant.errors import UndeclaredPoleDetected, UnsupportedCurve
@@ -196,6 +195,21 @@ class TestGenus1:
             classes.add(len(want))
         assert classes == {1, p}
 
+    def test_count_law_by_hasse_invariant(self):
+        # psi(d + w dx/y) = w (1 - H) / y^p, so the family is flat exactly
+        # when H = 1; C(dx/y) = H^(1/p) dx/y, so d alone is pre-Tango exactly
+        # when H = 0, and with H = 1 the p - 1 twists w != 0 are
+        seen = set()
+        for p in (5, 7):
+            for a, b in ((a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p):
+                curve = Weierstrass(PrimeField(p), a, b)
+                h = curve.hasse()
+                rep = enumerate_flat(curve)
+                want = (p, p - 1) if h == 1 else (1, 1) if h == 0 else (1, 0)
+                assert (rep.flat_count, rep.pretango_count) == want
+                seen.add((p, want))
+        assert len(seen) == 6
+
 
 class TestCountPretango:
     def test_sign_flip(self):
@@ -290,7 +304,9 @@ class TestLineRoute:
                 assert (u.derivative() + a * u).is_zero
                 # the powering's u differs by a constant times a p-th power
                 assert (old.horizontal / u).derivative().is_zero
-                assert u == solve_dlog(conn.curve, -a)
+                # the generator a scanned pole table names is the same u
+                assert connections._certified(a, connections._line_poles(a)[0]) == (
+                    psi.exponents, True)
                 table, rest = connections._entry_poles(conn, 0, 0)
                 scanned_table, scanned_rest = connections._line_poles(a)
                 assert table == scanned_table and list(rest) == list(scanned_rest) == [1]

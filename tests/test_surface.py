@@ -10,7 +10,6 @@ from dormant.curves import (
     RaynaudPlane,
     branch_at,
     raynaud_p_inf,
-    raynaud_smoothness_report,
     z0_places,
 )
 from dormant.errors import (
@@ -31,7 +30,12 @@ from dormant.surface import (
     random_fiber_samples,
     validate_cocycle,
 )
-from dormant.tango import GeneralizedTango, build_generalized_tango, certify_tango_structure
+from dormant.tango import (
+    GeneralizedTango,
+    build_generalized_tango,
+    certify_tango_structure,
+    default_places,
+)
 
 
 def tango32():
@@ -289,7 +293,11 @@ class TestSmoothness:
             fiber_smoothness_probe(data, [(1, (0, 0), (0, 0, 0))])
 
     def test_base_curve_jacobian_agrees(self):
-        assert raynaud_smoothness_report(RaynaudPlane(PrimeField(3), 2))
+        # every rational affine point of the base has a nonzero partial of
+        # its cleared minpoly, so a branch, else SingularPoint
+        curve = RaynaudPlane(PrimeField(3), 2)
+        for pt in curve.affine_points():
+            assert branch_at(curve, pt).point == pt
 
 
 class TestWitness:
@@ -408,6 +416,22 @@ class TestPlacesByDemand:
         others = [pt for pt in curve.affine_points() if pt != (0, 0)]
         assert others and all(branch_at(curve, pt).prec == curves._FIRST_RUNG for pt in others)
         assert pinf.prec < 556
+
+    @pytest.mark.parametrize("p,l,n", [(3, 2, 3), (5, 3, 9)])
+    def test_long_places_keep_the_surface_bytes(self, p, l, n):
+        # the criterion-9 surface and the (5,3) one, f = -1/y, render the
+        # same bytes when every branch of the curve's own places starts
+        # lengthened to 4096 terms
+        def render(length):
+            curve = RaynaudPlane(PrimeField(p), l)
+            for pl in default_places(curve):
+                if length and isinstance(pl, curves.SeriesBranch):
+                    pl.lengthen(length)
+            pinf = raynaud_p_inf(curve)
+            gtc = build_generalized_tango(curve, -(curve.y_elem() ** -1), Divisor([(pinf, n)]))
+            return build_surface(gtc).render()
+
+        assert render(4096) == render(None)
 
 
 def test_doctored_shift_pole_is_located():

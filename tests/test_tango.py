@@ -27,7 +27,6 @@ from dormant.tango import (
     build_generalized_tango,
     certify_tango_structure,
     default_places,
-    floor_div_divisor,
     search_tango_candidates,
     tango_invariant_lower_bound,
 )
@@ -43,15 +42,11 @@ class TestFloorDiv:
         b0 = branch_at(curve, 0, 8)
         binf = branch_at(curve, INF, 8)
         d = Divisor([(b0, 7), (binf, -3)])
-        q = floor_div_divisor(d, 5)
+        q = d.floor_div(5)
         assert q.coeff(b0) == 1
         # -3/5 rounds toward minus infinity
         assert q.coeff(binf) == -1
         assert q.degree() == 0
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            floor_div_divisor(Divisor(), 0)
 
 
 class TestRaynaudCertificates:
