@@ -16,7 +16,6 @@ from itertools import zip_longest
 from .errors import (
     CurveMismatch,
     NoRationalGenerator,
-    NotDivisibleByP,
     NotOmegaBundle,
     UndeclaredPoleDetected,
 )
@@ -574,7 +573,7 @@ def solve_dlog(curve, g: FFElem) -> FFElem:
     ij = _least_solution(rows, p)
     if ij is not None and (ij[0] * dlx + ij[1] * dly - g).is_zero:
         return x ** ij[0] * y ** ij[1]
-    raise NoRationalGenerator("monomial search exhausted", descent=g)
+    raise NoRationalGenerator("monomial search exhausted")
 
 
 def _line_generator(exps, p: int):
@@ -622,8 +621,10 @@ def frobenius_descent(conn: LogConnection) -> Divisor:
     residue) / p for the horizontal u = prod (x - c)^e_c that p_curvature
     reads off the pole table, so v(u) is e_c at each finite c and -sum e_c
     at INF.  Every connection that validation passes is flat there, as its
-    residues lie in F_p; a coefficient that p does not divide is a hard
-    error.
+    residues lie in F_p, and p divides every weight: at a finite c it is
+    e_c + corr + ((res - corr) mod p) with e_c = -res mod p, and at INF the
+    same with -sum e_c = sum of the finite res_c = -res_INF mod p, by the
+    residue theorem.
     """
     curve = conn.curve
     if curve.model != "p1":
@@ -637,11 +638,6 @@ def frobenius_descent(conn: LogConnection) -> Divisor:
     items = []
     for pt in sorted({*curve.marks, *conn.label.corrections, *div}, key=str):
         total = div.get(pt, 0) + conn.label.correction_at(pt) + mono.get(pt, 0)
-        if total % p:
-            raise NotDivisibleByP(
-                f"descent weight {total} at {pt} is not divisible by {p}",
-                branch=pt,
-            )
         if total:
             items.append((branch_at(curve, pt), total // p))
     return Divisor(items)

@@ -49,15 +49,8 @@ class BadTrivialization(DormantError):
 
 
 class NoRationalGenerator(DormantError):
-    """No solution of dlog(u) = -a exists in the rational function field.
-
-    A normal outcome on positive genus; carries the descent data when the
-    caller asked for it.
-    """
-
-    def __init__(self, message: str = "", descent=None):
-        super().__init__(message)
-        self.descent = descent
+    """No solution of dlog(u) = -a exists in the rational function field: a
+    normal outcome on positive genus."""
 
 
 class NotFlat(DormantError):

@@ -432,9 +432,15 @@ def _deriv(a, p):
 
 def _taylor(a, c, p, n=None):
     """The first n coefficients (all by default) of a(x + c), so [a(c)] at
-    n = 1: coefficient i is the remainder of the i-th synthetic division by
-    x - c, pass i dividing the quotient held in cs[i:]."""
-    cs, c = list(a), c % p
+    n = 1, by one pass that only accumulates: coefficient i is the remainder
+    of the i-th synthetic division by x - c, pass i dividing cs[i:]."""
+    c %= p
+    if n == 1:
+        acc = 0
+        for v in reversed(a) if c else a[:1]:
+            acc = (acc * c + v) % p
+        return [acc]
+    cs = list(a)
     if c:
         for i in range(min(n or len(cs), len(cs))):
             acc = 0

@@ -3,12 +3,10 @@
 Genus 0: a log connection on the marked line with prescribed residues is
 unique when it exists at all, and it exists exactly when the residue
 classes pass the divisibility test.  Genus 1: the connections form the
-one-parameter family d + w * delta over the invariant differential.  The
-flatness of every candidate is certified by p_curvature: on the line by the
-partial fractions of the pole table, a table built here from the residues;
-on the elliptic curve by one operator powering, of d + delta, since the
-rank-one p-curvature psi(d + w delta) = w psi(d + delta) is F_p-linear
-(Jacobson's a^p + d^(p-1) a): the whole family is flat, or only w = 0.
+one-parameter family d + w * delta over the invariant differential.  On the
+line p_curvature certifies the candidate flat by the partial fractions of its
+pole table, built here from the residues; on the elliptic curve flatness and
+every pre-Tango verdict are read off the Hasse invariant (enumerate_flat).
 """
 from __future__ import annotations
 
@@ -86,6 +84,14 @@ def _tag(curve) -> str:
 def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
     """All flat log connections with the given monodromy, pre-Tango filtered.
 
+    On y^2 = c(x), delta = dx/y, with H the Hasse invariant, the x^(p-1)
+    coefficient of y^(p-1) = c^((p-1)/2) (of degree below 2p - 1), no powering
+    and no Cartier step is needed: psi(d + w delta) = w (y^-p + d^(p-1)(y^(p-1))
+    / y^p) = w (1 - H) / y^p, as only H x^(p-1) survives d^(p-1), times
+    (p-1)! = -1; so every w is flat if H = 1, else only w = 0.  If H = 1,
+    du1/u1 = -delta gives u1^w delta = d(-u1^w / w): each w != 0 is pre-Tango;
+    and C(delta) = H^(1/p) delta makes w = 0 pre-Tango exactly when H = 0.
+
     Raynaud curves are refused: their genus puts the search space out of
     brute-force range.
     """
@@ -115,12 +121,11 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
     else:  # ell, the one model left
         if len(mu) != 0:
             raise ValueError("the shipped elliptic model carries no marks")
-        mu = ()
-        admissible = True
-        label, yinv = omega_label(curve), curve.y_elem().inverse()
-        one = LogConnection(curve, [[yinv]], label)
-        family = range(p) if p_curvature(one).is_zero else (0,)
-        flat = [one if w == 1 else LogConnection(curve, [[w * yinv]], label) for w in family]
+        mu, admissible = (), True
+        label, yinv, h = omega_label(curve), curve.y_elem().inverse(), curve.hasse()
+        flat = [LogConnection(curve, [[w * yinv]], label) for w in range(p if h == 1 else 1)]
+        for w, conn in enumerate(flat):
+            conn._memo("is_pre_tango", lambda v=bool(w) or h == 0: v)
     pretango = [conn for conn in flat if is_pre_tango(conn)]
     value = _formula_value(curve.genus(), len(mu), mu, p)
     return EnumerationReport(_tag(curve), mu, flat, pretango, admissible, value)

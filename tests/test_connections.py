@@ -724,9 +724,8 @@ class TestHorizontal:
         # w/y is odd under the hyperelliptic flip, dlog of x^i y^j is even
         curve = Weierstrass(F5, 3, 0)
         g = curve.y_elem().inverse()
-        with pytest.raises(NoRationalGenerator) as exc:
+        with pytest.raises(NoRationalGenerator):
             solve_dlog(curve, g)
-        assert exc.value.descent == g
 
     def test_elliptic_monomial_search_hit(self):
         curve = Weierstrass(F5, 3, 0)
@@ -783,9 +782,8 @@ class TestHorizontal:
                 assert solve_dlog(curve, g) == x**oi * y**oj
         for g in (y.inverse(), x, x.inverse() + y):
             assert trial_loop(curve, g) is None
-            with pytest.raises(NoRationalGenerator) as exc:
+            with pytest.raises(NoRationalGenerator):
                 solve_dlog(curve, g)
-            assert exc.value.descent == g
 
     def test_elliptic_solve_tries_one_candidate(self, monkeypatch):
         # a trial scan makes one subtraction per candidate (i, j), here

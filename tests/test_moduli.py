@@ -8,12 +8,13 @@ import time
 import pytest
 
 from dormant import cartier, cli, connections
-from dormant.cartier import cartier_curve, decide_pre_tango, is_pre_tango
+from dormant.cartier import cartier_curve, decide_pre_tango, is_pre_tango, pretango_from_tango
 from dormant.connections import (
     LogConnection,
     dual,
     monodromy,
     omega_frame_differential,
+    omega_label,
     p_curvature,
     rank1_p_curvature_closed,
     residue_pcurvature_identity,
@@ -182,8 +183,8 @@ class TestGenus1:
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_one_powering_decides_the_family(self, p):
-        # enumerate_flat powers d + dx/y alone and reads the family off the
-        # linearity of psi; the oracle powers all p candidates d + w dx/y
+        # enumerate_flat reads the family off the Hasse invariant and powers
+        # nothing; the oracle powers all p candidates d + w dx/y
         classes = set()
         for a, b in ((a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p):
             curve = Weierstrass(PrimeField(p), a, b)
@@ -209,6 +210,49 @@ class TestGenus1:
                 assert (rep.flat_count, rep.pretango_count) == want
                 seen.add((p, want))
         assert len(seen) == 6
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_cartier_oracle_decides_every_member(self, p):
+        # every smooth curve at p = 5 and 7, one of Hasse invariant 1 at
+        # p = 11 and 13: each member d + w dx/y is built afresh, powered and,
+        # if flat, decided by its Cartier step, apart from enumerate_flat
+        curves = ([(a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p]
+                  if p < 11 else [{11: (1, 5), 13: (1, 6)}[p]])
+        for a, b in curves:
+            curve = Weierstrass(PrimeField(p), a, b)
+            label, yinv = omega_label(curve), curve.y_elem().inverse()
+            members = [LogConnection(curve, [[w * yinv]], label) for w in range(p)]
+            flat = [c for c in members if connections._power_frame(c).is_zero]
+            pretango = [c for c in flat if decide_pre_tango(c).is_exact]
+            rep = enumerate_flat(curve)
+            assert rep.flat_list == tuple(flat)
+            assert rep.pretango_list == tuple(pretango)
+            assert curve.hasse() != 1 or len(flat) == p
+
+    def test_witness_law_on_a_hasse_one_curve(self):
+        # du1/u1 = -dx/y, so u1^w dx/y = d(-u1^w / w), and the Tango function
+        # -u1^w / w gives back the member d + w dx/y
+        curve = Weierstrass(PrimeField(7), 0, 5)
+        assert curve.hasse() == 1
+        label, yinv = omega_label(curve), curve.y_elem().inverse()
+        u1 = p_curvature(LogConnection(curve, [[yinv]], label)).horizontal
+        assert u1.dlog() == -yinv
+        for w in range(1, 7):
+            f = u1**w * (-pow(w, -1, 7))
+            assert f.derivative() == u1**w * yinv
+            assert pretango_from_tango(label, f) == LogConnection(curve, [[w * yinv]], label)
+
+    def test_large_hasse_one_family_powers_nothing(self, monkeypatch):
+        def refuse(conn):
+            raise AssertionError("the elliptic family is read off the Hasse invariant")
+
+        monkeypatch.setattr(connections, "_power_frame", refuse)
+        monkeypatch.setattr(cartier, "_horizontal_cartier", refuse)
+        curve = Weierstrass(PrimeField(101), 1, 32)
+        assert curve.hasse() == 1
+        rep = enumerate_flat(curve)
+        assert (rep.flat_count, rep.pretango_count) == (101, 100)
+        assert rep.pretango_list == rep.flat_list[1:]
 
 
 class TestCountPretango:
@@ -260,6 +304,12 @@ class TestProveOnce:
                             counting(decided, cartier._horizontal_cartier))
         rep = enumerate_flat(curve, mu)
         assert rep.pretango_count
+        # enumeration powers nothing: the line's candidates are flat by their
+        # pole table and decided by the Cartier step, and the elliptic family
+        # is flat and decided by the Hasse invariant
+        assert powered == []
+        want = rep.flat_list if curve.model == "p1" else ()
+        assert [id(c) for c in decided] == [id(c) for c in want]
         opers = []
         for conn in rep.pretango_list:
             m = miura_from_tango(conn)
@@ -269,13 +319,9 @@ class TestProveOnce:
         # powered objects stay alive in the log, so their ids are distinct
         ids = [id(conn) for conn in powered]
         assert len(ids) == len(set(ids))
-        if curve.model == "p1":
-            # the line's rank-one connections are flat by their pole table:
-            # only the rank-2 opers are powered
-            assert sorted(ids) == sorted(id(c) for c in opers)
-        else:
-            assert {id(c) for c in rep.flat_list + tuple(opers)} <= set(ids)
-        assert [id(c) for c in decided] == [id(c) for c in rep.flat_list]
+        # the round trip powers only the rank-2 opers and decides nothing again
+        assert sorted(ids) == sorted(id(c) for c in opers)
+        assert [id(c) for c in decided] == [id(c) for c in want]
 
     def test_line_sweep_expands_no_series(self, monkeypatch):
         # every residue the sweep reads sits at a simple pole, infinity
