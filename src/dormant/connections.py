@@ -19,7 +19,7 @@ from .errors import (
     NotOmegaBundle,
     UndeclaredPoleDetected,
 )
-from .field import RatFunc, UPoly, _deriv, _list_add, _mul, _pow, _shift, _spread, _trim
+from .field import _deriv, _laurent, _list_add, _mul, _pow, _shift, _spread, _trim
 from .curves import (
     INF,
     Differential,
@@ -121,11 +121,11 @@ def _omega_frame(curve):
                 raise NotOmegaBundle("need a stable marked line")
             if INF not in curve.marks:
                 raise NotOmegaBundle("the frame requires the infinite mark")
-            den = UPoly.one(curve.field)
+            den = [1]
             for m in curve.marks:
                 if m != INF:
-                    den = den * UPoly(curve.field, (-m, 1))
-            h = FFElem(curve, (RatFunc(curve.field, UPoly.one(curve.field), den),))
+                    den = _mul(den, [-m % curve.p, 1], curve.p)
+            h = FFElem._make(curve, [[1]], den, coprime=True)
             corrections = {INF: len(curve.marks) - 2}
         elif curve.model == "ell":
             h, corrections = curve.y_elem().inverse(), None
@@ -220,11 +220,11 @@ def _line_poles(f: FFElem):
     its poles at the rational roots of den f, ascending, then at INF where
     v(f) + v(dx) < 0 (v(dx) = -2 there), and the factor of den f with no
     rational root.  The one scan of F_p; the residues are ints in [0, p)."""
-    r = f.as_ratfunc()
-    roots, rest = _factor_linear_and_rest(r._den, f.curve.p)
-    poles = {c: (m, r.residue_at(c)) for c, m in roots}
-    if not r.is_zero and (k := len(r._num[0]) - len(r._den) + 2) > 0:
-        poles[INF] = (k, r.residue_at_infinity())
+    (num,), den = f._num, f._den
+    roots, rest = _factor_linear_and_rest(den, f.curve.p)
+    poles = {c: (m, _p_residue_p1(f, c, 1)) for c, m in roots}
+    if num and (k := len(num) - len(den) + 2) > 0:
+        poles[INF] = (k, _p_residue_p1(f, INF, 1))
     return poles, rest
 
 
@@ -477,23 +477,22 @@ def residue_pcurvature_identity(conn: LogConnection):
     for mark in conn.curve.marks:
         n = conn.rank
         rmat = [[_residue(conn, i, j, mark) for j in range(n)] for i in range(n)]
-        lhs = [[_p_residue_p1(psi.entry(i, j).as_ratfunc(), mark, p) % p for j in range(n)]
-               for i in range(n)]
+        lhs = [[_p_residue_p1(psi.entry(i, j), mark, p) for j in range(n)] for i in range(n)]
         rhs = _int_mat_sub(_int_mat_pow(rmat, p, p), rmat, p)
         report.append({"mark": mark, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs})
     return report
 
 
-def _p_residue_p1(f: RatFunc, mark, p: int) -> int:
-    """Coefficient of (dt/t)^p in f (dx)^p at the mark."""
-    if f.is_zero:
-        return 0
-    if mark == INF:
-        # dx = -t^(-2) dt, (dx)^p = -t^(-2p) (dt)^p for odd p
-        s = f.series_at_infinity(p + 1)
-        return (-s.coeff(p)) % p
-    s = f.series_at(mark, -p + 1)
-    return s.coeff(-p)
+def _p_residue_p1(f: FFElem, mark, k: int) -> int:
+    """Coefficient of (dt/t)^k in f (dx)^k at the mark of the line, k odd:
+    the residue at k = 1, the p-residue at k = p.  It is the coefficient of
+    t^-k in f at a finite mark; at INF, where (dx)^k = -t^(-2k) (dt)^k in
+    t = 1/x, minus that of t^k."""
+    (num,), den, p = f._num, f._den, f.curve.p
+    e = k if mark == INF else -k
+    cs = _laurent(num, den, mark, e + 1, p)[1] if num else []
+    c = cs[-1] if cs else 0
+    return -c % p if mark == INF else c
 
 
 def _int_mat_pow(m, e, p):

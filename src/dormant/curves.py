@@ -36,10 +36,13 @@ from .field import (
     _canon,
     _deriv,
     _div_exact,
+    _divmod,
     _gcd,
     _list_add,
     _mul,
     _order,
+    _pow,
+    _render,
     _series_inv,
     _shift,
     _taylor,
@@ -191,9 +194,6 @@ class _CurveBase(_Memo):
         return self.field.p
 
     # constructors for function-field elements
-    def ff(self, *comps) -> "FFElem":
-        return FFElem(self, comps)
-
     def ff_const(self, c) -> "FFElem":
         return FFElem._make(self, [_trim([c % self.p])], [1], coprime=True)
 
@@ -208,14 +208,6 @@ class _CurveBase(_Memo):
     def algebra(self) -> _Algebra:
         """The y-algebra, from the cleared minpoly of the model."""
         return self._memo("algebra", lambda: _Algebra(self.p, self.cleared_minpoly()))
-
-    def minpoly(self):
-        """The monic minpoly of y over F_p(x), constant term first."""
-        def build():
-            alg = self.algebra()
-            den = UPoly.monomial(self.field, alg.s)
-            return tuple(RatFunc(self.field, UPoly(self.field, c), den) for c in alg.m)
-        return self._memo("minpoly", build)
 
     def yprime(self) -> "FFElem":
         """dy/dx = -G_x(y) / G_y(y) for the cleared minpoly G(x, Y)."""
@@ -290,19 +282,20 @@ class Weierstrass(_CurveBase):
     def key(self):
         return ("ell", self.p, self.a, self.b)
 
-    def c_poly(self) -> UPoly:
-        return UPoly(self.field, (self.b, self.a, 0, 1))
+    def c_poly(self) -> list:
+        """The coefficient list of c(x) = x^3 + ax + b."""
+        return [self.b, self.a, 0, 1]
 
-    def _c_half(self) -> UPoly:
-        """(x^3 + ax + b)^((p-1)/2), built once per curve."""
-        return self._memo("c_half", lambda: self.c_poly() ** ((self.p - 1) // 2))
+    def _c_half(self) -> list:
+        """c(x)^((p-1)/2), built once per curve."""
+        return self._memo("c_half", lambda: _pow(self.c_poly(), (self.p - 1) // 2, self.p))
 
     def hasse(self) -> int:
         """Coefficient of x^(p-1) in (x^3 + ax + b)^((p-1)/2)."""
-        return self._c_half().coeff(self.p - 1)
+        return self._c_half()[self.p - 1]
 
     def cleared_minpoly(self):
-        return [(-self.c_poly()).coeffs, [], [1]]  # Y^2 - c(x)
+        return [[-c % self.p for c in self.c_poly()], [], [1]]  # Y^2 - c(x)
 
     def rational_points(self):
         pts = [INF]
@@ -311,7 +304,7 @@ class Weierstrass(_CurveBase):
         for y0 in range(self.p):
             squares.setdefault(y0 * y0 % self.p, []).append(y0)
         for x0 in range(self.p):
-            for y0 in squares.get(c.evaluate(x0), ()):
+            for y0 in squares.get(_taylor(c, x0, self.p, 1)[0], ()):
                 pts.append((x0, y0))
         return pts
 
@@ -370,8 +363,7 @@ class FFElem(_Frac):
     in the y-algebra (_nmul), the Bareiss inverse (_vinv), the chain term
     of the derivative (_dchain) and Horner in z = y^p (_zhorner, _zvec).
     The constructor takes RatFunc, UPoly or int components over the curve's
-    field; comps gives them back as reduced RatFuncs.  num (the tuples) and
-    den (a UPoly) are read-only views.
+    field; comps gives them back as reduced RatFuncs.
     """
 
     # _xz: the Z-chart triple (xz_components), set by Z0Place on first use
@@ -381,7 +373,7 @@ class FFElem(_Frac):
         rats = []
         for c in comps:
             if isinstance(c, UPoly):
-                c = RatFunc.from_poly(c)
+                c = RatFunc(c.field, c)
             elif isinstance(c, int):
                 c = RatFunc.const(curve.field, c)
             elif not isinstance(c, RatFunc):
@@ -403,8 +395,6 @@ class FFElem(_Frac):
         self._den = tuple(den)
 
     _home = property(lambda self: self.curve)
-    num = property(lambda self: self._num)
-    den = property(lambda self: UPoly(self.field, self._den))
 
     @property
     def comps(self):
@@ -475,24 +465,15 @@ class FFElem(_Frac):
         if not any(num[1:]):
             return num, den
         if curve.model == "ell":  # y = z / c^((p-1)/2)
-            h = curve._c_half().coeffs
+            h = curve._c_half()
             return _canon([_mul(num[0], h, p), num[1]], _mul(den, h, p), p)
         return _zbasis_raynaud(curve, num, den)
 
-    def evaluate(self, point):
-        """Value at an affine rational point (x0, y0), or x0 alone for P^1."""
-        p = self.curve.p
-        x0, y0 = (point, 0) if isinstance(point, int) else (point[0], point[-1])
-        return sum(c.evaluate(x0) * pow(y0, k, p)
-                   for k, c in enumerate(self.comps) if not c.is_zero) % p
-
-    def as_ratfunc(self) -> RatFunc:
-        if any(self._num[1:]):
-            raise CurveMismatch("element has y-components")
-        return self.comps[0]
-
     def render(self) -> str:
-        return " ; ".join(c.render() for c in self.comps)
+        """The components as comps reduces them, "num / den" each."""
+        p, alone = self.curve.p, sum(map(bool, self._num)) == 1
+        return " ; ".join(f"{_render(n)} / {_render(d)}" for (n,), d in
+                          (_canon([c], self._den, p, alone) for c in self._num))
 
     def __eq__(self, other):
         if isinstance(other, FFElem):
@@ -695,10 +676,10 @@ class SeriesBranch(_Place):
         last = max((k for k, c in enumerate(f._num) if c), default=-1)
         for k, c in enumerate(f._num[: last + 1]):
             if c:
-                acc = acc + poly_at_series(UPoly(field, c), xs) * ypow
+                acc = acc + poly_at_series(c, xs) * ypow
             if k < last:
                 ypow = ypow * ys
-        return acc, poly_at_series(UPoly(field, f._den), xs)
+        return acc, poly_at_series(f._den, xs)
 
     def _series(self, f, n):
         """f (a function or a Differential) from the coordinates cut to
@@ -753,26 +734,26 @@ class Z0Place(_Place):
 
     Handled through the chart y = 1 with coordinates X = x/y, Z = z/y, where
     the curve is X^q - X - Z^(q-1) = 0 and Z is a uniformizer everywhere on
-    z = 0.  The place is an irreducible factor phi of X^q - X over F_p; its
-    residue degree is deg phi.
+    z = 0.  The place is an irreducible factor phi of X^q - X over F_p, a
+    monic coefficient tuple; its residue degree is deg phi.
     """
 
     __slots__ = ("curve", "phi", "key")
 
-    def __init__(self, curve: RaynaudPlane, phi: UPoly):
+    def __init__(self, curve: RaynaudPlane, phi: tuple):
         self.curve = curve
         self.phi = phi
-        self.key = ("z0", curve.key(), phi.coeffs)
+        self.key = ("z0", curve.key(), phi)
 
     @property
     def weight(self) -> int:
-        return self.phi.degree
+        return len(self.phi) - 1
 
     def _zval(self, vec) -> int:
         """v(sum_k c_k Z^k) for a nonzero reduced Z-power vector: the terms
         have distinct valuations (q - 1) ord_phi c_k + k, Z having
         valuation 1, so the least of them is the valuation."""
-        p, q1, phi = self.curve.p, self.curve.q - 1, self.phi.coeffs
+        p, q1, phi = self.curve.p, self.curve.q - 1, self.phi
         return min(q1 * _order(c, phi, p)[0] + k for k, c in enumerate(vec) if c)
 
     def _valuation(self, f) -> int:
@@ -785,15 +766,15 @@ class Z0Place(_Place):
     def _dx_valuation(self) -> int:
         # dx = (Z^(q-1) - X) Z^(-2) dZ on the curve, dZ a unit at z = 0, and
         # Z^(q-1) - X = X^q - 2X vanishes there only at X = 0, simply
-        return self.curve.q - 3 if self.phi.coeffs == (0, 1) else -2
+        return self.curve.q - 3 if self.phi == (0, 1) else -2
 
     def __repr__(self):
-        return f"Z0Place(phi={list(self.phi.coeffs)}, p={self.curve.p})"
+        return f"Z0Place(phi={list(self.phi)}, p={self.curve.p})"
 
 
-def _w(curve: RaynaudPlane) -> UPoly:
+def _w(curve: RaynaudPlane) -> list:
     """w(X) = X^q - X, with Z^(q-1) = w in the chart y = 1."""
-    return UPoly(curve.field, [0, -1] + [0] * (curve.q - 2) + [1])
+    return [0, curve.p - 1] + [0] * (curve.q - 2) + [1]
 
 
 def xz_components(curve: RaynaudPlane, f: FFElem):
@@ -805,7 +786,7 @@ def xz_components(curve: RaynaudPlane, f: FFElem):
     sum_k Z^(M - k) N_k(X/Z), H is Z^(deg D) D(X/Z) and shift = deg D - M.
     """
     q, w = curve.q, _w(curve)
-    alg = curve._memo("xzalg", lambda: _Algebra(curve.p, [(-w).coeffs] + [[]] * (q - 2) + [[1]]))
+    alg = curve._memo("xzalg", lambda: _Algebra(curve.p, [[-c for c in w]] + [[]] * (q - 2) + [[1]]))
     terms = [(k, c) for k, c in enumerate(f._num) if c]
     top = max((len(c) - 1 + k for k, c in terms), default=0)
     g = [[] for _ in range(top + 1)]
@@ -835,67 +816,61 @@ def _factor_linear_and_rest(a, p):
     return out, a
 
 
-def _poly_powmod(base: UPoly, e: int, mod: UPoly) -> UPoly:
-    result = UPoly.one(base.field)
-    b = base % mod
+def _poly_powmod(base, e: int, mod, p: int):
+    """base^e mod the coefficient list mod, by squaring, low bit first."""
+    result, b = [1], _divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = result * b % mod
-        b = b * b % mod
+            result = _divmod(_mul(result, b, p), mod, p)[1]
+        b = _divmod(_mul(b, b, p), mod, p)[1]
         e >>= 1
     return result
 
 
-def _factor_squarefree(poly: UPoly):
-    """Irreducible factors of a squarefree monic polynomial (no multiplicity).
+def _factor_squarefree(poly, p: int):
+    """Irreducible factors of a squarefree monic coefficient list (no
+    multiplicity), as monic lists.
 
     Distinct-degree splitting; the linear part splits by the root scan, the
     equal-degree pieces of degree d >= 2 by seeded Cantor-Zassenhaus,
     deterministic because the RNG seed is fixed.
     """
-    p = poly.field.p
-    x = UPoly.x(poly.field)
     rng = random.Random(0)
-    factors = []
-    work = poly.monic()
-    frob = x
-    d = 0
-    while work.degree > 0:
+    factors, work, frob, d = [], poly, [0, 1], 0
+    while len(work) > 1:
         d += 1
-        if 2 * d > work.degree:
+        if 2 * d > len(work) - 1:
             # what is left is a single irreducible factor
             factors.append(work)
             break
-        frob = _poly_powmod(frob, p, work)
-        g = (frob - x).gcd(work)
-        if g.degree > 0:
+        frob = _poly_powmod(frob, p, work, p)
+        g = _gcd(_list_add(frob, [0, -1], p), work, p)
+        if len(g) > 1:
             if d == 1:  # the rational roots, by the one scan of F_p
-                factors.extend(UPoly(poly.field, (-a % p, 1))
-                               for a, _ in _factor_linear_and_rest(g.coeffs, p)[0])
+                factors.extend([-a % p, 1] for a, _ in _factor_linear_and_rest(g, p)[0])
             else:
-                factors.extend(_equal_degree_split(g, d, rng))
-            work = work // g
-            frob = frob % work
+                factors.extend(_equal_degree_split(g, d, rng, p))
+            work = _divmod(work, g, p)[0]
+            frob = _divmod(frob, work, p)[1]
     return factors
 
 
-def _equal_degree_split(poly: UPoly, d: int, rng) -> list:
-    """Cantor-Zassenhaus on a product of irreducibles of the same degree
-    d >= 2.  A splitter r cuts a piece by gcd(r^((p^d-1)/2) - 1, piece):
-    first the fixed r = X + a for a = 0, 1, ..., p - 1, each piece going on
-    from the a that cut it out, then seeded random draws."""
-    field, p = poly.field, poly.field.p
+def _equal_degree_split(poly, d: int, rng, p: int) -> list:
+    """Cantor-Zassenhaus on a monic product of irreducibles of the same
+    degree d >= 2.  A splitter r cuts a piece by gcd(r^((p^d-1)/2) - 1,
+    piece): first the fixed r = X + a for a = 0, 1, ..., p - 1, each piece
+    going on from the a that cut it out, then seeded random draws."""
     e = (p**d - 1) // 2
-    work, out = [(poly.monic(), 0)], []
+    work, out = [(poly, 0)], []
     while work:
         piece, a = work.pop()
-        while piece.degree > d:
-            r = UPoly(field, [a, 1] if a < p else [rng.randrange(p) for _ in range(piece.degree)])
+        while len(piece) - 1 > d:
+            r = [a, 1] if a < p else [rng.randrange(p) for _ in range(len(piece) - 1)]
             a += 1
-            g = (_poly_powmod(r, e, piece) - 1).gcd(piece)
-            if 0 < g.degree < piece.degree:
+            g = _gcd(_list_add(_poly_powmod(r, e, piece, p), [-1], p), piece, p)
+            if 1 < len(g) < len(piece):
                 work.append((g, a))
-                piece = piece // g
+                piece = _divmod(piece, g, p)[0]
         out.append(piece)
     return out
 
@@ -904,8 +879,8 @@ def z0_places(curve: RaynaudPlane):
     """All places of the curve on z = 0, one per irreducible factor of
     X^q - X; w' = -1, so w = X^q - X is squarefree."""
     def build():
-        places = [Z0Place(curve, f) for f in _factor_squarefree(_w(curve))]
-        places.sort(key=lambda pl: (pl.weight, pl.phi.coeffs))
+        places = [Z0Place(curve, tuple(f)) for f in _factor_squarefree(_w(curve), curve.p)]
+        places.sort(key=lambda pl: (pl.weight, pl.phi))
         return places
     return curve._memo("z0_places", build)
 
@@ -990,6 +965,8 @@ def _on_curve(curve, f) -> FFElem:
     """f as an element of the curve's function field, the one coercion of
     the places: an int, UPoly or RatFunc is lifted, and an element of an
     unequal curve is refused."""
+    if isinstance(f, int):
+        return curve.ff_const(f)
     if not isinstance(f, FFElem):
         return FFElem(curve, (f,))
     if f.curve != curve:
@@ -1112,7 +1089,7 @@ class Divisor:
 
 def _place_name(place) -> str:
     if isinstance(place, Z0Place):
-        return f"z0[{place.phi.render()}]"
+        return f"z0[{_render(place.phi)}]"
     pt = place.point
     if pt == INF:
         return "inf"

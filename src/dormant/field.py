@@ -1,9 +1,10 @@
 """Exact arithmetic over a prime field F_p.
 
-Univariate polynomials, reduced rational functions and truncated Laurent
-series, together with p-th power detection and formal differentiation.
-Everything is an immutable value; field elements themselves are plain ints
-in [0, p).
+Polynomials are coefficient lists, reduced rational functions coefficient
+tuples in one normal form, and truncated Laurent series (TruncSeries) carry
+the precision rules of the branch expansions; with them come p-th power
+detection and formal differentiation.  Field elements themselves are plain
+ints in [0, p).
 
 Every product of coefficient lists goes through one kernel, _mul, which cuts
 its operands to the wanted number of terms first.  A one-term operand scales
@@ -15,23 +16,20 @@ Series inverses are Newton iterations on the same kernel.
 A fraction has one normal form, _canon, and one storage and implementation,
 _Frac: numerator coefficient tuples over one monic denominator tuple,
 coprime.  A RatFunc is its one-numerator case and curves.FFElem its vector
-case; each rule that needs only x is written once in _Frac.  A UPoly is
-built only outside the arithmetic: in the cli's parsing and selftest, in
-the num/den views, in every read of curves.SeriesBranch._parts, in the
-curves' minpoly, Weierstrass.c_poly, _factor_squarefree and Z0Place.phi,
-in connections._omega_frame, and in the omega of moduli.
+case; each rule that needs only x is written once in _Frac.  Below the
+parser everything computes on coefficient lists: a UPoly or a RatFunc is
+built only as input, by the cli's parser and selftest, and as the output
+of FFElem.comps.
 Exact division, in the Bareiss steps of curves._inverse too, is long
 division.  Frobenius acts on coefficient lists by one slice (_spread,
-_is_spread), and RatFunc's local reads take the point at infinity, INF,
-as a point like any other; they and UPoly.evaluate share one list
-helper, _taylor.
+_is_spread).  The local reads take the point at infinity, INF, as a point
+like any other: an order by exact division (_order), and the Laurent
+coefficients at a point by one list helper, _laurent.
 """
 from __future__ import annotations
 
 import sys
 from array import array
-from enum import Enum
-from functools import total_ordering
 from math import inf
 
 from .errors import InsufficientPrecision, ZeroDenominator, ZeroElement
@@ -93,23 +91,6 @@ class PrimeField:
     def __repr__(self):
         return f"F_{self.p}"
 
-
-@total_ordering
-class Degree(Enum):
-    """Degree sentinel for the zero polynomial.
-
-    Compares below every integer; arithmetic on it is a TypeError on purpose.
-    """
-
-    NEG_INF = "neg_inf"
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Degree)):
-            return isinstance(other, int)
-        return NotImplemented
-
-
-NEG_INF = Degree.NEG_INF
 
 _KRONECKER_AT = 64
 # slot width in bytes -> array typecode, for packing with one C-level pass
@@ -192,7 +173,9 @@ class _Ring:
 
 
 class UPoly(_Ring):
-    """Dense univariate polynomial over F_p, coefficients ascending."""
+    """A polynomial over F_p as input, coefficients ascending and trimmed:
+    the parser and selftest build RatFuncs and FFElems from it; nothing
+    below them computes on it."""
 
     __slots__ = ("field", "coeffs")
 
@@ -204,49 +187,9 @@ class UPoly(_Ring):
         self.field = field
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, (1,))
-
-    @classmethod
-    def const(cls, field, c):
-        return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, (0, 1))
-
-    @classmethod
-    def monomial(cls, field, n: int, c: int = 1):
-        return cls(field, (0,) * n + (c,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def lc(self) -> int:
-        if not self.coeffs:
-            raise ZeroElement("leading coefficient of the zero polynomial")
-        return self.coeffs[-1]
-
-    def coeff(self, n: int) -> int:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return 0
-
-    def monic(self) -> "UPoly":
-        if self.is_zero or self.coeffs[-1] == 1:
-            return self
-        c = self.field.inv(self.coeffs[-1])
-        return UPoly(self.field, [a * c for a in self.coeffs])
 
     def _coerce(self, other):
         if isinstance(other, UPoly):
@@ -290,32 +233,8 @@ class UPoly(_Ring):
         quo, rem = _divmod(self.coeffs, o.coeffs, self.field.p)
         return UPoly(self.field, quo), UPoly(self.field, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def gcd(self, other: "UPoly") -> "UPoly":
         return UPoly(self.field, _gcd(self.coeffs, self._coerce(other).coeffs, self.field.p))
-
-    def derivative(self) -> "UPoly":
-        return UPoly(self.field, _deriv(self.coeffs, self.field.p))
-
-    def evaluate(self, a: int) -> int:
-        return sum(_taylor(self.coeffs, a, self.field.p, 1))
-
-    def pth_power(self) -> "UPoly":
-        """self**p via the Frobenius coefficient spread (c^p = c in F_p)."""
-        return UPoly(self.field, _spread(self.coeffs, self.field.p))
-
-    def pth_root(self):
-        """Inverse of pth_power when it exists, else None."""
-        p = self.field.p
-        return UPoly(self.field, self.coeffs[::p]) if _is_spread(self.coeffs, p) else None
-
-    def render(self) -> str:
-        return _render(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -447,6 +366,25 @@ def _taylor(a, c, p, n=None):
             for j in range(len(cs) - 1, i - 1, -1):
                 acc = cs[j] = (cs[j] + c * acc) % p
     return cs[:n]
+
+
+def _laurent(num, den, c, prec, p):
+    """(v, cs): num / den = t^v (cs[0] + cs[1] t + ...) in t = x - c, or
+    t = 1/x at c = INF, and cs its coefficients below t^prec, prec - v of
+    them ([] when v >= prec); num != 0.  At c the powers of x - c come off
+    by exact division (_order), so each Taylor shift runs only the terms
+    kept; at INF num / den is t^(deg den - deg num) rev(num) / rev(den)."""
+    if c == INF:
+        v, a, b = len(den) - len(num), num[::-1], den[::-1]
+    else:
+        (k, a), (m, b) = _order(num, (-c % p, 1), p), _order(den, (-c % p, 1), p)
+        v = k - m
+    n = prec - v
+    if n <= 0:
+        return v, []
+    if c != INF:
+        a, b = _taylor(a, c, p, n), _taylor(b, c, p, n)
+    return v, _mul(a, _series_inv(b, n, p), p, n)
 
 
 def _canon(num, den, p, coprime=False):
@@ -603,7 +541,7 @@ class RatFunc(_Frac):
     """Reduced rational function num/den over F_p; den monic, gcd 1.
 
     The one-numerator case of _Frac.  The constructor takes UPolys; num and
-    den give them back as read-only UPoly views.  The local reads work at
+    den give them back as read-only UPoly views.  valuation_at works at
     every rational place, the point at infinity INF included.
     """
 
@@ -626,10 +564,6 @@ class RatFunc(_Frac):
     _home = property(lambda self: self.field)
     num = property(lambda self: UPoly(self.field, self._num[0]))
     den = property(lambda self: UPoly(self.field, self._den))
-
-    @classmethod
-    def from_poly(cls, poly: UPoly):
-        return cls(poly.field, poly)
 
     @classmethod
     def const(cls, field, c: int):
@@ -658,13 +592,6 @@ class RatFunc(_Frac):
             return RatFunc.const(self.field, other)
         return None
 
-    def evaluate(self, a: int) -> int:
-        p = self.field.p
-        d = sum(_taylor(self._den, a, p, 1))
-        if d == 0:
-            raise ZeroDenominator(f"pole at x = {a}")
-        return sum(_taylor(self._num[0], a, p, 1)) * pow(d, p - 2, p) % p
-
     def valuation_at(self, a) -> int:
         """Order of vanishing at x = a, a = INF included."""
         if self.is_zero:
@@ -673,58 +600,6 @@ class RatFunc(_Frac):
         if a == INF:
             return len(den) - len(num)
         return _order(num, (-a % p, 1), p)[0] - _order(den, (-a % p, 1), p)[0]
-
-    def series_at(self, a, prec) -> "TruncSeries":
-        """Laurent expansion in t = x - a, or t = 1/x at a = INF, with
-        coefficients on [ord, prec).  At INF, num/den is
-        t^deg(den) rev(num) / (t^deg(num) rev(den))."""
-        center = ("inf",) if a == INF else ("aff", a)
-        if self.is_zero:
-            return TruncSeries(self.field, center, prec, (), prec)
-        p, (num,), den = self.field.p, self._num, self._den
-        if a == INF:
-            n, d = _shift(num[::-1], len(den) - 1), _shift(den[::-1], len(num) - 1)
-        else:
-            n, d = _taylor(num, a, p), _taylor(den, a, p)
-        k = next(i for i, c in enumerate(n) if c)
-        m = next(i for i, c in enumerate(d) if c)
-        ord_low = k - m
-        count = prec - ord_low
-        if count <= 0:
-            return TruncSeries(self.field, center, prec, (), prec)
-        inv = _series_inv(d[m:], count, p)
-        cs = _mul(n[k:], inv, p, count)
-        return TruncSeries(self.field, center, ord_low, cs, prec)
-
-    def series_at_infinity(self, prec) -> "TruncSeries":
-        return self.series_at(INF, prec)
-
-    def residue_at(self, a) -> int:
-        """Residue of self * dx at x = a, a = INF included (there
-        dx = -dt/t^2 in t = 1/x).
-
-        0 away from the poles; num(a)/den'(a) at a simple finite pole and
-        -lc(num) at a simple pole at INF (den is monic); only a pole of
-        order >= 2 takes the Laurent expansion.
-        """
-        if self.is_zero:
-            return 0
-        p, (num,), den = self.field.p, self._num, self._den
-        if a == INF:
-            gap = len(den) - len(num)
-            if gap > 1:
-                return 0
-            lead = num[-1] if gap == 1 else self.series_at(INF, 2).coeff(1)
-            return -lead % p
-        if sum(_taylor(den, a, p, 1)):
-            return 0
-        dd = sum(_taylor(_deriv(den, p), a, p, 1))
-        if dd:
-            return sum(_taylor(num, a, p, 1)) * pow(dd, p - 2, p) % p
-        return self.series_at(a, 0).coeff(-1)
-
-    def residue_at_infinity(self) -> int:
-        return self.residue_at(INF)
 
     def render(self) -> str:
         return f"{_render(self._num[0])} / {_render(self._den)}"
@@ -914,8 +789,9 @@ class TruncSeries(_Ring):
         )
 
 
-def poly_at_series(poly: UPoly, s: TruncSeries) -> TruncSeries:
-    """Evaluate a polynomial at a series by Horner; precision via min-rules.
+def poly_at_series(coeffs, s: TruncSeries) -> TruncSeries:
+    """Evaluate the reduced coefficient list of a polynomial at a series by
+    Horner; precision via min-rules.
 
     The accumulator t^lo * cs + O(t^prec) is a list in TruncSeries normal
     form, and each step acc * s + c follows the TruncSeries rules.  Only the
@@ -923,17 +799,16 @@ def poly_at_series(poly: UPoly, s: TruncSeries) -> TruncSeries:
     coefficients, sum a_i c^i t^(k i); and at s = s0 + O(t) known to O(t^n),
     (s - s0)^n = O(t^n), so N(s) = (N mod (x - s0)^n)(s) + O(t^n).
     """
-    p, coeffs, cut = poly.field.p, poly.coeffs, inf
+    p, cut = s.field.p, inf
     sl, sc, sp = s.ord_low, s.coeffs, s.prec
     if sp == inf and len(sc) == 1 and sl:
         lo = min(0, sl * (len(coeffs) - 1))
         out = [0] * (abs(sl) * len(coeffs))
         for i, a in enumerate(coeffs):
             out[sl * i - lo] = a * pow(sc[0], i, p)
-        return TruncSeries(poly.field, s.center, lo, out, inf)
+        return TruncSeries(s.field, s.center, lo, out, inf)
     if sl == 0 and sc and len(coeffs) > sp:
-        mod = UPoly(poly.field, [-sc[0], 1]) ** sp
-        coeffs, cut = _divmod(coeffs, mod.coeffs, p)[1], sp
+        coeffs, cut = _divmod(coeffs, _pow([-sc[0] % p, 1], sp, p), p)[1], sp
     lo = prec = inf
     cs = []
     for c in reversed(coeffs):
@@ -955,5 +830,5 @@ def poly_at_series(poly: UPoly, s: TruncSeries) -> TruncSeries:
             cs, lo = cs[lead:], lo + lead
         if not cs:
             lo = prec
-    return TruncSeries(poly.field, s.center, lo, cs, min(prec, cut))
+    return TruncSeries(s.field, s.center, lo, cs, min(prec, cut))
 

@@ -217,7 +217,7 @@ def specialize(general: LogConnection):
     if g.is_zero:
         raise DegenerateKS("the Kodaira-Spencer entry vanishes identically")
     if curve.model == "p1":
-        num, p = g.as_ratfunc().num.coeffs, curve.p
+        num, p = g._num[0], curve.p
         for mark in curve.marks:
             if mark != INF:
                 num = _order(num, (-mark % p, 1), p)[1]

@@ -90,7 +90,7 @@ def reference_verdict(curve, matrix, label):
     p = curve.p
     for i, row in enumerate(matrix):
         for j, cell in enumerate(row):
-            f = curve.ff(cell)
+            f = FFElem(curve, (cell,))
             corr = label.corrections if i == j else {}
             rational = 0
             for c in range(p):
@@ -100,7 +100,7 @@ def reference_verdict(curve, matrix, label):
                     return f"pole of order {order} at {c}"
                 if c not in curve.marks and res != corr.get(c, 0) % p:
                     return f"residue at the unmarked point {c} is off the frame"
-            if not f.is_zero and f.den.degree > rational:
+            if not f.is_zero and len(f._den) - 1 > rational:
                 return "non-rational pole in a matrix entry"
             order, res = local_pole(curve, f, INF)
             if order > 1 or INF not in curve.marks and res != corr.get(INF, 0) % p:
@@ -194,7 +194,7 @@ def random_line_connection(rng, p, kind):
         u = RatFunc.const(field, rng.randrange(1, p))
         for c in rng.sample(range(p), rng.randint(1, min(p, 3))):
             u = u * (x - c) ** rng.choice([-3, -2, -1, 1, 2, 3])
-        return canonical_connection(curve, curve.ff(u))
+        return canonical_connection(curve, FFElem(curve, (u,)))
     res = {m: rng.randrange(p) for m in fin}
     label, c, k = trivial_label(curve), rng.randrange(p), rng.randint(-3, 3)
     if kind == "omega":
@@ -323,7 +323,7 @@ class TestPCurvature:
                 den = rng.choice(((1,), (0, 1), (p - 1, 1)))
                 comps = [rat(field, [rng.randrange(p) for _ in range(rng.randint(1, 2))], den)
                          for _ in range(min(curve.ext_degree, 3))]
-                a = curve.ff(*comps)
+                a = FFElem(curve, comps)
                 psi = connections._power_frame(LogConnection(curve, [[a]], validate=False))
                 for w in range(p):
                     conn = LogConnection(curve, [[w * a]], validate=False)
@@ -345,7 +345,7 @@ class TestPCurvature:
         a01 = rat(curve.field, (1,), (0, 1))
         conn = LogConnection(curve, [[0, a01], [0, 0]])
         psi = p_curvature(conn)
-        xinv = curve.ff(rat(curve.field, (1,), (0, 1)))
+        xinv = FFElem(curve, (rat(curve.field, (1,), (0, 1)),))
         assert psi.entry(0, 0).is_zero
         assert psi.entry(1, 0).is_zero
         assert psi.entry(1, 1).is_zero
@@ -370,7 +370,7 @@ class TestPCurvature:
         c1 = LogConnection(curve, [[a1]])
         c2 = LogConnection(curve, [[a2]])
         t = tensor(c1, c2)
-        assert t.scalar() == curve.ff(a1 + a2)
+        assert t.scalar() == FFElem(curve, (a1 + a2,))
         lhs = p_curvature(t).scalar()
         rhs = p_curvature(c1).scalar() + p_curvature(c2).scalar()
         assert lhs == rhs
@@ -382,9 +382,9 @@ class TestPCurvature:
         c2 = LogConnection(curve, [[0, a], [0, 0]])
         t = tensor(c1, c2)
         assert t.rank == 2
-        assert t.entry(0, 0) == curve.ff(a)
-        assert t.entry(0, 1) == curve.ff(a)
-        assert t.entry(1, 1) == curve.ff(a)
+        assert t.entry(0, 0) == FFElem(curve, (a,))
+        assert t.entry(0, 1) == FFElem(curve, (a,))
+        assert t.entry(1, 1) == FFElem(curve, (a,))
         assert t.entry(1, 0).is_zero
 
     def test_tensor_is_symmetric_in_the_rank_one_factor(self):
@@ -405,7 +405,7 @@ class TestPCurvature:
         a = simple_poles(curve, (2, 3))
         conn = LogConnection(curve, [[a]])
         d = dual(conn)
-        assert d.scalar() == curve.ff(-a)
+        assert d.scalar() == FFElem(curve, (-a,))
         assert rank1_p_curvature_closed(d) == -rank1_p_curvature_closed(conn)
 
 
@@ -434,7 +434,7 @@ def random_connections(draw):
         # fewer y-powers at rank 2 keep the literal route affordable
         den = draw(st.sampled_from(((1,), (0, 1), (p - 1, 1))))
         comps = [draw(coeffs) for _ in range(min(curve.ext_degree, 4 - rank))]
-        return curve.ff(*(rat(field, c, den) for c in comps))
+        return FFElem(curve, (rat(field, c, den) for c in comps))
 
     mat = [[cell() for _ in range(rank)] for _ in range(rank)]
     return LogConnection(curve, mat, validate=False)
@@ -497,7 +497,7 @@ class TestValidation:
         curve = line(5, 0, INF)
         a = rat(curve.field, (0, 1))
         conn = LogConnection(curve, [[a]], validate=False)
-        assert conn.scalar() == curve.ff(a)
+        assert conn.scalar() == FFElem(curve, (a,))
 
     def test_marks_without_zero(self):
         # the frame of log differentials vanishes at infinity only; nothing
@@ -601,8 +601,7 @@ class TestMonodromy:
             monkeypatch.setattr(owner, name,
                                 lambda *a: (watch and calls.append(name)) or orig(*a))
 
-        for name in ("residue_at", "residue_at_infinity", "series_at", "series_at_infinity"):
-            spy(RatFunc, name)
+        spy(connections, "_laurent")
         spy(connections, "_factor_linear_and_rest")
         p_residue = connections._p_residue_p1
 
@@ -655,7 +654,7 @@ class TestHorizontal:
         x = RatFunc.x(F5)
         conn = LogConnection(curve, [[-(x.dlog())]])
         u = p_curvature(conn).horizontal
-        assert u == curve.ff(x)
+        assert u == FFElem(curve, (x,))
 
     def test_flat_line_always_solvable(self):
         # dlog connections exhaust the flat rank-one ones on the line
@@ -668,7 +667,7 @@ class TestHorizontal:
                 u = u * (x - m) ** rng.randrange(1, 5)
             conn = LogConnection(curve, [[u.dlog()]])
             h = p_curvature(conn).horizontal
-            assert h.dlog() == curve.ff(-u.dlog())
+            assert h.dlog() == FFElem(curve, (-u.dlog(),))
 
     def test_not_flat_raises(self):
         # the pre-Tango step is what asks for a horizontal generator
@@ -743,30 +742,32 @@ class TestHorizontal:
                 g = RatFunc.zero(curve.field)
                 for c in rng.sample(range(p), rng.randrange(1, p + 1)):
                     g = g + RatFunc.const(curve.field, rng.randrange(1, p)) / (x - c)
-                g = curve.ff(g)
+                g = FFElem(curve, (g,))
                 assert p_curvature(LogConnection(curve, [[-g]])).horizontal.dlog() == g
                 with pytest.raises(CurveMismatch):
                     solve_dlog(curve, g)
 
     def test_line_double_pole_descent(self):
-        # reference: the exponents of u are the series residues at the
-        # rational poles; the pole table names the same ones, and its
-        # certificate refuses g, whose rest g - dlog u keeps the double poles
+        # reference: the exponents of u are the residues at the rational
+        # poles, read off the branch expansions of g dx; the pole table
+        # names the same ones, and its certificate refuses g, whose rest
+        # g - dlog u keeps the double poles
         curve = line(5, 0, INF)
         x = RatFunc.x(F5)
-        g = curve.ff(1 / x**2 + 2 / (x - 1) + 3 / (x - 4) ** 3)
-        r = g.as_ratfunc()
+        g = FFElem(curve, (1 / x**2 + 2 / (x - 1) + 3 / (x - 4) ** 3,))
         want = {}
         for c in range(5):
-            if r.den.evaluate(c) == 0 and (e := r.series_at(c, 0).coeff(-1)):
+            s = branch_at(curve, c).expand(Differential(curve, g), 0)
+            if s.coeffs and s.ord_low < 0 and (e := s.coeff(-1)):
                 want[c] = e
+        assert want == {1: 2}  # 3 / (x - 4)^3 has no residue
         exps, ok = connections._certified(-g, connections._line_poles(-g)[0])
         assert exps == want and not ok
         assert not p_curvature(LogConnection(curve, [[-g]], validate=False)).is_zero
         u = RatFunc.one(F5)
         for c, e in want.items():
             u = u * (x - c) ** e
-        assert g - curve.ff(u.dlog()) == curve.ff(1 / x**2 + 3 / (x - 4) ** 3)
+        assert g - FFElem(curve, (u.dlog(),)) == FFElem(curve, (1 / x**2 + 3 / (x - 4) ** 3,))
 
     @pytest.mark.parametrize("curve", [
         Weierstrass(F5, 1, 2), Weierstrass(F7, 3, 5),
@@ -861,7 +862,7 @@ class TestDescent:
         field = PrimeField(101)
         curve, x = P1Marked(field, (0, 1, INF)), RatFunc.x(field)
         u = x ** 2 * (x - 1) / ((x - 3) ** 3 * (x - 5))
-        conn = canonical_connection(curve, curve.ff(u))
+        conn = canonical_connection(curve, FFElem(curve, (u,)))
         start = time.perf_counter()
         dc = frobenius_descent(conn)
         assert time.perf_counter() - start < 0.25
@@ -883,7 +884,7 @@ class TestDescent:
         want = {c: v for c, v in vals.items() if v}
         if u.valuation_at(INF):
             want[INF] = u.valuation_at(INF)
-        got = _divisor_points_p1(curve.ff(u))
+        got = _divisor_points_p1(FFElem(curve, (u,)))
         assert list(got.items()) == list(want.items())
 
     def test_degree_bookkeeping(self):
@@ -962,9 +963,8 @@ class TestLabels:
         # dx / (x(x-1)) has residue -1 at 0, 1 at 1, 0 at infinity
         curve = line(5, 0, 1, INF)
         omega = omega_frame_differential(omega_log_label(curve))
-        h = omega.h.as_ratfunc()
-        assert h.residue_at(0) == 4
-        assert h.residue_at(1) == 1
+        assert connections._line_poles(omega.h) == ({0: (1, 4), 1: (1, 1)}, [1])
+        assert branch_at(curve, INF).expand(omega, 0).coeff(-1) == 0
 
     def test_ell_frame_is_invariant(self):
         curve = Weierstrass(F5, 1, 2)

@@ -34,7 +34,17 @@ from dormant.errors import (
     ZeroDenominator,
     ZeroElement,
 )
-from dormant.field import PrimeField, RatFunc, TruncSeries, UPoly, _canon, _gcd, _list_add, _shift
+from dormant.field import (
+    PrimeField,
+    RatFunc,
+    TruncSeries,
+    UPoly,
+    _canon,
+    _deriv,
+    _gcd,
+    _list_add,
+    _shift,
+)
 from dormant.tango import default_places
 
 F3 = PrimeField(3)
@@ -52,9 +62,9 @@ def xz_ratfuncs(curve, f):
     g, h, shift = xz_components(curve, f)
     field, q = curve.field, curve.q
     zero, one = RatFunc.zero(field), RatFunc.one(field)
-    w = RatFunc.from_poly(UPoly(field, [0, -1] + [0] * (q - 2) + [1]))
+    w = RatFunc(field, UPoly(field, [0, -1] + [0] * (q - 2) + [1]))
     zmin = [-w] + [zero] * (q - 2) + [one]
-    g, h = ([RatFunc.from_poly(UPoly(field, c)) for c in v] for v in (g, h))
+    g, h = ([RatFunc(field, UPoly(field, c)) for c in v] for v in (g, h))
     quo = _o_mul(_o_trim(g), _o_inv_mod(h, zmin, field), field)
     out = [zero] * (q - 1)
     for k, c in enumerate(_o_divmod(quo, zmin, field)[1]):
@@ -151,7 +161,7 @@ class TestFFElemArithmetic:
             comps = [rng.randrange(5) for _ in range(4)]
             if not any(comps):
                 comps[0] = 1
-            f = curve.ff(*comps)
+            f = FFElem(curve, comps)
             assert (f * f.inverse() - 1).is_zero
 
     def test_elliptic_inverse(self):
@@ -164,7 +174,7 @@ class TestFFElemArithmetic:
     def test_implicit_derivative_elliptic(self):
         curve = Weierstrass(F5, 1, 2)
         y = curve.y_elem()
-        c_prime = curve.c_poly().derivative()
+        c_prime = UPoly(curve.field, _deriv(curve.c_poly(), curve.p))
         assert (2 * y * y.derivative() - c_prime).is_zero
 
     def test_implicit_derivative_raynaud(self):
@@ -181,7 +191,7 @@ class TestFFElemArithmetic:
         for curve in (Weierstrass(F3, 1, 1), RaynaudPlane(F5, 1)):
             for _ in range(4):
                 comps = [rng.randrange(curve.p) for _ in range(curve.ext_degree)]
-                f = curve.ff(*comps) + curve.x_elem() * rng.randrange(1, curve.p)
+                f = FFElem(curve, comps) + curve.x_elem() * rng.randrange(1, curve.p)
                 g = f.pth_power()
                 assert g.pth_root() == f
 
@@ -191,13 +201,17 @@ class TestFFElemArithmetic:
             assert curve.y_elem().pth_root() is None
 
     def test_pth_power_is_frobenius_on_values(self):
+        # the value at a point is the t^0 coefficient of the expansion there
         curve = Weierstrass(F5, 1, 1)
         f = curve.x_elem() * curve.y_elem() + 2
         g = f.pth_power()
         for pt in curve.rational_points():
             if pt == INF:
                 continue
-            assert g.evaluate(pt) == pow(f.evaluate(pt), 5, 5)
+            br = branch_at(curve, pt)
+            x0, y0 = pt
+            assert br.expand(f, 1).coeff(0) == (x0 * y0 + 2) % 5
+            assert br.expand(g, 1).coeff(0) == pow(x0 * y0 + 2, 5, 5)
 
     def test_dlog_additive(self):
         curve = Weierstrass(F7, 1, 3)
@@ -357,7 +371,7 @@ class TestRaynaudBranches:
         assert len(nonzero) == 1
         k, c = nonzero[0]
         assert k == curve.q - 2
-        assert c == RatFunc(F5, UPoly.one(F5), w)
+        assert c == RatFunc(F5, UPoly(F5, (1,)), w)
 
 
 class TestPlaceCoercion:
@@ -375,7 +389,7 @@ class TestPlaceCoercion:
     @pytest.mark.parametrize("curve", [RaynaudPlane(F3, 2), line(3, 0, 1, INF)],
                              ids=["raynaud", "p1"])
     def test_places_lift_ints_and_polynomials(self, curve):
-        x, xe = UPoly.x(F3), curve.x_elem()
+        x, xe = UPoly(F3, (0, 1)), curve.x_elem()
         places = default_places(curve)
         assert any(isinstance(pl, SeriesBranch) for pl in places)
         for place in places:
@@ -428,7 +442,7 @@ class TestP1Branches:
         curve = line(5, 0, 1, INF)
         br = branch_at(curve, 0, 10)
         x = RatFunc.x(F5)
-        s = br.expand(curve.ff(1 / x))
+        s = br.expand(FFElem(curve, (1 / x,)))
         assert s.valuation() == -1
         assert s.coeff(-1) == 1
 
@@ -441,7 +455,7 @@ class TestP1Branches:
     def test_form_residue(self):
         curve = line(7, 0, 1, INF)
         x = RatFunc.x(F7)
-        omega = Differential(curve, curve.ff(3 / x + 2 / (x - 1)))
+        omega = Differential(curve, FFElem(curve, (3 / x + 2 / (x - 1),)))
         assert branch_at(curve, 0).expand(omega, 0).coeff(-1) == 3
         assert branch_at(curve, 1).expand(omega, 0).coeff(-1) == 2
         assert branch_at(curve, INF).expand(omega, 0).coeff(-1) == 2
@@ -449,7 +463,7 @@ class TestP1Branches:
     def test_log_form_divisor(self):
         curve = line(5, 0, 1, INF)
         x = RatFunc.x(F5)
-        omega = Differential(curve, curve.ff(1 / (x * (x - 1))))
+        omega = Differential(curve, FFElem(curve, (1 / (x * (x - 1)),)))
         places = [branch_at(curve, pt, 10) for pt in (0, 1, 2, INF)]
         div, complete = divisor_of_differential(omega, places)
         assert complete
@@ -484,7 +498,7 @@ class TestDivisorAlgebra:
     def test_zero_function_has_no_valuation(self):
         curve = line(5, 0, 1, INF)
         with pytest.raises(ZeroElement):
-            valuation(curve.ff(0), branch_at(curve, 0, 8))
+            valuation(FFElem(curve, (0,)), branch_at(curve, 0, 8))
 
 
 class TestComputeOnce:
@@ -509,11 +523,12 @@ class TestComputeOnce:
     @pytest.mark.parametrize("curve", [Weierstrass(F7, 3, 5), RaynaudPlane(F3, 2)],
                              ids=["ell", "raynaud"])
     def test_minpoly_built_once_and_immutable(self, curve):
-        m = curve.minpoly()
-        assert isinstance(m, tuple) and m is curve.minpoly()
-        assert len(m) == curve.ext_degree + 1 and m[-1] == RatFunc.one(curve.field)
-        with pytest.raises((TypeError, AttributeError)):
-            m[0] = m[-1]
+        # the minpoly is held by the curve's algebra, built once: the
+        # cleared minpoly, with the monomial x^s as its leading coefficient
+        alg = curve.algebra()
+        assert alg is curve.algebra()
+        assert alg.m == [[c % curve.p for c in u] for u in curve.cleared_minpoly()]
+        assert len(alg.m) == curve.ext_degree + 1 and alg.m[-1] == [0] * alg.s + [1]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +615,7 @@ class Oracle:
         self.curve, self.field, self.d = curve, curve.field, curve.ext_degree
         f, x = self.field, RatFunc.x(self.field)
         if curve.model == "ell":
-            self.minpoly = [-RatFunc.from_poly(curve.c_poly()), RatFunc.zero(f), RatFunc.one(f)]
+            self.minpoly = [-RatFunc(f, UPoly(f, curve.c_poly())), RatFunc.zero(f), RatFunc.one(f)]
         elif curve.model == "raynaud":
             q = curve.q
             self.minpoly = ([-(x ** (q - 1)), 1 / x] + [RatFunc.zero(f)] * (q - 3)
@@ -638,8 +653,8 @@ class Oracle:
     def yprime(self):
         curve, f = self.curve, self.field
         if curve.model == "ell":
-            c = RatFunc.from_poly(curve.c_poly())
-            cp = RatFunc.from_poly(curve.c_poly().derivative())
+            c = RatFunc(f, UPoly(f, curve.c_poly()))
+            cp = RatFunc(f, UPoly(f, _deriv(curve.c_poly(), f.p)))
             return self.vec([RatFunc.zero(f), cp / (2 * c)])
         q, y = curve.q, self.y()
         den = self.add(self.mul(self.vec([RatFunc.x(f)]), self.pow(y, q - 2)), self.const(-1))
@@ -683,7 +698,7 @@ class Oracle:
         """The Z-chart vector of a Raynaud element (X = x/y, Z = 1/y)."""
         q, f = self.curve.q, self.field
         zero = RatFunc.zero(f)
-        w = RatFunc.from_poly(UPoly(f, [0, -1] + [0] * (q - 2) + [1]))
+        w = RatFunc(f, UPoly(f, [0, -1] + [0] * (q - 2) + [1]))
         zmin = [-w] + [zero] * (q - 2) + [RatFunc.one(f)]
 
         def zshift(comps, e):
@@ -694,12 +709,12 @@ class Oracle:
             return out
 
         def homog(poly):
-            vec = [zero] * (q - 1)
+            vec, deg = [zero] * (q - 1), len(poly.coeffs) - 1
             for i, c in enumerate(poly.coeffs):
                 if c:
-                    term = [RatFunc.from_poly(UPoly.monomial(f, i, c))] + [zero] * (q - 2)
-                    vec = [u + v for u, v in zip(vec, zshift(term, poly.degree - i))]
-            return vec, poly.degree
+                    term = [RatFunc(f, UPoly(f, (0,) * i + (c,)))] + [zero] * (q - 2)
+                    vec = [u + v for u, v in zip(vec, zshift(term, deg - i))]
+            return vec, deg
 
         total = [zero] * (q - 1)
         for k, c in enumerate(a):
@@ -843,7 +858,7 @@ def _z0_reference(place, comps):
     def ordp(poly):
         m = 0
         while True:
-            quo, rem = divmod(poly, place.phi)
+            quo, rem = divmod(poly, UPoly(poly.field, place.phi))
             if not rem.is_zero:
                 return m
             m, poly = m + 1, quo
@@ -884,13 +899,13 @@ def test_cancellation_leaves_canonical_form(name):
     # numerators longer than the denominator that share a factor with it
     curve, o = ORACLE_CURVES[name], ORACLES[name]
     field = curve.field
-    u = RatFunc(field, UPoly(field, (1, 1)) ** 3 * UPoly.monomial(field, 5), UPoly.one(field))
-    v = RatFunc(field, UPoly.one(field), UPoly(field, (0, 1, 1)))
+    u = RatFunc(field, UPoly(field, (1, 1)) ** 3 * UPoly(field, (0,) * 5 + (1,)))
+    v = RatFunc(field, UPoly(field, (1,)), UPoly(field, (0, 1, 1)))
     a = FFElem(curve, [u] * curve.ext_degree)
     b = FFElem(curve, [v])
     prod = a * b
     assert prod.comps == o.mul(a.comps, b.comps)
-    assert prod.den == UPoly.one(field)
+    assert prod._den == (1,)
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
@@ -974,8 +989,8 @@ def test_y_over_z_closed_form_matches_the_solve(p, l):
     y = curve.y_elem()
     z, acc = y.pth_power(), curve.ff_const(0)
     for c in reversed(v):
-        acc = acc * z + curve.ff(UPoly(field, c))
-    assert acc == curve.ff(UPoly(field, delta)) * y
+        acc = acc * z + FFElem(curve, (UPoly(field, c),))
+    assert acc == FFElem(curve, (UPoly(field, delta),)) * y
 
 
 def test_y_over_z_solves_no_system(monkeypatch):
@@ -987,27 +1002,31 @@ def test_y_over_z_solves_no_system(monkeypatch):
     assert len(v) == curve.q - 1 and delta[-1] == 1
 
 
-def _cz_random_split(poly, d, rng):
+def _cz_random_split(poly, d, rng, p):
     """The oracle for the fixed splitters: Cantor-Zassenhaus by seeded
-    random draws only."""
-    if poly.degree == d:
-        return [poly.monic()]
-    e = (poly.field.p ** d - 1) // 2
+    random draws only, on a monic coefficient list."""
+    f = UPoly(PrimeField(p), poly)
+    deg = len(f.coeffs) - 1
+    if deg == d:
+        return [list(f.coeffs)]
+    e = (p**d - 1) // 2
     while True:
-        r = UPoly(poly.field, [rng.randrange(poly.field.p) for _ in range(poly.degree)])
-        for g in (r.gcd(poly), (curves._poly_powmod(r, e, poly) - 1).gcd(poly)):
-            if 0 < g.degree < poly.degree:
-                return _cz_random_split(g, d, rng) + _cz_random_split(poly // g, d, rng)
+        r = UPoly(f.field, [rng.randrange(p) for _ in range(deg)])
+        h = UPoly(f.field, curves._poly_powmod(list(r.coeffs), e, list(f.coeffs), p))
+        for g in (r.gcd(f), (h - 1).gcd(f)):
+            if 0 < len(g.coeffs) - 1 < deg:
+                return (_cz_random_split(list(g.coeffs), d, rng, p)
+                        + _cz_random_split(list(divmod(f, g)[0].coeffs), d, rng, p))
 
 
 @pytest.mark.parametrize("p,l", [(3, 2), (3, 3), (5, 3), (7, 3)])
 def test_fixed_splitters_keep_the_z0_factors(p, l, monkeypatch):
     field = PrimeField(p)
     got = [pl.phi for pl in z0_places(RaynaudPlane(field, l))]
-    prod = UPoly.one(field)
+    prod = UPoly(field, (1,))
     for f in got:
-        prod = prod * f
-    assert prod == curves._w(RaynaudPlane(field, l))
+        prod = prod * UPoly(field, f)
+    assert prod.coeffs == tuple(curves._w(RaynaudPlane(field, l)))
     monkeypatch.setattr(curves, "_equal_degree_split", _cz_random_split)
     assert got == [pl.phi for pl in z0_places(RaynaudPlane(field, l))]
 
@@ -1015,11 +1034,12 @@ def test_fixed_splitters_keep_the_z0_factors(p, l, monkeypatch):
 def test_random_draws_split_what_no_fixed_splitter_does():
     # every X + a has one quadratic character at the roots of both cubics
     f, g = UPoly(F5, [1, 0, 1, 1]), UPoly(F5, [4, 1, 2, 1])
+    fg = list((f * g).coeffs)
     for a in range(5):
-        h = curves._poly_powmod(UPoly(F5, [a, 1]), (5**3 - 1) // 2, f * g) - 1
-        assert h.gcd(f * g).degree in (0, 6)
-    out = curves._equal_degree_split(f * g, 3, random.Random(0))
-    assert sorted(h.coeffs for h in out) == sorted([f.coeffs, g.coeffs])
+        h = UPoly(F5, curves._poly_powmod([a, 1], (5**3 - 1) // 2, fg, 5)) - 1
+        assert len(h.gcd(f * g).coeffs) - 1 in (0, 6)
+    out = curves._equal_degree_split(fg, 3, random.Random(0), 5)
+    assert sorted(tuple(h) for h in out) == sorted([f.coeffs, g.coeffs])
 
 
 def _det(rows):
@@ -1046,8 +1066,8 @@ def test_inverse_determinant_is_the_norm(name, data):
     curve = ORACLE_CURVES[name]
     d, field = curve.ext_degree, curve.field
     a = data.draw(oracle_elements(curve, nonzero=True))
-    num = a * a.den  # the integral vector a.num as an element
-    _, det = curves._inverse(num.num, curve.algebra())
+    num = a * UPoly(field, a._den)  # the integral vector a._num as an element
+    _, det = curves._inverse(num._num, curve.algebra())
     cols = [num]
     while len(cols) < d:
         cols.append(cols[-1] * curve.y_elem())
@@ -1118,8 +1138,8 @@ class TestPrecisionRule:
 
 
 # ---------------------------------------------------------------------------
-# one fraction storage: arithmetic reads coefficient tuples, and UPoly is
-# built only at the edges (parsing, views, memoized curve data)
+# one fraction storage: arithmetic reads coefficient tuples; no arithmetic
+# builds a UPoly, and nothing below the parser builds a RatFunc
 
 STORAGE_OPS = {
     "add": lambda a, b: a + b,
@@ -1141,33 +1161,23 @@ STORAGE_OPS = {
 
 
 def _storage_pairs():
-    """(a, b) pairs with poles and, off the line, y-parts, and the curves
-    they live on."""
+    """(a, b) pairs with poles and, off the line, y-parts, on fresh curves."""
     def rat(field, num, den):
         return RatFunc(field, UPoly(field, num), UPoly(field, den))
 
-    pairs, curves_ = [(rat(F5, [1, 2], [3, 0, 1]), rat(F5, [0, 4, 1], [1, 1]))], []
+    pairs = [(rat(F5, [1, 2], [3, 0, 1]), rat(F5, [0, 4, 1], [1, 1]))]
     for curve in (line(5, 0, 1, INF), Weierstrass(F5, 1, 1), RaynaudPlane(F3, 2)):
         field, d = curve.field, curve.ext_degree
-        a = curve.ff(*[rat(field, [1, k], [k + 1, 0, 1]) for k in range(d)])
-        b = curve.ff(*[rat(field, [2, 0, k], [1, 1]) for k in range(d)][::-1])
+        a = FFElem(curve, [rat(field, [1, k], [k + 1, 0, 1]) for k in range(d)])
+        b = FFElem(curve, [rat(field, [2, 0, k], [1, 1]) for k in range(d)][::-1])
         pairs.append((a, b))
-        curves_.append(curve)
-    return pairs, curves_
+    return pairs
 
 
 def test_arithmetic_builds_no_upoly(monkeypatch):
-    pairs, curves_ = _storage_pairs()
-    for curve in curves_:  # the memoized curve data is built once, up front
-        curve.algebra()
-        if curve.ext_degree > 1:
-            curve.yprime()
-        if curve.model == "ell":
-            curve._c_half()
-        if curve.model == "raynaud":
-            curves._y_over_z(curve)
-    want = {(i, name): op(a, b) for i, (a, b) in enumerate(pairs)
+    want = {(i, name): op(a, b) for i, (a, b) in enumerate(_storage_pairs())
             for name, op in STORAGE_OPS.items()}
+    pairs = _storage_pairs()  # fresh curves: their data is built under the refusal
 
     def refuse(self, *args):
         raise AssertionError("a UPoly built inside the arithmetic")
@@ -1175,6 +1185,57 @@ def test_arithmetic_builds_no_upoly(monkeypatch):
     for i, (a, b) in enumerate(pairs):
         for name, op in STORAGE_OPS.items():
             assert op(a, b) == want[i, name], name
+    # nor does any pipeline below the parser build a UPoly or a RatFunc:
+    # with both refused, each renders the bytes of an unrefused run
+    monkeypatch.undo()
+    want = [run() for run in _pipelines()]
+    runs = _pipelines()  # fresh curves, the jobs parsed before the refusal
+
+    def refuse_rat(self, *args):
+        raise AssertionError("a RatFunc built below the parser")
+    monkeypatch.setattr(UPoly, "__init__", refuse)
+    monkeypatch.setattr(RatFunc, "_set", refuse_rat)
+    assert [run() for run in runs] == want
+
+
+# jobs whose curves and payloads the parser builds, before the refusal
+PIPELINE_JOBS = (
+    # a rank-2 p-curvature on the line
+    "cmd=pcurv\np1 p=3 marks=0,1,inf\nconn rank=2 bundle=triv\n1 / 2 1\n0\n1 / 0 1\n0",
+    # f = xy on (3, 2): its divisor names z = 0 places of degrees 1 and 4
+    "cmd=tango-certify\nmode=machine\nraynaud p=3 l=2\nf 0 ; 0 1",
+    # the (3, 2) surface of f = -1/y, built and validated
+    "cmd=raynaud\naction=build\nraynaud p=3 l=2\nN=3\n"
+    "f 2 / 0 0 0 0 0 0 1 ; 0 / 1 ; 0 / 1 ; 0 / 1 ; 2 / 0 0 0 0 0 1",
+    "cmd=raynaud\naction=validate\nraynaud p=3 l=2\nN=3\n"
+    "f 2 / 0 0 0 0 0 0 1 ; 0 / 1 ; 0 / 1 ; 0 / 1 ; 2 / 0 0 0 0 0 1",
+)
+
+
+def _pipelines():
+    """Thunks of the pipelines below the parser, each on fresh curves and
+    freshly parsed jobs, giving what it renders."""
+    from dormant.cli import parse_job, run_job
+    from dormant.connections import (
+        LogConnection,
+        canonical_connection,
+        p_curvature,
+        residue_pcurvature_identity,
+    )
+    from dormant.moduli import enumerate_flat, sweep_genus0
+
+    specs = [parse_job(text) for text in PIPELINE_JOBS]
+    line_job = parse_job(PIPELINE_JOBS[0])  # its p-curvature has nonzero p-residues
+    ell, ray = Weierstrass(F7, 0, 5), RaynaudPlane(F5, 3)
+    return [
+        lambda: [r.render() for r in sweep_genus0(5, 4)],
+        lambda: enumerate_flat(ell).render(),
+        lambda: p_curvature(canonical_connection(Weierstrass(F5, 3, 0))).scalar().render(),
+        *(lambda spec=spec: run_job(spec) for spec in specs),
+        lambda: repr(residue_pcurvature_identity(
+            LogConnection(line_job.curve, line_job.blocks[0].matrix))),
+        lambda: Divisor([(pl, 1) for pl in z0_places(ray)]).render(),
+    ]
 
 
 def test_z0_places_render_by_their_factor():

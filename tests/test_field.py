@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import operator
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,19 @@ from dormant import field as field_module
 from dormant.errors import InsufficientPrecision, ZeroDenominator, ZeroElement
 from dormant.field import (
     INF,
-    NEG_INF,
     PrimeField,
     RatFunc,
     TruncSeries,
     UPoly,
+    _deriv,
+    _is_spread,
+    _laurent,
+    _list_add,
     _mul,
+    _order,
+    _pow,
     _series_inv,
+    _spread,
     _taylor,
     poly_at_series,
 )
@@ -35,7 +42,7 @@ def rand_poly(rng, field, deg):
 
 def rand_ratfunc(rng, field, deg=4):
     num = rand_poly(rng, field, rng.randrange(deg + 1))
-    den = UPoly.zero(field)
+    den = UPoly(field, ())
     while den.is_zero:
         den = rand_poly(rng, field, rng.randrange(deg + 1))
     return RatFunc(field, num, den)
@@ -60,18 +67,13 @@ class TestPrimeField:
                 assert a * field.inv(a) % field.p == 1
 
 
-class TestUPoly:
-    def test_degree_sentinel_orders_below_ints(self):
-        z = UPoly.zero(F5)
-        assert z.degree == NEG_INF
-        assert NEG_INF < 0
-        assert NEG_INF < -10**9
-        assert not (NEG_INF > 0)
-        assert NEG_INF <= NEG_INF
+def ev(coeffs, a, p):
+    """The value of a coefficient list at a, term by term."""
+    return sum(c * pow(a, i, p) for i, c in enumerate(coeffs)) % p
 
-    def test_degree_sentinel_has_no_arithmetic(self):
-        with pytest.raises(TypeError):
-            NEG_INF + 1
+
+class TestUPoly:
+    """The list kernels behind every polynomial, and the UPoly input type."""
 
     def test_mul_matches_schoolbook_past_karatsuba_cutoff(self):
         rng = random.Random(0)
@@ -91,57 +93,68 @@ class TestUPoly:
         for field in FIELDS:
             for _ in range(40):
                 a = rand_poly(rng, field, rng.randrange(9))
-                b = UPoly.zero(field)
+                b = UPoly(field, ())
                 while b.is_zero:
                     b = rand_poly(rng, field, rng.randrange(5))
                 q, r = divmod(a, b)
                 assert q * b + r == a
-                assert r.degree < b.degree
+                assert len(r.coeffs) < len(b.coeffs)
 
     def test_derivative_of_pth_power_vanishes(self):
+        rng = random.Random(1)
         for field in FIELDS:
-            f = UPoly.x(field) ** field.p
-            assert f.derivative().is_zero
+            p = field.p
+            assert _deriv(_pow([0, 1], p, p), p) == []
+            f = rand_poly(rng, field, 6).coeffs
+            assert _deriv(_spread(f, p), p) == []
 
     def test_leibniz(self):
         rng = random.Random(0)
         for field in FIELDS:
+            p = field.p
             for _ in range(100):
-                a = rand_poly(rng, field, rng.randrange(7))
-                b = rand_poly(rng, field, rng.randrange(7))
-                lhs = (a * b).derivative()
-                rhs = a.derivative() * b + a * b.derivative()
+                a = rand_poly(rng, field, rng.randrange(7)).coeffs
+                b = rand_poly(rng, field, rng.randrange(7)).coeffs
+                lhs = _deriv(_mul(a, b, p), p)
+                rhs = _list_add(_mul(_deriv(a, p), b, p), _mul(a, _deriv(b, p), p), p)
                 assert lhs == rhs
 
     def test_pth_root_examples(self):
-        x = UPoly.x(F3)
-        assert (x**3).pth_root() == x
-        assert x.pth_root() is None
-        f = x**6 + x**3 + 1
-        assert f.pth_root() == x**2 + x + 1
+        # x^3, x, and x^6 + x^3 + 1 = (x^2 + x + 1)^3 over F_3
+        assert _is_spread([0, 0, 0, 1], 3) and [0, 0, 0, 1][::3] == [0, 1]
+        assert not _is_spread([0, 1], 3)
+        f = [1, 0, 0, 1, 0, 0, 1]
+        assert _is_spread(f, 3) and _spread(f[::3], 3) == f
+        assert _pow(f[::3], 3, 3) == f
 
     def test_pth_root_iff_derivative_zero_univariate(self):
         # over F_p(x) itself d f = 0 forces f in F_p[x^p]
         rng = random.Random(0)
         for field in FIELDS:
+            p = field.p
             for _ in range(60):
-                f = rand_poly(rng, field, rng.randrange(10))
-                if f.derivative().is_zero and not f.is_zero:
-                    assert f.pth_root() is not None
+                f = list(rand_poly(rng, field, rng.randrange(10)).coeffs)
+                if rng.random() < 0.3:
+                    f = _spread(f, p)
+                assert (not _deriv(f, p)) == _is_spread(f, p)
+                if _is_spread(f, p):
+                    assert _pow(f[::p], p, p) == f
 
     def test_gcd_monic(self):
-        x = UPoly.x(F5)
+        x = UPoly(F5, (0, 1))
         g = ((x + 1) * (x + 2) * 3).gcd((x + 1) * (x + 3) * 2)
         assert g == x + 1
 
     def test_taylor_shift(self):
         rng = random.Random(2)
         for field in FIELDS:
-            f = rand_poly(rng, field, 6)
-            a = rng.randrange(field.p)
-            shifted = UPoly(field, _taylor(f.coeffs, a, field.p))
-            for t in range(field.p):
-                assert shifted.evaluate(t) == f.evaluate((a + t) % field.p)
+            p = field.p
+            f = rand_poly(rng, field, 6).coeffs
+            a = rng.randrange(p)
+            shifted = _taylor(f, a, p)
+            for t in range(p):
+                assert ev(shifted, t, p) == ev(f, (a + t) % p, p)
+                assert _taylor(f, t, p, 1) == [ev(f, t, p)]
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.sampled_from([3, 5, 7, 101]), data=st.data())
@@ -151,43 +164,71 @@ class TestUPoly:
         field = PrimeField(p)
         a, m = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, 6))
         cof = UPoly(field, data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6)))
-        f = (cof if not cof.is_zero else UPoly.one(field)) * UPoly(field, (-a, 1)) ** m
-        r = RatFunc.from_poly(f)
+        f = (cof if not cof.is_zero else UPoly(field, (1,))) * UPoly(field, (-a, 1)) ** m
+        r = RatFunc(field, f)
         for b in (a, a + p, data.draw(st.integers(-2 * p, 2 * p))):
             shifted = _taylor(f.coeffs, b, p)
             assert r.valuation_at(b) == next(i for i, c in enumerate(shifted) if c)
         assert r.valuation_at(a) >= m
 
 
+def residue(r, c):
+    """The residue of r dx at c, INF included, from _laurent: the
+    coefficient of t^-1 at a finite c, and minus that of t^1 at INF, where
+    dx = -dt/t^2 in t = 1/x."""
+    num, den, p = r.num.coeffs, r.den.coeffs, r.field.p
+    e = 1 if c == INF else -1
+    cs = _laurent(num, den, c, e + 1, p)[1] if num else []
+    top = cs[-1] if cs else 0
+    return -top % p if c == INF else top
+
+
+def naive_laurent(num, den, c, prec, p):
+    """_laurent's (v, cs) by the textbook route: the shift to c by the
+    binomial theorem (the reversal at INF), then division term by term."""
+    if c == INF:
+        a, b, v = list(num[::-1]), list(den[::-1]), len(den) - len(num)
+    else:
+        a, b = ([sum(u * comb(i, j) * pow(c, i - j, p) for i, u in enumerate(f) if i >= j) % p
+                 for j in range(len(f))] for f in (num, den))
+        k, m = (next(i for i, u in enumerate(f) if u) for f in (a, b))
+        a, b, v = a[k:], b[m:], k - m
+    n = max(prec - v, 0)
+    a, inv, cs = a + [0] * n, pow(b[0], p - 2, p), []
+    for i in range(n):
+        cs.append((a[i] - sum(cs[j] * b[i - j] for j in range(i) if i - j < len(b))) * inv % p)
+    return v, cs
+
+
 class TestRatFunc:
     def test_normalize_cancels_common_factor(self):
-        x = UPoly.x(F5)
+        x = UPoly(F5, (0, 1))
         r = RatFunc(F5, x**2 - 1, x - 1)
         assert r.num == x + 1
-        assert r.den == UPoly.one(F5)
+        assert r.den == UPoly(F5, (1,))
 
     def test_normalize_zero_numerator(self):
-        x = UPoly.x(F5)
-        r = RatFunc(F5, UPoly.zero(F5), x**3)
+        x = UPoly(F5, (0, 1))
+        r = RatFunc(F5, UPoly(F5, ()), x**3)
         assert r.is_zero
-        assert r.den == UPoly.one(F5)
+        assert r.den == UPoly(F5, (1,))
 
     def test_normalize_monic_denominator(self):
-        x = UPoly.x(F7)
-        r = RatFunc(F7, 2 * x, UPoly.const(F7, 4))
+        x = UPoly(F7, (0, 1))
+        r = RatFunc(F7, 2 * x, UPoly(F7, (4,)))
         assert r.num == 4 * x
-        assert r.den == UPoly.one(F7)
+        assert r.den == UPoly(F7, (1,))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDenominator):
-            RatFunc(F5, UPoly.one(F5), UPoly.zero(F5))
+            RatFunc(F5, UPoly(F5, (1,)), UPoly(F5, ()))
 
     def test_canonical_form_unique(self):
         rng = random.Random(0)
         for field in FIELDS:
             for _ in range(50):
                 r = rand_ratfunc(rng, field)
-                h = UPoly.zero(field)
+                h = UPoly(field, ())
                 while h.is_zero:
                     h = rand_poly(rng, field, rng.randrange(4))
                 blown = RatFunc(field, r.num * h, r.den * h)
@@ -231,9 +272,12 @@ class TestRatFunc:
                     assert r.pth_root() is None
 
     def test_evaluate_pole(self):
-        x = RatFunc.x(F5)
-        with pytest.raises(ZeroDenominator):
-            (1 / x).evaluate(0)
+        # a value is the t^0 Laurent coefficient; at a pole the expansion
+        # starts below t^0
+        r = 1 / RatFunc.x(F5)
+        assert _laurent(r.num.coeffs, r.den.coeffs, 2, 1, 5) == (0, [3])
+        assert _laurent(r.num.coeffs, r.den.coeffs, 0, 1, 5) == (-1, [1, 0])
+        assert r.valuation_at(0) == -1
 
     def test_valuations(self):
         x = RatFunc.x(F5)
@@ -244,98 +288,135 @@ class TestRatFunc:
         assert r.valuation_at(INF) == -1
 
     def test_residues_sum_to_zero(self):
+        # the residue theorem: when every pole is rational, the residues at
+        # the rational places and at INF add up to 0
         rng = random.Random(4)
+        split = 0
         for field in FIELDS:
+            p = field.p
             for _ in range(25):
                 r = rand_ratfunc(rng, field, deg=3)
-                if r.is_zero:
-                    continue
-                total = 0
-                ok = True
-                for a in range(field.p):
-                    try:
-                        total += r.residue_at(a)
-                    except InsufficientPrecision:
-                        ok = False
-                if not ok:
-                    continue
-                total += r.residue_at_infinity()
-                # residue theorem needs all poles rational: only assert
-                # when the denominator splits into linear factors
-                den = r.den
-                lin = UPoly.one(field)
-                for a in range(field.p):
-                    while den.evaluate(a) == 0:
-                        den = den // UPoly(field, (-a, 1))
-                if den.degree == 0:
-                    assert total % field.p == 0
+                rest = r.den.coeffs
+                for a in range(p):
+                    rest = _order(rest, (-a % p, 1), p)[1]
+                if len(rest) == 1:
+                    split += 1
+                    assert sum(residue(r, c) for c in [*range(p), INF]) % p == 0
+        assert split > 40
 
     def test_residue_simple_pole(self):
         x = RatFunc.x(F7)
         r = 3 / x + 2 / (x - 1)
-        assert r.residue_at(0) == 3
-        assert r.residue_at(1) == 2
-        assert r.residue_at_infinity() == 7 - 5
+        assert residue(r, 0) == 3
+        assert residue(r, 1) == 2
+        assert residue(r, 2) == 0
+        assert residue(r, INF) == 7 - 5
+        assert residue(RatFunc.zero(F7), 0) == residue(RatFunc.zero(F7), INF) == 0
+
+    def test_residue_double_pole(self):
+        # 1/x^2 + 3/x + 2/(x - 1)^2 at p = 7: the double poles add no residue
+        x = RatFunc.x(F7)
+        r = 1 / x**2 + 3 / x + 2 / (x - 1) ** 2
+        assert [residue(r, c) for c in (0, 1, INF)] == [3, 0, 4]
+        # x dx has a pole of order 3 at INF, x^2 / (x - 1) one of order 4
+        assert residue(x, INF) == 0
+        assert residue(x**2 / (x - 1), INF) == 6 and residue(x**2 / (x - 1), 1) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.sampled_from([3, 5, 7, 131]),
            a=st.one_of(st.none(), st.integers(-400, 400)),
-           order=st.integers(0, 3), data=st.data())
-    def test_residue_matches_series_oracle(self, p, a, order, data):
+           order=st.integers(0, 3), prec=st.integers(-5, 6), data=st.data())
+    def test_residue_matches_series_oracle(self, p, a, order, prec, data):
         # den = rest * (x - a)^order: a regular point, a simple pole or a
         # pole of order 2 or 3, unless num or rest cancel or add to it;
-        # a = None is infinity, where num takes x^order instead
+        # a = None is infinity, where num takes x^order instead.  The
+        # oracle expands by the binomial theorem and divides term by term.
         field = PrimeField(p)
         coeffs = st.lists(st.integers(0, p - 1), min_size=1, max_size=5)
         num = UPoly(field, data.draw(coeffs))
         rest = UPoly(field, data.draw(coeffs))
         if rest.is_zero:
-            rest = UPoly.one(field)
-        if a is None:  # dx = -dt/t^2 in t = 1/x
-            r = RatFunc(field, num * UPoly.monomial(field, order), rest)
-            want = 0 if r.is_zero else -r.series_at_infinity(2).coeff(1) % p
-            assert r.residue_at_infinity() == want
+            rest = UPoly(field, (1,))
+        if a is None:
+            a, num = INF, num * UPoly(field, (0,) * order + (1,))
+        else:
+            rest = rest * UPoly(field, (-a, 1)) ** order
+        r = RatFunc(field, num, rest)
+        if r.is_zero:
+            assert residue(r, a) == 0
             return
-        r = RatFunc(field, num, rest * UPoly(field, (-a, 1)) ** order)
-        want = 0 if r.is_zero else r.series_at(a, 0).coeff(-1)
-        assert r.residue_at(a) == want
+        n, d, c = r.num.coeffs, r.den.coeffs, a if a == INF else a % p
+        assert _laurent(n, d, a, prec, p) == naive_laurent(n, d, c, prec, p)
+        # unreduced input: num and den keep a common factor
+        assert _laurent(num.coeffs, rest.coeffs, a, prec, p) == naive_laurent(n, d, c, prec, p)
+        top = naive_laurent(n, d, c, 2 if a == INF else 0, p)[1]
+        want = 0 if not top else -top[-1] % p if a == INF else top[-1]
+        assert residue(r, a) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([5, 7, 11]), data=st.data())
+    def test_residue_of_dlog_is_the_valuation(self, p, data):
+        # res_c(g'/g dx) = v_c(g) mod p at every rational place c, for a
+        # split g = k prod (x - r)^m; at INF v(g) = -deg g
+        field = PrimeField(p)
+        roots = data.draw(st.dictionaries(st.integers(0, p - 1), st.integers(1, 2 * p), max_size=4))
+        g = UPoly(field, (data.draw(st.integers(1, p - 1)),))
+        for c, m in roots.items():
+            g = g * UPoly(field, (-c, 1)) ** m
+        r = RatFunc(field, UPoly(field, _deriv(g.coeffs, p)), g)
+        for c in range(p):
+            assert residue(r, c) == roots.get(c, 0) % p
+        assert residue(r, INF) == -sum(roots.values()) % p
+
+
+def expand(r, c, prec):
+    """r's Laurent expansion at c to O(t^prec), from _laurent, as a series."""
+    num, den, p = r.num.coeffs, r.den.coeffs, r.field.p
+    if not num:
+        return TruncSeries.zero(r.field, ("aff", c), prec)
+    v, cs = _laurent(num, den, c, prec, p)
+    return TruncSeries(r.field, ("aff", c), v, cs, prec)
 
 
 class TestTruncSeries:
     def test_series_of_inverse_x(self):
         x = RatFunc.x(F5)
-        s = (1 / x).series_at(0, 3)
+        assert _laurent([1], [0, 1], 0, 3, 5) == (-1, [1, 0, 0, 0])
+        s = expand(1 / x, 0, 3)
         assert s.valuation() == -1
         assert s.coeff(-1) == 1
         assert s.coeff(0) == 0
 
     def test_series_at_infinity_of_x(self):
-        x = RatFunc.x(F5)
-        s = x.series_at_infinity(4)
+        assert _laurent([0, 1], [1], INF, 4, 5) == (-1, [1, 0, 0, 0, 0])
+        s = expand(RatFunc.x(F5), INF, 4)
         assert s.valuation() == -1
         assert s.coeff(-1) == 1
+        # (x + 2) / (x^2 + 1) = t (1 + 2t) / (1 + t^2) in t = 1/x
+        assert _laurent([2, 1], [1, 0, 1], INF, 5, 5) == (1, [1, 2, 4, 3])
 
     def test_geometric(self):
+        assert _laurent([1], [1, 2], 0, 6, 3) == (0, [1] * 6)
         x = RatFunc.x(F3)
-        s = (1 / (1 - x)).series_at(0, 6)
+        s = expand(1 / (1 - x), 0, 6)
         for n in range(6):
             assert s.coeff(n) == 1
 
     def test_expand_is_ring_hom(self):
+        # series products to precision: the product of the expansions of f
+        # and g agrees with that of f * g wherever it is known, at 0, at a
+        # pole of either and at INF
         rng = random.Random(0)
         for field in FIELDS:
             for _ in range(25):
                 f = rand_ratfunc(rng, field)
                 g = rand_ratfunc(rng, field)
-                if f.den.evaluate(0) == 0 or g.den.evaluate(0) == 0:
-                    continue
                 prec = 8
-                sf = f.series_at(0, prec)
-                sg = g.series_at(0, prec)
-                sfg = (f * g).series_at(0, prec)
-                prod = sf * sg
-                for n in range(min(prec, prod.prec)):
-                    assert prod.coeff(n) == sfg.coeff(n)
+                for c in (0, 1, INF):
+                    prod = expand(f, c, prec) * expand(g, c, prec)
+                    sfg = expand(f * g, c, prec)
+                    for n in range(min(prec, prod.prec)):
+                        assert prod.coeff(n) == sfg.coeff(n)
 
     def test_add_min_precision(self):
         a = TruncSeries(F5, ("aff", 0), 0, (1, 2), 5)
@@ -411,14 +492,17 @@ class TestTruncSeries:
         assert c.coeff(10**6) == 0
 
     def test_poly_at_series(self):
-        f = UPoly(F5, (1, 2, 3))
         t = TruncSeries.t_power(F5, ("aff", 0), 1)
-        s = poly_at_series(f, t)
+        s = poly_at_series([1, 2, 3], t)
         assert s.coeff(0) == 1 and s.coeff(1) == 2 and s.coeff(2) == 3
 
     def test_ratfunc_at_series(self):
+        # num(x(t)) / den(x(t)) at x = t agrees with the expansion at 0
         x = RatFunc.x(F5)
-        s = (1 / (1 - x)).series_at(0, 5)
+        r = 1 / (1 - x)
+        t = TruncSeries(F5, ("aff", 0), 0, (0, 1), 5)
+        s = poly_at_series(r.num.coeffs, t) * poly_at_series(r.den.coeffs, t).inverse()
+        assert series_state(s) == series_state(expand(r, 0, 5))
         for n in range(4):
             assert s.coeff(n) == 1
 
@@ -527,9 +611,9 @@ class TestMulKernel:
 
 
 def horner_oracle(poly, s):
-    """The Horner loop through TruncSeries objects."""
-    acc = TruncSeries.zero(poly.field, s.center)
-    for c in reversed(poly.coeffs):
+    """The Horner loop through TruncSeries objects, on a coefficient list."""
+    acc = TruncSeries.zero(s.field, s.center)
+    for c in reversed(poly):
         acc = acc * s + c
     return acc
 
@@ -561,7 +645,7 @@ class TestPolyAtSeries:
             tail = sum(c * pow(coeffs[0], i, p) for i, c in enumerate(poly[1:], 1))
             poly = [-tail % p] + poly[1:]
         s = TruncSeries(field, ("c", p), ord_low, coeffs, prec)
-        f = UPoly(field, poly)
+        f = UPoly(field, poly).coeffs
         got, want = poly_at_series(f, s), horner_oracle(f, s)
         assert series_state(got) == series_state(want)
         assert type(got.prec) is type(want.prec)
@@ -573,16 +657,16 @@ class TestPolyAtSeries:
         for s in (TruncSeries.zero(field, "c", prec),
                   TruncSeries(field, "c", -3, [0, 0, 2, 1], prec)):
             for poly in ([], [0, 1], [2], [1, 0, 4, 3]):
-                f = UPoly(field, poly)
+                f = UPoly(field, poly).coeffs
                 got = poly_at_series(f, s)
                 assert series_state(got) == series_state(horner_oracle(f, s))
 
     def test_cancellation_empties_the_series(self):
         # x - 2 at s = 2 + O(t^3) is 0 to precision 3
         s = TruncSeries(F5, "c", 0, [2], 3)
-        got = poly_at_series(UPoly(F5, [-2, 1]), s)
+        got = poly_at_series([3, 1], s)
         assert series_state(got) == (3, (), 3, "c")
-        assert series_state(got) == series_state(horner_oracle(UPoly(F5, [-2, 1]), s))
+        assert series_state(got) == series_state(horner_oracle([3, 1], s))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -596,7 +680,7 @@ class TestPolyAtSeries:
         # ord_low 0 and len(poly) > prec: the remainder mod (x - s0)^prec
         field = PrimeField(p)
         s = TruncSeries(field, "c", 0, [1 + lead % (p - 1)] + coeffs, prec)
-        f = UPoly(field, poly)
+        f = UPoly(field, poly).coeffs
         got, want = poly_at_series(f, s), horner_oracle(f, s)
         assert series_state(got) == series_state(want)
         assert type(got.prec) is type(want.prec)
@@ -612,7 +696,7 @@ class TestPolyAtSeries:
         # s = c t^k exactly: the coefficients spread, with no products
         field = PrimeField(p)
         s = TruncSeries.t_power(field, "c", k, 1 + c % (p - 1))
-        f = UPoly(field, poly)
+        f = UPoly(field, poly).coeffs
         got, want = poly_at_series(f, s), horner_oracle(f, s)
         assert series_state(got) == series_state(want)
         assert type(got.prec) is type(want.prec)
@@ -623,7 +707,7 @@ class TestPolyAtSeries:
         calls = []
         real = field_module._mul
         monkeypatch.setattr(field_module, "_mul", lambda *a, **k: calls.append(1) or real(*a, **k))
-        f = rand_poly(random.Random(5), F5, 200)
+        f = rand_poly(random.Random(5), F5, 200).coeffs
         s = TruncSeries(F5, "c", 0, [2, 1], 8)
         got = poly_at_series(f, s)
         assert len(calls) < 20
@@ -632,9 +716,9 @@ class TestPolyAtSeries:
 
 
 # ---------------------------------------------------------------------------
-# reference normal form: the textbook reduction (UPoly.gcd, //, monic) that
-# RatFunc used before it shared the function-field normal form; RatFunc must
-# agree with it on construction and after every operation
+# reference normal form: the textbook reduction (gcd, exact quotient, monic)
+# that RatFunc used before it shared the function-field normal form; RatFunc
+# must agree with it on construction and after every operation
 
 def ref_normal(num, den):
     """(num, den) coefficient tuples of num/den in lowest terms, den monic."""
@@ -643,8 +727,8 @@ def ref_normal(num, den):
     if num.is_zero:
         return (), (1,)
     g = num.gcd(den)
-    num, den = num // g, den // g
-    c = num.field.inv(den.lc())
+    num, den = divmod(num, g)[0], divmod(den, g)[0]
+    c = num.field.inv(den.coeffs[-1])
     return (num * c).coeffs, (den * c).coeffs
 
 
@@ -669,7 +753,7 @@ def planted_pairs(draw, field):
     g = UPoly(field, g + [draw(st.integers(1, p - 1))])
     num = UPoly(field, draw(st.lists(coeffs, max_size=6)))
     den = UPoly(field, draw(st.lists(coeffs, max_size=5)) + [draw(st.integers(1, p - 1))])
-    x = UPoly.x(field)
+    x = UPoly(field, (0, 1))
     num = num * g * x ** draw(st.integers(0, 3))
     den = den * g * x ** draw(st.integers(0, 3))
     return num, den
@@ -683,7 +767,7 @@ class TestReferenceNormalForm:
         field = PrimeField(p)
         num, den = data.draw(planted_pairs(field))
         assert state(RatFunc(field, num, den)) == ref_normal(num, den)
-        assert state(RatFunc(field, num)) == ref_normal(num, UPoly.one(field))
+        assert state(RatFunc(field, num)) == ref_normal(num, UPoly(field, (1,)))
 
     @pytest.mark.parametrize("p", REF_PRIMES)
     @settings(max_examples=30, deadline=None)
@@ -709,12 +793,18 @@ class TestReferenceNormalForm:
                 assert state(a**n) == ref_normal(ad ** -n, an ** -n)
             else:
                 assert state(a**n) == ref_normal(an**n, ad**n)
-        da = an.derivative() * ad - an * ad.derivative()
+        def deriv(u):
+            return UPoly(field, _deriv(u.coeffs, p))
+
+        def frob(u):
+            return UPoly(field, _spread(u.coeffs, p))
+
+        da = deriv(an) * ad - an * deriv(ad)
         assert state(a.derivative()) == ref_normal(da, ad * ad)
         if not a.is_zero:
             assert state(a.dlog()) == ref_normal(da, ad * an)
         fa = a.pth_power()
-        assert state(fa) == ref_normal(an.pth_power(), ad.pth_power())
+        assert state(fa) == ref_normal(frob(an), frob(ad))
         assert state(fa.pth_root()) == ref_normal(an, ad)
         if not a.is_zero:  # x times a nonzero p-th power is none
             assert (fa * RatFunc.x(field)).pth_root() is None
@@ -732,7 +822,7 @@ def outcome(op, *args):
         return type(exc)
     if r is None:
         return None
-    return state(r.as_ratfunc() if hasattr(r, "as_ratfunc") else r)
+    return state(r.comps[0] if hasattr(r, "comps") else r)
 
 
 PARITY_OPS = {
@@ -741,7 +831,7 @@ PARITY_OPS = {
     "mul": operator.mul,
     "truediv": operator.truediv,
     "int over": lambda a, b: 3 / a,
-    "poly over": lambda a, b: UPoly.x(a.den.field) / a,
+    "poly over": lambda a, b: UPoly(a.field, (0, 1)) / a,
     "times int": lambda a, b: a * b,  # b an int here
     "derivative": lambda a, b: a.derivative(),
     "dlog": lambda a, b: a.dlog(),
@@ -758,7 +848,7 @@ class TestLineParity:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_ratfunc_and_line_ffelem_agree(self, p, data):
-        from dormant.curves import INF, P1Marked
+        from dormant.curves import INF, FFElem, P1Marked
 
         field = PrimeField(p)
         curve = P1Marked(field, (0, 1, INF))
@@ -768,8 +858,8 @@ class TestLineParity:
         for u, v in ((a, b), (b, a), (a, zero), (zero, a)):
             for name, op in PARITY_OPS.items():
                 w = k if name == "times int" else v
-                fw = k if name == "times int" else curve.ff(v)
-                assert outcome(op, curve.ff(u), fw) == outcome(op, u, w), name
+                fw = k if name == "times int" else FFElem(curve, (v,))
+                assert outcome(op, FFElem(curve, (u,)), fw) == outcome(op, u, w), name
 
 
 class TestMixedFields:
@@ -795,13 +885,13 @@ class TestMixedFields:
         for other in (UPoly(F7, [0, 1]), RatFunc.x(F7)):
             assert x != other and other != x and not x == other
             assert x not in [other] and other not in [x]
-        assert x == UPoly.x(F5)
+        assert x == UPoly(F5, (0, 1))
 
     def test_equality_is_symmetric(self):
         # UPoly hands a foreign type back, so both orders agree
         from dormant.curves import INF, P1Marked
 
-        poly, rat = UPoly.x(F5), RatFunc.x(F5)
+        poly, rat = UPoly(F5, (0, 1)), RatFunc.x(F5)
         elem = P1Marked(F5, (0, 1, INF)).x_elem()
         for a, b in ((poly, rat), (poly, elem), (rat, elem)):
             assert a == b and b == a

@@ -1,7 +1,8 @@
 """Every public name of the library is reached.
 
 A public module-level function or class of src/dormant, or a public method
-of a public class, must be named somewhere else: in src/ outside its own
+of any class (a private base's public methods are inherited, so they count
+too), must be named somewhere else: in src/ outside its own
 definition (as an identifier, an attribute or an import), or in perfbench/
 (as an identifier, or as the last part of a dotted string such as the
 tracer's "curves.valuation"), or in API below with the reason a user calls
@@ -33,13 +34,15 @@ def _parse(directory):
 
 
 def _public_definitions(trees):
-    """{qualified name: definition node} of the module trees."""
+    """{qualified name: definition node} of the module trees: the public
+    functions and classes, and the public methods of every class."""
     defs = {}
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs[f"{module}.{node.name}"] = node
+            if node.name[0] != "_":
+                defs[f"{module}.{node.name}"] = node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
