@@ -131,6 +131,11 @@ def is_pre_tango(conn: LogConnection) -> bool:
     return conn._memo("is_pre_tango", lambda: decide_pre_tango(conn).is_exact)
 
 
+def _known_pre_tango(conn: LogConnection, verdict: bool) -> None:
+    """Keep a verdict decided without the Cartier step as is_pre_tango's."""
+    conn._cache["is_pre_tango"] = verdict
+
+
 def decide_pre_tango(conn: LogConnection) -> CartierOutput:
     """The CartierOutput of the one horizontal Cartier step: is_exact is
     the verdict, read off slice p-1 without building an element, and the

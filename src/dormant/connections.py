@@ -47,8 +47,8 @@ class BundleLabel:
     and the coefficients of keys that land on one point add up.  corrections
     is a mapping or an iterable of (point, coefficient) pairs.  omega is k
     when the frame is (h dx)^k for the curve's omega frame h dx, and 0 for
-    the coordinate frame or a hand-made one; only omega_label, dual and
-    tensor set it.
+    the coordinate frame or a hand-made one; only omega_label and dual set
+    it.
     """
 
     __slots__ = ("curve", "name", "corrections", "omega")
@@ -63,9 +63,6 @@ class BundleLabel:
             pt = _point(curve, pt)
             self.corrections[pt] = self.corrections.get(pt, 0) + v
 
-    def degree(self) -> int:
-        return sum(self.corrections.values())
-
     def correction_at(self, point) -> int:
         return self.corrections.get(point, 0)
 
@@ -76,11 +73,6 @@ class BundleLabel:
             {pt: -v for pt, v in self.corrections.items()},
             -self.omega,
         )
-
-    def tensor(self, other: "BundleLabel") -> "BundleLabel":
-        return BundleLabel(self.curve, f"{self.name}*{other.name}",
-                           [*self.corrections.items(), *other.corrections.items()],
-                           self.omega + other.omega)
 
     def __eq__(self, other):
         return (
@@ -422,44 +414,16 @@ def rank1_p_curvature_closed(conn: LogConnection) -> FFElem:
 # ---------------------------------------------------------------------------
 # monodromy
 
-class MonodromyVector:
-    """Residues at the declared marks, corrected by the frame divisor."""
-
-    __slots__ = ("curve", "marks", "values")
-
-    def __init__(self, curve, marks, values):
-        self.curve = curve
-        self.marks = tuple(marks)
-        self.values = tuple(v % curve.p for v in values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __eq__(self, other):
-        if isinstance(other, MonodromyVector):
-            return other.marks == self.marks and other.values == self.values
-        if isinstance(other, tuple):
-            return self.values == other
-        return NotImplemented
-
-    def __repr__(self):
-        return f"MonodromyVector({dict(zip(self.marks, self.values))})"
-
-
-def monodromy(conn: LogConnection) -> MonodromyVector:
+def monodromy(conn: LogConnection) -> tuple:
+    """Residues at the marks, in the order of curve.marks, corrected by
+    the frame divisor: ints in [0, p); () off the line, which has no marks."""
     if conn.rank != 1:
         raise ValueError("monodromy vector is a rank-one notion")
-    vals = []
-    if conn.curve.model == "p1":  # the other models carry no marks
-        vals = [_residue(conn, 0, 0, m) - conn.label.correction_at(m)
-                for m in conn.curve.marks]
-    return MonodromyVector(conn.curve, conn.curve.marks, vals)
+    curve = conn.curve
+    if curve.model != "p1":
+        return ()
+    return tuple((_residue(conn, 0, 0, m) - conn.label.correction_at(m)) % curve.p
+                 for m in curve.marks)
 
 
 def residue_pcurvature_identity(conn: LogConnection):
@@ -643,28 +607,8 @@ def frobenius_descent(conn: LogConnection) -> Divisor:
 
 
 # ---------------------------------------------------------------------------
-# tensor and dual
-
-def tensor(c1: LogConnection, c2: LogConnection) -> LogConnection:
-    if c1.curve != c2.curve:
-        raise CurveMismatch("tensor over different curves")
-    if c1.rank == 1 and c2.rank == 1:
-        a = c1.scalar() + c2.scalar()
-        return LogConnection(c1.curve, [[a]], c1.label.tensor(c2.label))
-    if c1.rank == 1:
-        a = c1.scalar()
-        m = [
-            [c2.entry(i, j) + (a if i == j else 0) for j in range(c2.rank)]
-            for i in range(c2.rank)
-        ]
-        return LogConnection(c1.curve, m, c1.label.tensor(c2.label))
-    if c2.rank == 1:
-        return tensor(c2, c1)
-    raise ValueError("tensor of two higher-rank connections is not needed")
-
+# dual
 
 def dual(conn: LogConnection) -> LogConnection:
-    if conn.rank == 1:
-        return _negated(conn, 0, conn.label.dual())
-    m = [[-conn.entry(j, i) for j in range(conn.rank)] for i in range(conn.rank)]
-    return LogConnection(conn.curve, m, conn.label.dual())
+    """d - a on the dual label, for the rank-one d + a."""
+    return _negated(conn, 0, conn.label.dual())

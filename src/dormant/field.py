@@ -569,18 +569,6 @@ class RatFunc(_Frac):
     def const(cls, field, c: int):
         return cls._make(field, [_trim([c % field.p])], [1], True)
 
-    @classmethod
-    def zero(cls, field):
-        return cls.const(field, 0)
-
-    @classmethod
-    def one(cls, field):
-        return cls.const(field, 1)
-
-    @classmethod
-    def x(cls, field):
-        return cls._make(field, [[0, 1]], [1], True)
-
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             if other.field != self.field:

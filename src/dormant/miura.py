@@ -1,8 +1,8 @@
 """Exponent bookkeeping, Cartan pairs, and special rank-2 Miura operators.
 
-A Cartan connection is a tuple of rank-1 log connections, the l-th living
-on the l-th tensor power of the log tangent sheaf.  The Miura operator
-built from a rank-2 Cartan pair is the lower-triangular connection
+A Cartan connection is a pair of rank-1 log connections, the first on O
+and the second on the log tangent sheaf.  The Miura operator built from
+it is the lower-triangular connection
 
     [[a0, 0], [1, a1]]
 
@@ -32,13 +32,12 @@ from .connections import (
     monodromy,
     omega_label,
     p_curvature,
-    tensor,
     trivial_label,
 )
 from .cartier import is_pre_tango
 
 class ExponentVector:
-    """Per-mark vectors in F_p^n together with their class modulo the
+    """Per-mark vectors in F_p^2 together with their class modulo the
     diagonal, normalized so the first entry is 0."""
 
     __slots__ = ("p", "marks", "vectors")
@@ -49,10 +48,6 @@ class ExponentVector:
         self.vectors = tuple(tuple(v % p for v in vec) for vec in vectors)
         if len(self.vectors) != len(self.marks):
             raise ValueError("one vector per mark expected")
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
 
     def class_rep(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(
@@ -72,24 +67,20 @@ class ExponentVector:
 
 
 def class_of(field, marks, eps) -> ExponentVector:
-    """Exponent class of per-mark data: each entry is prepended with 0 and
-    read modulo the diagonal."""
-    vectors = []
-    for e in eps:
-        if isinstance(e, (tuple, list)):
-            vectors.append((0, *[int(v) for v in e]))
-        else:
-            vectors.append((0, int(e)))
-    return ExponentVector(field.p, marks, vectors)
+    """Exponent class of per-mark scalars: each e is read as (0, e),
+    modulo the diagonal."""
+    return ExponentVector(field.p, marks, [(0, int(e)) for e in eps])
 
 
 class CartanConnection:
-    """Tuple of rank-1 log connections on O, T_log, T_log^2, ..."""
+    """Pair of rank-1 log connections, on O and on T_log."""
 
     __slots__ = ("curve", "components")
 
     def __init__(self, curve, components: Sequence[LogConnection]):
         comps = tuple(components)
+        if len(comps) != 2:
+            raise ValueError("a Cartan connection is a pair")
         for comp in comps:
             if comp.curve != curve:
                 raise CurveMismatch("Cartan components on different curves")
@@ -98,37 +89,21 @@ class CartanConnection:
         self.curve = curve
         self.components = comps
 
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
     def __eq__(self, other):
         if not isinstance(other, CartanConnection):
             return NotImplemented
         return self.curve == other.curve and self.components == other.components
 
     def __repr__(self):
-        return f"CartanConnection(n={self.n})"
+        return f"CartanConnection{self.components}"
 
 
-def cartan_from_connections(*nablas: LogConnection) -> CartanConnection:
-    """(nabla_1, ..., nabla_{n-1}) on the log cotangent side to the Cartan
-    tuple (d, nabla_1^dual, nabla_1^dual (x) nabla_2^dual, ...)."""
-    if not nablas:
-        raise ValueError("at least one input connection expected")
-    curve = nablas[0].curve
-    for nb in nablas:
-        if nb.curve != curve:
-            raise CurveMismatch("inputs on different curves")
-        if nb.rank != 1:
-            raise ValueError("rank-one inputs expected")
-    comps = [LogConnection(curve, [[curve.ff_const(0)]], trivial_label(curve))]
-    acc = None
-    for nb in nablas:
-        dv = dual(nb)
-        acc = dv if acc is None else tensor(acc, dv)
-        comps.append(acc)
-    return CartanConnection(curve, comps)
+def cartan_from_connections(nabla: LogConnection) -> CartanConnection:
+    """A rank-one nabla on the log cotangent side to the Cartan pair
+    (d, nabla^dual)."""
+    curve = nabla.curve
+    d = LogConnection(curve, [[curve.ff_const(0)]], trivial_label(curve))
+    return CartanConnection(curve, (d, dual(nabla)))
 
 
 class MiuraGL2Oper:
@@ -172,11 +147,9 @@ class MiuraGL2Oper:
 
 
 def miura_from_cartan(c: CartanConnection) -> MiuraGL2Oper:
-    """The special Miura operator of a rank-2 Cartan pair, written in the
+    """The special Miura operator of a Cartan pair, written in the
     coordinate frame: a component framed by (h dx)^k is shifted back by
     -k dlog h."""
-    if c.n != 2:
-        raise ValueError("only the rank-2 construction is executable")
     curve = c.curve
     a0, a1 = (frame_shift(curve, comp.scalar(), -comp.label.omega) for comp in c.components)
     conn = LogConnection(
@@ -190,10 +163,8 @@ def miura_from_cartan(c: CartanConnection) -> MiuraGL2Oper:
 
 def exponent_of(m: MiuraGL2Oper) -> ExponentVector:
     """Per-mark residue vectors of the graded components."""
-    marks = m.curve.marks
-    monos = [monodromy(comp) for comp in m.cartan.components]
-    vectors = [tuple(mono[i] for mono in monos) for i in range(len(marks))]
-    return ExponentVector(m.curve.field.p, marks, vectors)
+    vectors = zip(*map(monodromy, m.cartan.components))
+    return ExponentVector(m.curve.field.p, m.curve.marks, vectors)
 
 
 def is_dormant(m: MiuraGL2Oper) -> bool:

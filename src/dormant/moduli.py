@@ -24,7 +24,7 @@ from .connections import (
     omega_label,
     p_curvature,
 )
-from .cartier import is_pre_tango
+from .cartier import _known_pre_tango, is_pre_tango
 
 
 def emptiness_oracle(g: int, r: int, eps: Sequence, p: int) -> Tuple[Fraction, bool]:
@@ -125,7 +125,7 @@ def enumerate_flat(curve, mu: Sequence = ()) -> EnumerationReport:
         label, yinv, h = omega_label(curve), curve.y_elem().inverse(), curve.hasse()
         flat = [LogConnection(curve, [[w * yinv]], label) for w in range(p if h == 1 else 1)]
         for w, conn in enumerate(flat):
-            conn._memo("is_pre_tango", lambda v=bool(w) or h == 0: v)
+            _known_pre_tango(conn, bool(w) or h == 0)
     pretango = [conn for conn in flat if is_pre_tango(conn)]
     value = _formula_value(curve.genus(), len(mu), mu, p)
     return EnumerationReport(_tag(curve), mu, flat, pretango, admissible, value)

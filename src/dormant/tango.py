@@ -122,11 +122,10 @@ def certify_tango_structure(curve, f) -> TangoCertificate:
     cand, div = _df_divisor(curve, f)
     for place, coeff in div.items():
         if coeff % p:
-            err = NotDivisibleByP(
-                f"div(df) has coefficient {coeff} at a place, not divisible by {p}"
+            raise NotDivisibleByP(
+                f"div(df) has coefficient {coeff} at a place, not divisible by {p}",
+                branch=place,
             )
-            err.branch = place
-            raise err
     quotient = div.floor_div(p)
     return TangoCertificate(curve, cand, div, quotient)
 

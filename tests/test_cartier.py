@@ -50,6 +50,11 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
+def ratx(field):
+    """x as a RatFunc over field."""
+    return RatFunc(field, UPoly(field, (0, 1)))
+
+
 def line(p, *marks):
     return P1Marked(PrimeField(p), marks)
 
@@ -92,7 +97,7 @@ def rand_ratfunc(rng, field, dn=3, dd=2):
 class TestCartierLine:
     def test_dlog_is_fixed(self):
         curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         for form in (1 / x, 1 / (x - 2), 3 / x):
             out = cartier_curve(Differential(curve, form))
             assert out.image.h == FFElem(curve, (form,))
@@ -100,7 +105,7 @@ class TestCartierLine:
 
     def test_power_rule(self):
         curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         out = cartier_curve(Differential(curve, x**4))
         assert out.image.h == curve.ff_const(1)
         out = cartier_curve(Differential(curve, x**9))
@@ -148,14 +153,14 @@ class TestCartierLine:
 
     def test_inexact_antiderivative_raises(self):
         curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         out = cartier_curve(Differential(curve, 1 / x))
         with pytest.raises(NotExactOnChart):
             out.antiderivative()
 
     def test_local_series_rule_matches(self):
         curve = line(5, 0, 2, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         h = 1 / x + 3 / (x - 2) + x**4 + x**2
         omega = Differential(curve, h)
         image = cartier_curve(omega).image
@@ -289,7 +294,7 @@ class TestCartierCurve:
     def test_line_route_agrees(self):
         # (x^6 + 1)/x dx = x^5 dx + (1/x)^5 x^4 dx over F_5, so C gives dx/x
         curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         omega = Differential(curve, (x**6 + 1) / x)
         assert cartier_curve(omega).image.h == FFElem(curve, (1 / x,))
 
@@ -298,7 +303,7 @@ class TestPreTango:
     def test_genus0_p3_frozen_labels(self):
         curve = line(3, 0, 1, INF)
         lab = omega_log_label(curve)
-        x = RatFunc.x(F3)
+        x = ratx(F3)
         good = LogConnection(curve, [[2 / x + 2 / (x - 1)]], lab)
         assert is_pre_tango(good) is True
         bad = LogConnection(curve, [[2 / x]], lab)
@@ -309,7 +314,7 @@ class TestPreTango:
         # lifted labels sum to 2p - 1
         curve = line(3, 0, 1, INF)
         lab = omega_log_label(curve)
-        x = RatFunc.x(F3)
+        x = ratx(F3)
         hits = []
         for m0 in range(3):
             for m1 in range(3):
@@ -326,7 +331,7 @@ class TestPreTango:
     def test_tango_function_on_line(self):
         curve = line(3, 0, 1, INF)
         lab = omega_log_label(curve)
-        x = RatFunc.x(F3)
+        x = ratx(F3)
         conn = LogConnection(curve, [[2 / x + 2 / (x - 1)]], lab)
         f = tango_from_pretango(conn)
         assert f.derivative() == curve.ff_const(1)
@@ -334,7 +339,7 @@ class TestPreTango:
     def test_roundtrip_on_line(self):
         curve = line(3, 0, 1, INF)
         lab = omega_log_label(curve)
-        x = RatFunc.x(F3)
+        x = ratx(F3)
         conn = LogConnection(curve, [[2 / x + 2 / (x - 1)]], lab)
         f = tango_from_pretango(conn)
         back = pretango_from_tango(lab, f)
@@ -344,7 +349,7 @@ class TestPreTango:
     def test_not_pretango_raises_on_extraction(self):
         curve = line(3, 0, 1, INF)
         lab = omega_log_label(curve)
-        x = RatFunc.x(F3)
+        x = ratx(F3)
         conn = LogConnection(curve, [[2 / x]], lab)
         with pytest.raises(NotPreTango):
             tango_from_pretango(conn)
@@ -423,6 +428,6 @@ class TestPreTango:
     def test_pth_power_candidate_rejected(self):
         curve = line(5, 0, 1, INF)
         lab = omega_log_label(curve)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         with pytest.raises(CandidateIsPthPower):
             pretango_from_tango(lab, FFElem(curve, (x**5,)))

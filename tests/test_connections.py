@@ -25,7 +25,6 @@ from dormant.connections import (
     rank1_p_curvature_closed,
     residue_pcurvature_identity,
     solve_dlog,
-    tensor,
     trivial_label,
     _divisor_points_p1,
     _least_solution,
@@ -55,6 +54,11 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
+def ratx(field):
+    """x as a RatFunc over field."""
+    return RatFunc(field, UPoly(field, (0, 1)))
+
+
 def line(p, *marks):
     return P1Marked(PrimeField(p), marks)
 
@@ -65,8 +69,8 @@ def rat(field, num, den=(1,)):
 
 def simple_poles(curve, coeffs):
     """Sum of c/(x - m) over the finite marks."""
-    x = RatFunc.x(curve.field)
-    acc = RatFunc.zero(curve.field)
+    x = ratx(curve.field)
+    acc = RatFunc.const(curve.field, 0)
     fin = [m for m in curve.marks if m != INF]
     for m, c in zip(fin, coeffs):
         acc = acc + RatFunc.const(curve.field, c) / (x - m)
@@ -121,14 +125,14 @@ def line_connections(draw):
                                           unique=True)))
     corr = draw(st.dictionaries(st.sampled_from(pts), st.integers(-2, 2), max_size=3))
     label = BundleLabel(curve, "drawn", corr)
-    x, rank = RatFunc.x(field), draw(st.integers(1, 2))
+    x, rank = ratx(field), draw(st.integers(1, 2))
     finite = [m for m in curve.marks if m != INF]
     nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
 
     def entry(diag):
         if draw(st.integers(0, 5 if diag else 1)) == 0:
-            return RatFunc.zero(field)
-        f, total = RatFunc.zero(field), 0
+            return RatFunc.const(field, 0)
+        f, total = RatFunc.const(field, 0), 0
         for a in draw(st.lists(st.integers(0, p - 1), max_size=3, unique=True)):
             order = draw(st.sampled_from([1, 1, 2]))
             want = corr.get(a, 0) if diag and a not in curve.marks else None
@@ -187,7 +191,7 @@ def random_line_connection(rng, p, kind):
     random point c carried as k/(x - c); canonical: the Frobenius pullback
     in the frame of a split unit; omega: simple poles at the marks of a
     stable line, on its omega bundle."""
-    field, x = PrimeField(p), RatFunc.x(PrimeField(p))
+    field, x = PrimeField(p), ratx(PrimeField(p))
     fin = rng.sample(range(p), rng.randint(2, min(p, 4)))
     curve = P1Marked(field, (*fin, INF) if kind == "omega" or rng.random() < 0.5 else fin)
     if kind == "canonical":
@@ -204,7 +208,7 @@ def random_line_connection(rng, p, kind):
         res[c] = res.get(c, 0) + k
     if INF not in curve.marks:  # the residue at INF, -sum res, must vanish
         res[fin[0]] -= sum(res.values())
-    a = sum((RatFunc.const(field, r) / (x - m) for m, r in res.items()), RatFunc.zero(field))
+    a = sum((RatFunc.const(field, r) / (x - m) for m, r in res.items()), RatFunc.const(field, 0))
     return LogConnection(curve, [[a]], label)
 
 
@@ -364,41 +368,18 @@ class TestPCurvature:
         assert p_curvature(conn).is_zero
 
     def test_tensor_adds_p_curvature(self):
+        # psi is additive at rank one: the tensor product d + a1 + a2 of
+        # d + a1 and d + a2 has psi(d + a1) + psi(d + a2), on each model
+        # (0 on the line, where log connections with residues in F_p are flat)
         curve = line(5, 0, 1, INF)
-        a1 = simple_poles(curve, (1, 2))
-        a2 = simple_poles(curve, (3, 1))
-        c1 = LogConnection(curve, [[a1]])
-        c2 = LogConnection(curve, [[a2]])
-        t = tensor(c1, c2)
-        assert t.scalar() == FFElem(curve, (a1 + a2,))
-        lhs = p_curvature(t).scalar()
-        rhs = p_curvature(c1).scalar() + p_curvature(c2).scalar()
-        assert lhs == rhs
-
-    def test_tensor_rank_two(self):
-        curve = line(5, 0, INF)
-        a = rat(curve.field, (1,), (0, 1))
-        c1 = canonical_connection(curve, curve.x_elem())
-        c2 = LogConnection(curve, [[0, a], [0, 0]])
-        t = tensor(c1, c2)
-        assert t.rank == 2
-        assert t.entry(0, 0) == FFElem(curve, (a,))
-        assert t.entry(0, 1) == FFElem(curve, (a,))
-        assert t.entry(1, 1) == FFElem(curve, (a,))
-        assert t.entry(1, 0).is_zero
-
-    def test_tensor_is_symmetric_in_the_rank_one_factor(self):
-        curve = line(5, 0, 1, INF)
-        c1 = LogConnection(curve, [[simple_poles(curve, (2,))]], omega_log_label(curve))
-        c2 = LogConnection(curve, [[0, rat(curve.field, (1,), (0, 1))], [0, 0]])
-        assert tensor(c2, c1) == tensor(c1, c2)
-        assert tensor(c2, c1).label.omega == 1
-
-    def test_tensor_of_two_higher_ranks_is_refused(self):
-        curve = line(5, 0, INF)
-        c2 = LogConnection(curve, [[0, 0], [0, 0]])
-        with pytest.raises(ValueError, match="^tensor of two higher-rank connections is not needed$"):
-            tensor(c2, c2)
+        pairs = [(curve, simple_poles(curve, (1, 2)), simple_poles(curve, (3, 1)))]
+        for curve, a in _frame_models()[1:]:
+            pairs.append((curve, a, curve.x_elem()))
+        for curve, a1, a2 in pairs:
+            c1, c2, t = (LogConnection(curve, [[a]]) for a in (a1, a2, a1 + a2))
+            psi = p_curvature(t).scalar()
+            assert psi.is_zero == (curve.model == "p1")
+            assert psi == p_curvature(c1).scalar() + p_curvature(c2).scalar()
 
     def test_dual_negates(self):
         curve = line(5, 0, 1, INF)
@@ -541,7 +522,7 @@ class TestValidation:
                 for m in curve.marks)
 
     def test_pth_power_frame_twist_invisible(self):
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         curve = line(5, 1, INF)
         u = (x - 1) ** 5
         conn = canonical_connection(curve, u)
@@ -573,11 +554,11 @@ class TestMonodromy:
             a = simple_poles(curve, [rng.randrange(7) for _ in range(3)])
             conn = LogConnection(curve, [[a]], label)
             vals = list(monodromy(conn))
-            assert sum(vals) % 7 == (-label.degree()) % 7
+            assert sum(vals) % 7 == -sum(label.corrections.values()) % 7
 
     def test_canonical_monodromy_vanishes(self):
         curve = line(5, 0, 1, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         for u in (x, x - 1, x**2 * (x - 1) ** 3):
             conn = canonical_connection(curve, u)
             assert all(v == 0 for v in monodromy(conn))
@@ -651,7 +632,7 @@ class TestResidueIdentity:
 class TestHorizontal:
     def test_recovers_unit(self):
         curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         conn = LogConnection(curve, [[-(x.dlog())]])
         u = p_curvature(conn).horizontal
         assert u == FFElem(curve, (x,))
@@ -660,9 +641,9 @@ class TestHorizontal:
         # dlog connections exhaust the flat rank-one ones on the line
         rng = random.Random(0)
         curve = line(5, 0, 1, 2, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         for _ in range(8):
-            u = RatFunc.one(F5)
+            u = RatFunc.const(F5, 1)
             for m in (0, 1, 2):
                 u = u * (x - m) ** rng.randrange(1, 5)
             conn = LogConnection(curve, [[u.dlog()]])
@@ -714,7 +695,7 @@ class TestHorizontal:
         assert not p_curvature(nonflat).is_zero
         assert p_curvature(nonflat).horizontal is None
         line5 = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         for m in ([[0, 0], [0, 0]], [[0, 1 / x], [0, 0]], [[1, 0], [1, 1 / x]]):
             conn = LogConnection(line5, m, validate=False)
             assert p_curvature(conn).horizontal is None
@@ -737,9 +718,9 @@ class TestHorizontal:
         rng = random.Random(6)
         for p in (3, 5, 7, 11):
             curve = line(p, *range(p), INF)
-            x = RatFunc.x(curve.field)
+            x = ratx(curve.field)
             for _ in range(6):
-                g = RatFunc.zero(curve.field)
+                g = RatFunc.const(curve.field, 0)
                 for c in rng.sample(range(p), rng.randrange(1, p + 1)):
                     g = g + RatFunc.const(curve.field, rng.randrange(1, p)) / (x - c)
                 g = FFElem(curve, (g,))
@@ -753,7 +734,7 @@ class TestHorizontal:
         # names the same ones, and its certificate refuses g, whose rest
         # g - dlog u keeps the double poles
         curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         g = FFElem(curve, (1 / x**2 + 2 / (x - 1) + 3 / (x - 4) ** 3,))
         want = {}
         for c in range(5):
@@ -764,7 +745,7 @@ class TestHorizontal:
         exps, ok = connections._certified(-g, connections._line_poles(-g)[0])
         assert exps == want and not ok
         assert not p_curvature(LogConnection(curve, [[-g]], validate=False)).is_zero
-        u = RatFunc.one(F5)
+        u = RatFunc.const(F5, 1)
         for c, e in want.items():
             u = u * (x - c) ** e
         assert g - FFElem(curve, (u.dlog(),)) == FFElem(curve, (1 / x**2 + 3 / (x - 4) ** 3,))
@@ -824,7 +805,7 @@ class TestHorizontal:
 class TestDescent:
     def test_minus_dlog_x(self):
         curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         conn = LogConnection(curve, [[-(x.dlog())]])
         dc = frobenius_descent(conn)
         assert dc == Divisor([(branch_at(curve, 0, 4), 1)])
@@ -860,7 +841,7 @@ class TestDescent:
         # the horizontal generator has degree near 2p; its valuations are
         # the pole table's exponents, read with no root scan of u
         field = PrimeField(101)
-        curve, x = P1Marked(field, (0, 1, INF)), RatFunc.x(field)
+        curve, x = P1Marked(field, (0, 1, INF)), ratx(field)
         u = x ** 2 * (x - 1) / ((x - 3) ** 3 * (x - 5))
         conn = canonical_connection(curve, FFElem(curve, (u,)))
         start = time.perf_counter()
@@ -873,7 +854,7 @@ class TestDescent:
     @given(data=st.data())
     def test_divisor_points_match_valuations(self, p, data):
         field = PrimeField(p)
-        curve, x = line(p, 0, 1, INF), RatFunc.x(field)
+        curve, x = line(p, 0, 1, INF), ratx(field)
         cell = st.integers(0, p - 1)
         u = RatFunc.const(field, data.draw(st.integers(1, p - 1)))
         for c, e in data.draw(st.lists(st.tuples(cell, st.integers(-3, 3)), max_size=4)):
@@ -891,9 +872,9 @@ class TestDescent:
         # p deg D' = deg div(u) + frame degree + sum of lifted residues
         rng = random.Random(0)
         curve = line(5, 0, 1, 3, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         for _ in range(6):
-            u = RatFunc.one(F5)
+            u = RatFunc.const(F5, 1)
             for m in (0, 1, 3):
                 u = u * (x - m) ** rng.randrange(4)
             conn = LogConnection(curve, [[u.dlog()]])
@@ -906,7 +887,7 @@ class TestDescent:
         # flat, so one that is not has a pole validation refuses: here
         # psi(d + 1/x^2) = 1/x^(2p); off the line descent is refused outright
         curve = line(5, 0, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         conn = LogConnection(curve, [[1 / x**2]], validate=False)
         assert not p_curvature(conn).is_zero
         with pytest.raises(UndeclaredPoleDetected):
@@ -953,11 +934,13 @@ class TestLabels:
             omega_log_label(curve)
 
     def test_degree_and_dual(self):
+        # the dual negates the frame divisor, degree r - 2 at INF, and the
+        # omega power
         curve = line(5, 0, 1, 2, INF)
         label = omega_log_label(curve)
-        assert label.degree() == 2
-        assert label.dual().degree() == -2
-        assert label.tensor(label).degree() == 4
+        assert (label.corrections, label.omega) == ({INF: 2}, 1)
+        assert (label.dual().corrections, label.dual().omega) == ({INF: -2}, -1)
+        assert label.dual().dual() == label
 
     def test_frame_differential_residues(self):
         # dx / (x(x-1)) has residue -1 at 0, 1 at 1, 0 at infinity
@@ -987,12 +970,11 @@ class TestFrames:
     """The omega frame of each model, carried on a label as a power."""
 
     @pytest.mark.parametrize("curve, a", _frame_models(), ids=["p1", "ell", "raynaud"])
-    def test_weights_add_under_tensor_and_negate_under_dual(self, curve, a):
+    def test_weights_negate_under_dual(self, curve, a):
         omega, triv = omega_label(curve), trivial_label(curve)
         assert (omega.omega, omega.dual().omega, triv.omega) == (1, -1, 0)
-        assert omega.tensor(omega).omega == 2
-        assert omega.tensor(omega.dual()).omega == 0
-        assert triv.tensor(omega.dual()).omega == -1
+        assert omega.dual().corrections == {pt: -v for pt, v in omega.corrections.items()}
+        assert omega.dual().dual() == omega and triv.dual() == triv
 
     @pytest.mark.parametrize("curve, a", _frame_models(), ids=["p1", "ell", "raynaud"])
     def test_shift_is_k_dlog_h_and_undoes_itself(self, curve, a):

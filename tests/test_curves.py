@@ -52,6 +52,11 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
+def ratx(field):
+    """x as a RatFunc over field."""
+    return RatFunc(field, UPoly(field, (0, 1)))
+
+
 def line(p, *marks):
     return P1Marked(PrimeField(p), marks)
 
@@ -61,7 +66,7 @@ def xz_ratfuncs(curve, f):
     F_p(X), put together by the oracle's own product and inverse."""
     g, h, shift = xz_components(curve, f)
     field, q = curve.field, curve.q
-    zero, one = RatFunc.zero(field), RatFunc.one(field)
+    zero, one = RatFunc.const(field, 0), RatFunc.const(field, 1)
     w = RatFunc(field, UPoly(field, [0, -1] + [0] * (q - 2) + [1]))
     zmin = [-w] + [zero] * (q - 2) + [one]
     g, h = ([RatFunc(field, UPoly(field, c)) for c in v] for v in (g, h))
@@ -148,7 +153,7 @@ class TestFFElemArithmetic:
         curve = RaynaudPlane(F3, 2)
         y = curve.y_elem()
         inv = y.inverse()
-        x = RatFunc.x(F3)
+        x = ratx(F3)
         assert inv.comps[0] == x**-6
         assert inv.comps[4] == x**-5
         assert all(c.is_zero for i, c in enumerate(inv.comps) if i not in (0, 4))
@@ -441,7 +446,7 @@ class TestP1Branches:
     def test_finite_branch_expansion(self):
         curve = line(5, 0, 1, INF)
         br = branch_at(curve, 0, 10)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         s = br.expand(FFElem(curve, (1 / x,)))
         assert s.valuation() == -1
         assert s.coeff(-1) == 1
@@ -454,7 +459,7 @@ class TestP1Branches:
 
     def test_form_residue(self):
         curve = line(7, 0, 1, INF)
-        x = RatFunc.x(F7)
+        x = ratx(F7)
         omega = Differential(curve, FFElem(curve, (3 / x + 2 / (x - 1),)))
         assert branch_at(curve, 0).expand(omega, 0).coeff(-1) == 3
         assert branch_at(curve, 1).expand(omega, 0).coeff(-1) == 2
@@ -462,7 +467,7 @@ class TestP1Branches:
 
     def test_log_form_divisor(self):
         curve = line(5, 0, 1, INF)
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         omega = Differential(curve, FFElem(curve, (1 / (x * (x - 1)),)))
         places = [branch_at(curve, pt, 10) for pt in (0, 1, 2, INF)]
         div, complete = divisor_of_differential(omega, places)
@@ -545,7 +550,7 @@ def _o_trim(a):
 
 
 def _o_add(a, b, field):
-    out = [RatFunc.zero(field)] * max(len(a), len(b))
+    out = [RatFunc.const(field, 0)] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] = out[i] + c
     for i, c in enumerate(b):
@@ -556,7 +561,7 @@ def _o_add(a, b, field):
 def _o_mul(a, b, field):
     if not a or not b:
         return []
-    out = [RatFunc.zero(field) for _ in range(len(a) + len(b) - 1)]
+    out = [RatFunc.const(field, 0) for _ in range(len(a) + len(b) - 1)]
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] = out[i + j] + ai * bj
@@ -568,8 +573,8 @@ def _o_divmod(a, b, field):
     db = len(b) - 1
     if len(rem) - 1 < db:
         return [], _o_trim(rem)
-    inv_lc = RatFunc.one(field) / b[-1]
-    quo = [RatFunc.zero(field)] * (len(rem) - db)
+    inv_lc = RatFunc.const(field, 1) / b[-1]
+    quo = [RatFunc.const(field, 0)] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if not c.is_zero:
@@ -583,7 +588,7 @@ def _o_divmod(a, b, field):
 def _o_inv_mod(a, m, field):
     """s with s * a = 1 modulo m, by the extended Euclidean algorithm."""
     r0, r1 = list(m), _o_trim(list(a))
-    s0, s1 = [], [RatFunc.one(field)]
+    s0, s1 = [], [RatFunc.const(field, 1)]
     while r1:
         q, r = _o_divmod(r0, r1, field)
         r0, r1 = r1, r
@@ -599,7 +604,7 @@ def _o_matinv(m, field):
     for col in range(n):
         piv = next(r for r in range(col, n) if not a[r][col].is_zero)
         a[col], a[piv] = a[piv], a[col]
-        inv = RatFunc.one(field) / a[col][col]
+        inv = RatFunc.const(field, 1) / a[col][col]
         a[col] = [c * inv for c in a[col]]
         for r in range(n):
             if r != col and not a[r][col].is_zero:
@@ -613,25 +618,25 @@ class Oracle:
 
     def __init__(self, curve):
         self.curve, self.field, self.d = curve, curve.field, curve.ext_degree
-        f, x = self.field, RatFunc.x(self.field)
+        f, x = self.field, ratx(self.field)
         if curve.model == "ell":
-            self.minpoly = [-RatFunc(f, UPoly(f, curve.c_poly())), RatFunc.zero(f), RatFunc.one(f)]
+            self.minpoly = [-RatFunc(f, UPoly(f, curve.c_poly())), RatFunc.const(f, 0), RatFunc.const(f, 1)]
         elif curve.model == "raynaud":
             q = curve.q
-            self.minpoly = ([-(x ** (q - 1)), 1 / x] + [RatFunc.zero(f)] * (q - 3)
-                            + [RatFunc.one(f)])
+            self.minpoly = ([-(x ** (q - 1)), 1 / x] + [RatFunc.const(f, 0)] * (q - 3)
+                            + [RatFunc.const(f, 1)])
 
     def vec(self, comps):
         cs = _o_trim(list(comps))
         if len(cs) > self.d:
             cs = _o_divmod(cs, self.minpoly, self.field)[1]
-        return tuple(cs + [RatFunc.zero(self.field)] * (self.d - len(cs)))
+        return tuple(cs + [RatFunc.const(self.field, 0)] * (self.d - len(cs)))
 
     def const(self, c):
         return self.vec([RatFunc.const(self.field, c)])
 
     def y(self):
-        return self.vec([RatFunc.zero(self.field), RatFunc.one(self.field)])
+        return self.vec([RatFunc.const(self.field, 0), RatFunc.const(self.field, 1)])
 
     def add(self, a, b):
         return tuple(u + v for u, v in zip(a, b))
@@ -655,9 +660,9 @@ class Oracle:
         if curve.model == "ell":
             c = RatFunc(f, UPoly(f, curve.c_poly()))
             cp = RatFunc(f, UPoly(f, _deriv(curve.c_poly(), f.p)))
-            return self.vec([RatFunc.zero(f), cp / (2 * c)])
+            return self.vec([RatFunc.const(f, 0), cp / (2 * c)])
         q, y = curve.q, self.y()
-        den = self.add(self.mul(self.vec([RatFunc.x(f)]), self.pow(y, q - 2)), self.const(-1))
+        den = self.add(self.mul(self.vec([ratx(f)]), self.pow(y, q - 2)), self.const(-1))
         return self.mul(self.pow(y, q - 1), self.inv(den))
 
     def derivative(self, a):
@@ -688,7 +693,7 @@ class Oracle:
                          self.field)
         out = []
         for row in minv:
-            acc = RatFunc.zero(self.field)
+            acc = RatFunc.const(self.field, 0)
             for c, comp in zip(row, a):
                 acc = acc + c * comp
             out.append(acc)
@@ -697,9 +702,9 @@ class Oracle:
     def xz(self, a):
         """The Z-chart vector of a Raynaud element (X = x/y, Z = 1/y)."""
         q, f = self.curve.q, self.field
-        zero = RatFunc.zero(f)
+        zero = RatFunc.const(f, 0)
         w = RatFunc(f, UPoly(f, [0, -1] + [0] * (q - 2) + [1]))
-        zmin = [-w] + [zero] * (q - 2) + [RatFunc.one(f)]
+        zmin = [-w] + [zero] * (q - 2) + [RatFunc.const(f, 1)]
 
         def zshift(comps, e):
             out = [zero] * (q - 1)
@@ -750,7 +755,7 @@ def oracle_elements(draw, curve, nonzero=False):
     dens = ((1,), (0, 1), (1, 1), (0, 0, 1), (p - 1, 0, 1), (2, 1, 1))
     support = draw(st.lists(st.integers(0, d - 1), min_size=1 if nonzero else 0,
                             max_size=min(d, 3), unique=True))
-    comps = [RatFunc.zero(field)] * d
+    comps = [RatFunc.const(field, 0)] * d
     for k in support:
         num = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
         if nonzero and not any(num):

@@ -36,6 +36,11 @@ F7 = PrimeField(7)
 FIELDS = [F3, F5, F7]
 
 
+def ratx(field):
+    """x as a RatFunc over field."""
+    return RatFunc(field, UPoly(field, (0, 1)))
+
+
 def rand_poly(rng, field, deg):
     return UPoly(field, [rng.randrange(field.p) for _ in range(deg + 1)])
 
@@ -235,7 +240,7 @@ class TestRatFunc:
                 assert blown.num == r.num and blown.den == r.den
 
     def test_derivative_examples(self):
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         assert (x**5).derivative().is_zero
         d = (1 / x).derivative()
         assert d == -(x**-2)
@@ -252,7 +257,7 @@ class TestRatFunc:
             assert lhs == rhs
 
     def test_pth_root(self):
-        x = RatFunc.x(F3)
+        x = ratx(F3)
         assert (x**3).pth_root() == x
         assert x.pth_root() is None
         r = (x**3 + 1) / (x**6)
@@ -274,13 +279,13 @@ class TestRatFunc:
     def test_evaluate_pole(self):
         # a value is the t^0 Laurent coefficient; at a pole the expansion
         # starts below t^0
-        r = 1 / RatFunc.x(F5)
+        r = 1 / ratx(F5)
         assert _laurent(r.num.coeffs, r.den.coeffs, 2, 1, 5) == (0, [3])
         assert _laurent(r.num.coeffs, r.den.coeffs, 0, 1, 5) == (-1, [1, 0])
         assert r.valuation_at(0) == -1
 
     def test_valuations(self):
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         r = (x**2) / (x - 1)
         assert r.valuation_at(0) == 2
         assert r.valuation_at(1) == -1
@@ -305,17 +310,17 @@ class TestRatFunc:
         assert split > 40
 
     def test_residue_simple_pole(self):
-        x = RatFunc.x(F7)
+        x = ratx(F7)
         r = 3 / x + 2 / (x - 1)
         assert residue(r, 0) == 3
         assert residue(r, 1) == 2
         assert residue(r, 2) == 0
         assert residue(r, INF) == 7 - 5
-        assert residue(RatFunc.zero(F7), 0) == residue(RatFunc.zero(F7), INF) == 0
+        assert residue(RatFunc.const(F7, 0), 0) == residue(RatFunc.const(F7, 0), INF) == 0
 
     def test_residue_double_pole(self):
         # 1/x^2 + 3/x + 2/(x - 1)^2 at p = 7: the double poles add no residue
-        x = RatFunc.x(F7)
+        x = ratx(F7)
         r = 1 / x**2 + 3 / x + 2 / (x - 1) ** 2
         assert [residue(r, c) for c in (0, 1, INF)] == [3, 0, 4]
         # x dx has a pole of order 3 at INF, x^2 / (x - 1) one of order 4
@@ -380,7 +385,7 @@ def expand(r, c, prec):
 
 class TestTruncSeries:
     def test_series_of_inverse_x(self):
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         assert _laurent([1], [0, 1], 0, 3, 5) == (-1, [1, 0, 0, 0])
         s = expand(1 / x, 0, 3)
         assert s.valuation() == -1
@@ -389,7 +394,7 @@ class TestTruncSeries:
 
     def test_series_at_infinity_of_x(self):
         assert _laurent([0, 1], [1], INF, 4, 5) == (-1, [1, 0, 0, 0, 0])
-        s = expand(RatFunc.x(F5), INF, 4)
+        s = expand(ratx(F5), INF, 4)
         assert s.valuation() == -1
         assert s.coeff(-1) == 1
         # (x + 2) / (x^2 + 1) = t (1 + 2t) / (1 + t^2) in t = 1/x
@@ -397,7 +402,7 @@ class TestTruncSeries:
 
     def test_geometric(self):
         assert _laurent([1], [1, 2], 0, 6, 3) == (0, [1] * 6)
-        x = RatFunc.x(F3)
+        x = ratx(F3)
         s = expand(1 / (1 - x), 0, 6)
         for n in range(6):
             assert s.coeff(n) == 1
@@ -498,7 +503,7 @@ class TestTruncSeries:
 
     def test_ratfunc_at_series(self):
         # num(x(t)) / den(x(t)) at x = t agrees with the expansion at 0
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         r = 1 / (1 - x)
         t = TruncSeries(F5, ("aff", 0), 0, (0, 1), 5)
         s = poly_at_series(r.num.coeffs, t) * poly_at_series(r.den.coeffs, t).inverse()
@@ -520,7 +525,7 @@ class TestDlog:
 
     def test_dlog_of_zero(self):
         with pytest.raises(ZeroElement):
-            RatFunc.zero(F5).dlog()
+            RatFunc.const(F5, 0).dlog()
 
 
 def naive_mul(a, b, p):
@@ -807,7 +812,7 @@ class TestReferenceNormalForm:
         assert state(fa) == ref_normal(frob(an), frob(ad))
         assert state(fa.pth_root()) == ref_normal(an, ad)
         if not a.is_zero:  # x times a nonzero p-th power is none
-            assert (fa * RatFunc.x(field)).pth_root() is None
+            assert (fa * ratx(field)).pth_root() is None
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +859,7 @@ class TestLineParity:
         curve = P1Marked(field, (0, 1, INF))
         a, b = (RatFunc(field, *data.draw(planted_pairs(field))) for _ in range(2))
         k = data.draw(st.integers(-p, 2 * p))
-        zero = RatFunc.zero(field)
+        zero = RatFunc.const(field, 0)
         for u, v in ((a, b), (b, a), (a, zero), (zero, a)):
             for name, op in PARITY_OPS.items():
                 w = k if name == "times int" else v
@@ -873,7 +878,7 @@ class TestMixedFields:
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
     def test_arithmetic(self, op):
-        x = RatFunc.x(F5)
+        x = ratx(F5)
         for other in (UPoly(F7, [6, 1]), RatFunc(F7, UPoly(F7, [6, 1]))):
             for a, b in ((x, other), (other, x)):
                 with pytest.raises(ValueError, match="mixed fields"):
@@ -881,8 +886,8 @@ class TestMixedFields:
 
     def test_equality_is_false(self):
         # equality is no arithmetic: a foreign operand is unequal, not refused
-        x = RatFunc.x(F5)
-        for other in (UPoly(F7, [0, 1]), RatFunc.x(F7)):
+        x = ratx(F5)
+        for other in (UPoly(F7, [0, 1]), ratx(F7)):
             assert x != other and other != x and not x == other
             assert x not in [other] and other not in [x]
         assert x == UPoly(F5, (0, 1))
@@ -891,10 +896,10 @@ class TestMixedFields:
         # UPoly hands a foreign type back, so both orders agree
         from dormant.curves import INF, P1Marked
 
-        poly, rat = UPoly(F5, (0, 1)), RatFunc.x(F5)
+        poly, rat = UPoly(F5, (0, 1)), ratx(F5)
         elem = P1Marked(F5, (0, 1, INF)).x_elem()
         for a, b in ((poly, rat), (poly, elem), (rat, elem)):
             assert a == b and b == a
-        assert poly != RatFunc.x(F7) and RatFunc.x(F7) != poly
+        assert poly != ratx(F7) and ratx(F7) != poly
         assert hash(rat) == hash(poly) and len({rat, poly}) == 1
         assert poly != "x" and (poly == object()) is False

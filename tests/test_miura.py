@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dormant.cartier import cartier_curve, is_pre_tango
 from dormant.connections import (
@@ -38,6 +40,7 @@ from dormant.miura import (
     pretango_of,
     specialize,
 )
+from dormant.moduli import enumerate_flat, standard_marked_line
 
 
 def line(p, marks=(0, 1, INF)):
@@ -86,7 +89,6 @@ class TestClassOf:
     def test_empty(self):
         vec = class_of(PrimeField(5), (), ())
         assert vec.vectors == ()
-        assert vec.n == 0
 
     def test_scalar_prepends_zero(self):
         vec = class_of(PrimeField(3), (0,), (1,))
@@ -107,7 +109,7 @@ class TestCartan:
     def test_trivial_build(self):
         curve = line(3)
         c = cartan_from_connections(d_conn(curve, omega_log_label(curve)))
-        assert c.n == 2
+        assert len(c.components) == 2
         assert c.components[0].scalar().is_zero
         assert c.components[1].scalar().is_zero
         assert c.components[1].label.corrections == {INF: -1}
@@ -122,24 +124,9 @@ class TestCartan:
     def test_curve_mismatch(self):
         c1, c2 = line(3), line(3, (0, 2, INF))
         with pytest.raises(CurveMismatch):
-            cartan_from_connections(d_conn(c1), d_conn(c2))
-
-    def test_rank3_telescoping(self):
-        curve = line(3)
-        rng = random.Random(0)
-        for _ in range(5):
-            r1 = (rng.randrange(3), rng.randrange(3))
-            r2 = (rng.randrange(3), rng.randrange(3))
-            nb1 = LogConnection(curve, [[pole_sum(curve, r1)]], omega_log_label(curve))
-            nb2 = LogConnection(curve, [[pole_sum(curve, r2)]], omega_log_label(curve))
-            c = cartan_from_connections(nb1, nb2)
-            assert c.n == 3
-            monos = [tuple(monodromy(comp)) for comp in c.components]
-            for nabla, lower, upper in zip((nb1, nb2), monos, monos[1:]):
-                mu = tuple(monodromy(nabla))
-                assert all(
-                    (u - l) % 3 == (-m) % 3 for u, l, m in zip(upper, lower, mu)
-                )
+            CartanConnection(c1, (d_conn(c1), d_conn(c2)))
+        with pytest.raises(CurveMismatch):
+            CartanConnection(c2, (d_conn(c1), d_conn(c1)))
 
 
 class TestMiuraFromCartan:
@@ -177,10 +164,11 @@ class TestMiuraFromCartan:
                 assert vec.vectors[i] == (0, mono1[i])
 
     def test_rejects_higher_rank(self):
+        # a Cartan connection is a pair: one component or three are refused
         curve = line(3)
-        c = CartanConnection(curve, (d_conn(curve), d_conn(curve), d_conn(curve)))
-        with pytest.raises(ValueError):
-            miura_from_cartan(c)
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="^a Cartan connection is a pair$"):
+                CartanConnection(curve, [d_conn(curve)] * n)
 
 
 class TestSpecialize:
@@ -421,3 +409,30 @@ class TestTriangularOracle:
             assert is_dormant(m) is expect
             seen[expect] += 1
         assert min(seen.values()) > 20
+
+
+@st.composite
+def admissible_residues(draw):
+    """The standard (p, r) line, p <= 7 and r <= 4, and a residue vector on
+    it that passes the divisibility test."""
+    p, r = draw(st.sampled_from((3, 5, 7))), draw(st.integers(3, 4))
+    head = draw(st.lists(st.integers(0, p - 1), min_size=r - 1, max_size=r - 1))
+    return standard_marked_line(p, r), (*head, -(r - 2 + sum(head)) % p)
+
+
+class TestRoundTripLaws:
+    @settings(max_examples=150, deadline=None)
+    @given(case=admissible_residues())
+    def test_pretango_members(self, case):
+        # each pre-Tango member comes back from its dormant operator, whose
+        # exponent is the class of minus its monodromy, a tuple in [0, p)
+        curve, mu = case
+        report = enumerate_flat(curve, mu)
+        assert report.admissible
+        for conn in report.pretango_list:
+            mono = monodromy(conn)
+            assert type(mono) is tuple
+            assert all(type(v) is int and 0 <= v < curve.p for v in mono)
+            m = miura_from_tango(conn)
+            assert pretango_of(m) == conn
+            assert exponent_of(m) == class_of(curve.field, curve.marks, [-v for v in mono])

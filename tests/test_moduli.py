@@ -21,7 +21,7 @@ from dormant.connections import (
 )
 from dormant.curves import INF, FFElem, P1Marked, RaynaudPlane, Weierstrass
 from dormant.errors import UndeclaredPoleDetected, UnsupportedCurve
-from dormant.field import PrimeField, RatFunc, _deriv, _mul
+from dormant.field import PrimeField, RatFunc, UPoly, _deriv, _mul
 from dormant.miura import is_dormant, miura_from_tango, pretango_of, specialize
 from dormant.moduli import (
     EnumerationReport,
@@ -31,6 +31,11 @@ from dormant.moduli import (
     standard_marked_line,
     sweep_genus0,
 )
+
+
+def ratx(field):
+    """x as a RatFunc over field."""
+    return RatFunc(field, UPoly(field, (0, 1)))
 
 
 def line(p, marks=(0, 1, INF)):
@@ -368,7 +373,7 @@ class TestLineRoute:
         monkeypatch.setattr(connections, "_power_frame",
                             lambda conn: powered.append(conn) or power(conn))
         curve = line(5, (0, INF))
-        x = RatFunc.x(curve.field)
+        x = ratx(curve.field)
         q = x * x - 2  # no root in F_5
         for a, flat in ((1 / (x * x), False), (1 / q, False), (-q.dlog(), True)):
             conn = LogConnection(curve, [[a]], validate=False)
@@ -384,7 +389,7 @@ class TestLineRoute:
             raise AssertionError("powered")
         monkeypatch.setattr(connections, "_power_frame", refuse)
         curve = line(30011)
-        x = RatFunc.x(curve.field)
+        x = ratx(curve.field)
         conn = LogConnection(curve, [[(2 + x) / (x * (x - 1))]])
         psi = p_curvature(conn)
         assert psi.is_zero and len(psi.horizontal._num[0]) - 1 == 30011 - 1
@@ -407,7 +412,7 @@ class TestLineRoute:
         assert flat == p ** (r - 1)
         # the three connections that validation would refuse
         curve = line(5, (0, INF))
-        x = RatFunc.x(curve.field)
+        x = ratx(curve.field)
         q = x * x - 2  # no root in F_5
         for a in (1 / (x * x), 1 / q, -q.dlog()):
             a = FFElem(curve, (a,))
@@ -468,7 +473,7 @@ class TestLineRoute:
         # the dual of an unvalidated connection with a double pole is refused
         # for that pole, as a scan of its entry would find it
         curve = line(5)
-        x = RatFunc.x(curve.field)
+        x = ratx(curve.field)
         for a, msg in ((1 / (x * x) + 2 / x, "pole of order 2 at 0"),
                        (3 / (x - 1) ** 3, "pole of order 3 at 1")):
             conn = LogConnection(curve, [[a]], validate=False)

@@ -2,11 +2,15 @@
 
 A public module-level function or class of src/dormant, or a public method
 of any class (a private base's public methods are inherited, so they count
-too), must be named somewhere else: in src/ outside its own
-definition (as an identifier, an attribute or an import), or in perfbench/
-(as an identifier, or as the last part of a dotted string such as the
-tracer's "curves.valuation"), or in API below with the reason a user calls
-it.  A name that only tests reach is a helper that nothing calls.
+too), must be named somewhere else: in src/ outside its own definition, or
+in perfbench/, or in API below with the reason a user calls it.  A name
+that only tests reach is a helper that nothing calls.
+
+A use counts by its receiver.  An identifier or an import names a
+module-level function or class.  C.m, with C a class of src/, names the
+method m of C and of C's bases only; m on any other receiver (an instance,
+a module) names every m, module-level or method.  A dotted perfbench string
+such as the tracer's "field.UPoly.gcd" names that one definition.
 """
 from __future__ import annotations
 
@@ -50,33 +54,60 @@ def _public_definitions(trees):
     return defs
 
 
-def _names(tree, strings=False):
-    """(name, node) for each identifier, attribute and import in tree; with
-    strings, also the last part of each dotted string constant."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and "." in node.value:
-            yield node.value.rsplit(".", 1)[-1], node
+def _bases(trees):
+    """{class name: the names of the class and of all its bases} for the
+    classes of the module trees."""
+    direct = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+              for tree in trees.values() for node in tree.body
+              if isinstance(node, ast.ClassDef)}
+
+    def closure(name):
+        return {name}.union(*(closure(b) for b in direct.get(name, ())))
+    return {name: closure(name) for name in direct}
+
+
+def _uses(trees, bases):
+    """{key: nodes} of the uses in the trees, keyed by what a use can name:
+    (None, name) a module-level name, ("*", m) every m, (C, m) the method m
+    of the class C."""
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                keys = [(None, node.id)]
+            elif isinstance(node, ast.alias):
+                keys = [(None, node.name.rsplit(".", 1)[-1])]
+            elif isinstance(node, ast.Attribute):
+                recv = node.value.id if isinstance(node.value, ast.Name) else None
+                keys = [(c, node.attr) for c in bases.get(recv, ["*"])]
+            else:
+                continue
+            for key in keys:
+                uses.setdefault(key, []).append(node)
+    return uses
+
+
+def _named(uses, qual):
+    """The uses that can name the definition qual."""
+    *owner, name = qual.split(".")[1:]
+    return uses.get(("*", name), []) + uses.get((owner[0] if owner else None, name), [])
+
+
+def _strings(trees):
+    return {node.value for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
 def _unreached():
-    trees = _parse("src/dormant")
-    src = {}
-    for tree in trees.values():
-        for name, node in _names(tree):
-            src.setdefault(name, []).append(node)
-    bench = {name for tree in _parse("perfbench").values() for name, _ in _names(tree, strings=True)}
+    trees, bench = _parse("src/dormant"), _parse("perfbench")
+    bases = _bases(trees)
+    src, in_bench = _uses(trees, bases), _uses(bench, bases)
+    strings = _strings(bench)
     out = []
     for qual, node in _public_definitions(trees).items():
-        name = qual.rsplit(".", 1)[-1]
         own = {id(n) for n in ast.walk(node)}
-        if any(id(n) not in own for n in src.get(name, ())) or name in bench or qual in API:
+        if qual in API or qual in strings or _named(in_bench, qual) \
+                or any(id(n) not in own for n in _named(src, qual)):
             continue
         out.append(qual)
     return out
